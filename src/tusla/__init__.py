@@ -27,7 +27,6 @@ from .optimizers import (
     AdamState,
     RunRecord,
     SgldConfig,
-    StepRow,
     TuslaConfig,
     adam_bias_corrected,
     adam_step,

@@ -40,6 +40,7 @@ from .gradient_oracle import (
     overflow_safe_drift,
     overflow_safe_drift_scalar,
     parameter_vector,
+    safe_norm,
 )
 from .neural_net import Architecture, MlpOracle, TeacherStream, activation_by_name, risk
 from .optimizers import (
@@ -254,8 +255,7 @@ def _seed_result(setup: _ProblemSetup, seed: int, record: RunRecord) -> SeedResu
     if setup.theta_star is None:
         dist = math.nan
     else:
-        diff = record.final_theta - setup.theta_star
-        dist = float(np.sqrt(np.dot(diff, diff)))
+        dist = safe_norm(record.final_theta - setup.theta_star)
     return SeedResult(
         seed=seed,
         final_distance=dist,
@@ -374,10 +374,7 @@ def _apply_overrides(cfg: ExperimentConfig, overrides: dict) -> ExperimentConfig
 # ---------------------------------------------------------------- export
 
 _FMT = "%.17g"  # shortest representation that round-trips float64
-
-
-def _cell(v: float) -> str:
-    return _FMT % v
+_BLOCK_ROWS = 4096  # rows formatted per write; bounds the transient Python objects
 
 
 def export_csv(record: RunRecord, path: str) -> str:
@@ -386,21 +383,30 @@ def export_csv(record: RunRecord, path: str) -> str:
     Header is always step,theta_norm,theta,objective,grad_norm; the theta
     column holds semicolon-joined components when the dimension is <= 8 and
     is empty otherwise, objective is empty when no objective was recorded.
+
+    Rows are formatted a block at a time: each column slice becomes Python
+    numbers with one tolist(), the slices are interleaved row-major, and one
+    %-format string with a row template per row formats the whole block.
     """
-    k = record.step_indices.size
+    cols = [record.step_indices, record.theta_norms]
+    theta_fmt = obj_fmt = ""
+    if record.thetas is not None:
+        cols.extend(record.thetas.T)
+        theta_fmt = ";".join([_FMT] * record.thetas.shape[1])
+    if record.objectives is not None:
+        cols.append(record.objectives)
+        obj_fmt = _FMT
+    cols.append(record.grad_norms)
+    row = f"%d,{_FMT},{theta_fmt},{obj_fmt},{_FMT}\n"
+    k, width = record.step_indices.size, len(cols)
     with open(path, "w", newline="") as f:
         f.write("step,theta_norm,theta,objective,grad_norm\n")
-        for i in range(k):
-            theta_cell = (
-                ";".join(_cell(c) for c in record.thetas[i])
-                if record.thetas is not None
-                else ""
-            )
-            obj_cell = _cell(record.objectives[i]) if record.objectives is not None else ""
-            f.write(
-                f"{int(record.step_indices[i])},{_cell(record.theta_norms[i])},"
-                f"{theta_cell},{obj_cell},{_cell(record.grad_norms[i])}\n"
-            )
+        for start in range(0, k, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, k)
+            cells = [None] * ((stop - start) * width)
+            for j, col in enumerate(cols):
+                cells[j::width] = col[start:stop].tolist()
+            f.write((row * (stop - start)) % tuple(cells))
     return path
 
 

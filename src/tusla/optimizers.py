@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "AdamConfig",
     "AdamState",
     "RunRecord",
-    "StepRow",
     "tusla_step",
     "sgld_step",
     "adam_step",
@@ -197,14 +196,6 @@ def adam_bias_corrected(state: AdamState) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-class StepRow(NamedTuple):
-    n: int
-    theta_norm: float
-    theta: Optional[np.ndarray]
-    objective: Optional[float]
-    grad_norm: float
-
-
 @dataclass
 class RunRecord:
     """Column-oriented trajectory record.
@@ -224,21 +215,6 @@ class RunRecord:
     final_theta: np.ndarray
     diverged: bool
     divergence_step: Optional[int]
-
-    @property
-    def steps(self) -> list[StepRow]:
-        out = []
-        for i, n in enumerate(self.step_indices):
-            out.append(
-                StepRow(
-                    int(n),
-                    float(self.theta_norms[i]),
-                    None if self.thetas is None else self.thetas[i],
-                    None if self.objectives is None else float(self.objectives[i]),
-                    float(self.grad_norms[i]),
-                )
-            )
-        return out
 
     @property
     def n_recorded(self) -> int:
@@ -276,37 +252,46 @@ def _has_scalar_path(oracle: GradientOracle) -> bool:
 
 
 class _Recorder:
-    """Accumulates rows; hides the keep-theta / objective switches."""
+    """Collects one row per recorded state: step, theta, |theta| and |G|.
+
+    Both routes pass theta in their own form, a float on the scalar route and
+    an array (never mutated afterwards) on the vector route, so recording a
+    row allocates no numpy object. finish stacks the theta rows once and
+    evaluates the objective once per row; rows are held only while thetas or
+    objectives need them.
+    """
 
     def __init__(self, d: int, objective: Optional[Callable]) -> None:
         self.keep_theta = d <= 8
         self.objective = objective
+        self.keep_rows = self.keep_theta or objective is not None
         self.idx: list[int] = []
+        self.thetas: list = []
         self.norms: list[float] = []
         self.grads: list[float] = []
-        self.thetas: list[np.ndarray] = []
-        self.objs: list[float] = []
 
-    def state(self, n: int, theta: np.ndarray, norm: float) -> None:
+    def add(self, n: int, theta, norm: float, grad_norm: float) -> None:
         self.idx.append(n)
         self.norms.append(norm)
-        if self.keep_theta:
-            self.thetas.append(np.array(theta, dtype=np.float64, copy=True))
+        self.grads.append(grad_norm)
+        if self.keep_rows:
+            self.thetas.append(theta)
+
+    def finish(self, n: int, theta, norm: float, diverged: bool, step: Optional[int]) -> RunRecord:
+        self.add(n, theta, norm, math.nan)  # final recorded state has no outgoing step
+        rows = None
+        if self.keep_rows:
+            rows = np.array(self.thetas, dtype=np.float64).reshape(len(self.idx), -1)
+        objectives = None
         if self.objective is not None:
-            self.objs.append(float(self.objective(theta)))
-
-    def grad(self, norm: float) -> None:
-        self.grads.append(norm)
-
-    def finish(self, final_theta: np.ndarray, diverged: bool, step: Optional[int]) -> RunRecord:
-        self.grads.append(math.nan)  # final recorded state has no outgoing step
+            objectives = np.array([float(self.objective(row)) for row in rows])
         return RunRecord(
-            step_indices=np.asarray(self.idx, dtype=np.int64),
-            theta_norms=np.asarray(self.norms, dtype=np.float64),
-            grad_norms=np.asarray(self.grads, dtype=np.float64),
-            thetas=np.asarray(self.thetas) if self.keep_theta else None,
-            objectives=np.asarray(self.objs) if self.objective is not None else None,
-            final_theta=np.array(final_theta, dtype=np.float64, copy=True),
+            step_indices=np.array(self.idx, dtype=np.int64),
+            theta_norms=np.array(self.norms, dtype=np.float64),
+            grad_norms=np.array(self.grads, dtype=np.float64),
+            thetas=rows if self.keep_theta else None,
+            objectives=objectives,
+            final_theta=np.array(theta, dtype=np.float64, ndmin=1),
             diverged=diverged,
             divergence_step=step,
         )
@@ -328,7 +313,8 @@ def run(
 
     algorithm: a TuslaConfig, SgldConfig, or AdamConfig.
     stream: data source with sample(rng) (and optionally sample_batch).
-    objective: optional theta -> float recorded alongside each state.
+    objective: optional theta -> float, evaluated once per recorded state
+        (after the loop, on that state's theta row) and recorded with it.
     """
     theta0 = parameter_vector(theta0)
     if n_steps < 0:
@@ -412,22 +398,18 @@ def _run_scalar(
 
     diverged = False
     div_step: Optional[int] = None
-    wrap = rec.state  # local alias
+    add = rec.add  # local alias
 
     n = 0
     norm0 = abs(th)
     if not math.isfinite(norm0) or norm0 > threshold:
-        wrap(0, np.array([th]), norm0)
-        return rec.finish(np.array([th]), True, 0)
+        return rec.finish(0, th, norm0, True, 0)
 
     while n < n_steps:
-        on_grid = n % record_every == 0
-        if on_grid:
-            wrap(n, np.array([th]), abs(th))
         x = xs.next()
         g = evaluate(th, x)
-        if on_grid:
-            rec.grad(abs(g))
+        if n % record_every == 0:
+            add(n, th, abs(th), abs(g))
         if is_adam:
             m = b1 * m + (1.0 - b1) * g
             v = b2 * v + (1.0 - b2) * (g * g)
@@ -458,8 +440,7 @@ def _run_scalar(
             div_step = n
             break
 
-    wrap(n, np.array([th]), abs(th))
-    return rec.finish(np.array([th]), diverged, div_step)
+    return rec.finish(n, th, abs(th), diverged, div_step)
 
 
 def _run_vector(
@@ -488,17 +469,13 @@ def _run_vector(
     n = 0
     norm0 = safe_norm(theta)
     if not math.isfinite(norm0) or norm0 > threshold:
-        rec.state(0, theta, norm0)
-        return rec.finish(theta, True, 0)
+        return rec.finish(0, theta, norm0, True, 0)
 
     while n < n_steps:
-        on_grid = n % record_every == 0
-        if on_grid:
-            rec.state(n, theta, safe_norm(theta))
         x = stream.sample(data_rng)
         g = oracle.evaluate(theta, x)
-        if on_grid:
-            rec.grad(safe_norm(g))
+        if n % record_every == 0:
+            rec.add(n, theta, safe_norm(theta), safe_norm(g))
         if is_adam:
             m = b1 * m + (1.0 - b1) * g
             v = b2 * v + (1.0 - b2) * (g * g)
@@ -520,5 +497,4 @@ def _run_vector(
             div_step = n
             break
 
-    rec.state(n, theta, safe_norm(theta))
-    return rec.finish(theta, diverged, div_step)
+    return rec.finish(n, theta, safe_norm(theta), diverged, div_step)

@@ -6,6 +6,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tusla.harness import (
     PRESETS,
@@ -136,6 +138,73 @@ def test_csv_empty_optional_columns(tmp_path):
     assert cols["theta"] is None
     assert cols["objective"] is None
     assert open(path).readlines()[1] == "0,1,,,3\n"
+
+
+def _reference_export_csv(record: RunRecord, path: str) -> None:
+    # the original per-row formatter; export_csv must match it byte for byte
+    def cell(v):
+        return "%.17g" % v
+
+    with open(path, "w", newline="") as f:
+        f.write("step,theta_norm,theta,objective,grad_norm\n")
+        for i in range(record.step_indices.size):
+            theta_cell = (
+                ";".join(cell(c) for c in record.thetas[i])
+                if record.thetas is not None
+                else ""
+            )
+            obj_cell = cell(record.objectives[i]) if record.objectives is not None else ""
+            f.write(
+                f"{int(record.step_indices[i])},{cell(record.theta_norms[i])},"
+                f"{theta_cell},{obj_cell},{cell(record.grad_norms[i])}\n"
+            )
+
+
+_EDGE_CELLS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+               1.7976931348623157e308, -1.7976931348623157e308, 0.1 + 0.2, 1.0 / 3.0]
+
+
+def _random_cells(rng, shape, drawn):
+    # edge values, arbitrary bit patterns (nan payloads, subnormals) and
+    # ordinary magnitudes, with the hypothesis-drawn floats placed up front
+    kind = rng.integers(0, 3, size=shape)
+    cells = np.where(
+        kind == 0,
+        rng.choice(np.array(_EDGE_CELLS), size=shape),
+        np.where(kind == 1, rng.integers(0, 2**64, size=shape, dtype=np.uint64).view(np.float64),
+                 rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, size=shape)),
+    )
+    flat = cells.reshape(-1)
+    flat[: len(drawn)] = drawn[: flat.size]
+    return cells
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_rows=st.sampled_from([1, 2, 5000]),  # 5000 crosses a 4096-row block
+    d=st.sampled_from([1, 2, 8, 9]),
+    has_objective=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    drawn=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=8),
+)
+def test_export_csv_matches_per_row_reference(tmp_path_factory, n_rows, d, has_objective,
+                                              seed, drawn):
+    rng = np.random.default_rng(seed)
+    rec = RunRecord(
+        step_indices=np.sort(rng.integers(0, 2**62, size=n_rows)).astype(np.int64),
+        theta_norms=_random_cells(rng, n_rows, drawn),
+        grad_norms=_random_cells(rng, n_rows, drawn[::-1]),
+        thetas=_random_cells(rng, (n_rows, d), drawn) if d <= 8 else None,
+        objectives=_random_cells(rng, n_rows, drawn) if has_objective else None,
+        final_theta=np.zeros(d),
+        diverged=False,
+        divergence_step=None,
+    )
+    out = tmp_path_factory.mktemp("export")
+    got, want = out / "got.csv", out / "want.csv"
+    assert export_csv(rec, str(got)) == str(got)
+    _reference_export_csv(rec, str(want))
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_parse_csv_rejects_foreign_header(tmp_path):

@@ -16,6 +16,7 @@ from tusla.gradient_oracle import (
     OracleMeta,
     RegularizationParams,
     overflow_safe_drift_scalar,
+    safe_norm,
 )
 from tusla.optimizers import (
     ALGO_IDS,
@@ -294,6 +295,56 @@ def test_objective_column():
         assert rec.objectives[i] == oracle.value(float(rec.thetas[i, 0]))
     rec2 = run(cfg, [0.3], oracle, UniformDataSource(), n_steps=4, rng_seed=2)
     assert rec2.objectives is None
+
+
+def _expected_rows(rec, n_steps, record_every):
+    # the rule the benchmark's artifact check enforces per chain
+    last = n_steps if rec.divergence_step is None else rec.divergence_step
+    return -(-last // record_every) + 1
+
+
+@pytest.mark.parametrize("record_every", [1, 7])
+@pytest.mark.parametrize(
+    "oracle,theta0,lam,diverges",
+    [
+        (UsProblem(s=2), [0.3], 0.001, False),  # scalar route
+        (VectorOnlyUs(s=2), [0.3], 0.001, False),  # vector route, d = 1
+        (UsProblem(s=2), [1.5], 0.01, True),  # diverges at step 113, off the 7-grid
+    ],
+)
+def test_recorded_objective_is_evaluated_on_recorded_rows(
+    oracle, theta0, lam, diverges, record_every
+):
+    n_steps = 200
+    u_s = UsProblem(s=2).value
+    calls = []
+
+    def objective(v):
+        calls.append(v.shape)
+        return u_s(float(v[0]))
+
+    rec = run(SgldConfig(lam=lam, beta=1.0), theta0, oracle, UniformDataSource(),
+              n_steps=n_steps, rng_seed=0, record_every=record_every, objective=objective)
+    assert rec.diverged == diverges
+    if diverges:
+        assert rec.divergence_step % 7 != 0
+    assert rec.n_recorded == _expected_rows(rec, n_steps, record_every)
+    assert calls == [(1,)] * rec.n_recorded  # once per recorded row, on a theta row
+    for i in range(rec.n_recorded):
+        want = np.float64(u_s(float(np.array([rec.thetas[i, 0]])[0])))
+        assert rec.objectives[i].tobytes() == want.tobytes()
+    assert rec.thetas[-1].tobytes() == rec.final_theta.tobytes()
+
+
+def test_recorded_objective_rows_above_dimension_eight():
+    # thetas are dropped for d > 8 but the objective still sees each recorded
+    # state: with the norm as objective the two columns agree bitwise
+    cfg = SgldConfig(lam=0.01, beta=1.0)
+    rec = run(cfg, np.full(9, 0.5), QuadraticProblem(d=9), ConstantDataSource(),
+              n_steps=20, rng_seed=0, record_every=7, objective=safe_norm)
+    assert rec.thetas is None
+    assert rec.n_recorded == _expected_rows(rec, 20, 7)
+    assert rec.objectives.tobytes() == rec.theta_norms.tobytes()
 
 
 def test_thetas_dropped_above_dimension_eight():
