@@ -67,16 +67,17 @@ def safe_norm(v: np.ndarray) -> float:
     For d == 1 this is exactly abs(v[0]) (no sqrt(x*x) round trip), which
     keeps scalar and vector code paths bit-identical. For larger vectors the
     components are rescaled by their max before squaring when any entry
-    exceeds 1e150, so |v| is finite whenever the entries are.
+    exceeds 1e150, so |v| is finite whenever the entries are, or when all
+    lie below 1e-150, where the squares would lose precision as subnormals.
     """
     if v.size == 1:
         return abs(float(v[0]))
-    m = float(np.max(np.abs(v)))
+    m = float(np.abs(v).max())
     if not math.isfinite(m):
         return math.inf
     if m == 0.0:
         return 0.0
-    if m > 1e150:
+    if m > 1e150 or m < 1e-150:
         w = v / m
         return m * math.sqrt(float(np.dot(w, w)))
     return math.sqrt(float(np.dot(v, v)))

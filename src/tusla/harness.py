@@ -234,11 +234,10 @@ class _ProblemSetup:
             probe_rng = np.random.Generator(
                 np.random.PCG64(np.random.SeedSequence([4242]))
             )
-            probe = [self.stream.sample(probe_rng) for _ in range(32)]
+            probe = self.stream.sample_batch(probe_rng, 32)
 
             def objective(v, _arch=arch, _probe=probe):
-                params = _arch.unflatten(v)
-                return float(np.mean([risk(params, x, 0.0, 1.0) for x in _probe]))
+                return float(np.mean(risk(_arch.unflatten(v), _probe, 0.0, 1.0)))
 
             self.objective = objective
         self.reg = RegularizationParams(eta=cfg.eta, r=r)

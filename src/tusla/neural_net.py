@@ -16,11 +16,22 @@ first two at a point, measuring the left sides exactly (power iteration for
 operator norms); ``lipschitz_constants`` packages the growth metadata
 (q = 2n+2, rho = 3) and ``drift_lipschitz_constants`` the penalized-drift
 variant used when a superlinear penalty is attached.
+
+Every entry point runs on two kernels: ``_forward_backward`` (f and the flat
+grad f of one sample in one pass, on views of a flat theta) for the oracle,
+and ``_forward`` (a stacked forward pass) for outputs, risks and teacher
+labels. The stacked pass batches samples as ``W @ Z[:, :, None]`` per layer
+and ``H[:, None, :] @ phi`` for the readout: numpy's matmul calls the same
+BLAS gemv or dot on every slice that ``W @ z`` and ``phi @ h`` call on one
+sample, so each row is bitwise the single-sample result and artifacts stay
+byte-identical. ``Z @ W.T`` (one gemm) and ``einsum`` sum in another order
+and differ in the last bits.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -119,10 +130,20 @@ class Architecture:
     def D(self) -> int:
         return max(self.dims)
 
-    @property
+    @cached_property
+    def _layout(self) -> tuple[tuple[int, int, tuple[int, int]], ...]:
+        """(start, stop, shape) of each W_i in the flat layout; phi is [:d_n]."""
+        out = []
+        off = self.dims[-1]
+        for i in range(1, self.n + 1):
+            shape = (self.dims[i], self.dims[i - 1])
+            out.append((off, off + shape[0] * shape[1], shape))
+            off += shape[0] * shape[1]
+        return tuple(out)
+
+    @cached_property
     def param_dim(self) -> int:
-        n = self.n
-        return self.dims[n] + sum(self.dims[i] * self.dims[i - 1] for i in range(1, n + 1))
+        return self._layout[-1][1]
 
     def zero_params(self) -> "MlpParams":
         return self.unflatten(np.zeros(self.param_dim))
@@ -130,18 +151,14 @@ class Architecture:
     def init_params(self, rng: np.random.Generator) -> "MlpParams":
         return self.unflatten(rng.uniform(-0.5, 0.5, size=self.param_dim))
 
-    def unflatten(self, vec: np.ndarray) -> "MlpParams":
-        vec = np.asarray(vec, dtype=np.float64)
+    def _views(self, vec: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """phi and W_1..W_n as views of a flat vector, without a copy."""
         if vec.shape != (self.param_dim,):
             raise ValueError(f"expected shape ({self.param_dim},), got {vec.shape}")
-        n = self.n
-        phi = vec[: self.dims[n]]
-        weights = []
-        off = self.dims[n]
-        for i in range(1, n + 1):
-            k = self.dims[i] * self.dims[i - 1]
-            weights.append(vec[off : off + k].reshape(self.dims[i], self.dims[i - 1]))
-            off += k
+        return vec[: self.dims[-1]], [vec[a:b].reshape(shape) for a, b, shape in self._layout]
+
+    def unflatten(self, vec: np.ndarray) -> "MlpParams":
+        phi, weights = self._views(np.asarray(vec, dtype=np.float64))
         return MlpParams(self, phi.copy(), tuple(w.copy() for w in weights))
 
 
@@ -173,16 +190,44 @@ class MlpParams:
         return safe_norm(self.flatten())
 
 
-def _forward_trace(params: MlpParams, z: np.ndarray):
-    """All pre-activations a_i and activations h_i (h_0 = z)."""
-    sigma = params.arch.activation.apply
-    hs = [np.asarray(z, dtype=np.float64)]
+def _forward(arch: Architecture, phi: np.ndarray, weights, zs: np.ndarray):
+    """Stacked forward pass over the rows of zs, shape (m, d_0).
+
+    Returns the outputs f, shape (m,), with the pre-activations a_i and the
+    activations h_i (h_0 = zs) of every row, each of shape (m, d_i, 1). Row j
+    is bitwise the single-sample pass (see the module docstring).
+    """
+    sigma = arch.activation.apply
+    hs = [zs[:, :, None]]
     pre = []
-    for w in params.weights:
+    for w in weights:
         a = w @ hs[-1]
         pre.append(a)
         hs.append(sigma(a))
-    return pre, hs
+    return (hs[-1][:, None, :, 0] @ phi)[:, 0], pre, hs
+
+
+def _forward_backward(arch: Architecture, phi: np.ndarray, weights, z: np.ndarray):
+    """f(z) and the flat grad_theta f(z) for one sample, in one pass.
+
+    phi and weights may be views of a flat theta; the gradient comes back in
+    the flatten() layout [d f/d phi, d f/d W_1, ..., d f/d W_n].
+    """
+    act = arch.activation
+    hs = [z]
+    pre = []
+    for w in weights:
+        a = w @ hs[-1]
+        pre.append(a)
+        hs.append(act.apply(a))
+    grads = [hs[-1]]
+    delta = phi  # d f / d h_n
+    for i in range(arch.n, 0, -1):
+        s = delta * act.derivative(pre[i - 1])
+        grads.insert(1, (s[:, None] * hs[i - 1]).ravel())  # np.outer's product
+        if i > 1:
+            delta = weights[i - 1].T @ s
+    return float(phi @ hs[-1]), np.concatenate(grads)
 
 
 def _split_sample(x: np.ndarray, d0: int) -> tuple[np.ndarray, float]:
@@ -192,44 +237,52 @@ def _split_sample(x: np.ndarray, d0: int) -> tuple[np.ndarray, float]:
     return x[:d0], float(x[d0])
 
 
+def _loss_gradient(arch: Architecture, phi: np.ndarray, weights, x) -> np.ndarray:
+    """Flat G = -2 (y - f) grad f at one packed sample x = (z, y)."""
+    z, y = _split_sample(x, arch.dims[0])
+    f, gf = _forward_backward(arch, phi, weights, z)
+    return (-2.0 * (y - f)) * gf
+
+
 def forward(params: MlpParams, z) -> float:
     """Network output phi . sigma(W_n sigma(... sigma(W_1 z)))."""
-    _, hs = _forward_trace(params, np.asarray(z, dtype=np.float64))
-    return float(params.phi @ hs[-1])
+    zs = np.asarray(z, dtype=np.float64).reshape(1, -1)
+    return float(_forward(params.arch, params.phi, params.weights, zs)[0][0])
 
 
 def grad_f(params: MlpParams, z) -> MlpParams:
     """Gradient of the network output with respect to all parameters."""
-    dsigma = params.arch.activation.derivative
-    pre, hs = _forward_trace(params, np.asarray(z, dtype=np.float64))
-    n = params.arch.n
-    g_w: list[Optional[np.ndarray]] = [None] * n
-    delta = params.phi  # d f / d h_n
-    for i in range(n, 0, -1):
-        s = delta * dsigma(pre[i - 1])
-        g_w[i - 1] = np.outer(s, hs[i - 1])
-        if i > 1:
-            delta = params.weights[i - 1].T @ s
-    return MlpParams(params.arch, hs[-1].copy(), tuple(g_w))
+    z = np.asarray(z, dtype=np.float64)
+    return params.arch.unflatten(_forward_backward(params.arch, params.phi, params.weights, z)[1])
 
 
-def risk(params: MlpParams, x, eta: float, r: float) -> float:
-    """(y - f(z))^2 + eta/(2(r+1)) |theta|^(2(r+1))."""
-    z, y = _split_sample(x, params.arch.dims[0])
-    resid = y - forward(params, z)
-    if eta == 0.0:
-        return resid * resid
-    t = params.norm()
-    return resid * resid + eta / (2.0 * (r + 1.0)) * t ** (2.0 * (r + 1.0))
+def risk(params: MlpParams, x, eta: float, r: float):
+    """(y - f(z))^2 + eta/(2(r+1)) |theta|^(2(r+1)).
+
+    x packs one sample (z, y), and the risk is a float; or x is a stack of
+    packed samples, one per row, and the per-row risks come back as an array
+    from one stacked forward pass.
+    """
+    xs = np.asarray(x, dtype=np.float64)
+    d0 = params.arch.dims[0]
+    if xs.ndim < 2:
+        z, y = _split_sample(xs, d0)
+        zs, ys = z[None, :], y
+    elif xs.ndim == 2 and xs.shape[1] == d0 + 1:
+        zs, ys = xs[:, :d0], xs[:, d0]
+    else:
+        raise ValueError(f"samples must be rows (z, y) with z of width {d0}, got shape {xs.shape}")
+    resid = ys - _forward(params.arch, params.phi, params.weights, zs)[0]
+    out = resid * resid
+    if eta != 0.0:
+        t = params.norm()
+        out = out + eta / (2.0 * (r + 1.0)) * t ** (2.0 * (r + 1.0))
+    return float(out[0]) if xs.ndim < 2 else out
 
 
 def gradient_g(params: MlpParams, x) -> MlpParams:
     """Squared-loss gradient G = -2 (y - f) grad f (no penalty)."""
-    z, y = _split_sample(x, params.arch.dims[0])
-    gf = grad_f(params, z)
-    resid = y - forward(params, z)
-    c = -2.0 * resid
-    return MlpParams(params.arch, c * gf.phi, tuple(c * w for w in gf.weights))
+    return params.arch.unflatten(_loss_gradient(params.arch, params.phi, params.weights, x))
 
 
 def gradient_h(params: MlpParams, x, eta: float, r: float) -> MlpParams:
@@ -342,7 +395,9 @@ def partial_deriv_bound_check(params: MlpParams, x, slack: float = 1e-9) -> Boun
     arch = params.arch
     z, _ = _split_sample(x, arch.dims[0])
     dsigma = arch.activation.derivative
-    pre, hs = _forward_trace(params, z)
+    _, pre, hs = _forward(arch, params.phi, params.weights, z[None, :])
+    pre = [a[0, :, 0] for a in pre]
+    hs = [h[0, :, 0] for h in hs]
     n = arch.n
 
     gf = grad_f(params, z)
@@ -387,8 +442,8 @@ class MlpOracle(GradientOracle):
         return self.arch.param_dim
 
     def evaluate(self, theta: np.ndarray, x) -> np.ndarray:
-        params = self.arch.unflatten(theta)
-        return gradient_g(params, x).flatten()
+        phi, weights = self.arch._views(theta)
+        return _loss_gradient(self.arch, phi, weights, x)
 
     def value(self, theta: np.ndarray, x) -> float:
         params = self.arch.unflatten(theta)
@@ -403,6 +458,11 @@ class TeacherStream:
     half_width: float = 1.0
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        d0 = self.teacher.arch.dims[0]
-        z = rng.uniform(-self.half_width, self.half_width, size=d0)
-        return np.concatenate([z, [forward(self.teacher, z)]])
+        return self.sample_batch(rng, 1)[0]
+
+    def sample_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n packed samples (z, y) as rows: the same draws as n sample calls."""
+        t = self.teacher
+        zs = rng.uniform(-self.half_width, self.half_width, size=(n, t.arch.dims[0]))
+        f = _forward(t.arch, t.phi, t.weights, zs)[0]
+        return np.concatenate([zs, f[:, None]], axis=1)

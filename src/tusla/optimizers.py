@@ -350,21 +350,34 @@ def run(
 
 
 class _BlockDraws:
-    """Buffers rng draws in blocks; identical sequence to one-at-a-time calls."""
+    """Buffers rng draws in blocks; identical sequence to one-at-a-time calls.
+
+    A 1-D block yields native floats, which keeps the scalar loop off numpy
+    scalars; a 2-D block yields its rows as views.
+    """
 
     def __init__(self, draw_block: Callable[[int], np.ndarray], block: int = 4096) -> None:
         self._draw = draw_block
         self._block = block
-        self._buf = draw_block(block)
+        self._refill()
+
+    def _refill(self) -> None:
+        buf = self._draw(self._block)
+        self._rows = buf.tolist() if buf.ndim == 1 else buf
         self._i = 0
 
-    def next(self) -> float:
+    def next(self):
         if self._i == self._block:
-            self._buf = self._draw(self._block)
-            self._i = 0
-        v = self._buf[self._i]
+            self._refill()
+        v = self._rows[self._i]
         self._i += 1
-        return float(v)  # native float keeps the hot loop off numpy scalars
+        return v
+
+
+def _block_size(n_steps: int, width: int = 1) -> int:
+    # a block holds at most 4096 values, and a short chain draws (and, for a
+    # teacher stream, labels) only what it uses
+    return max(1, min(4096 // width, n_steps))
 
 
 def _data_block(stream, rng: np.random.Generator) -> Callable[[int], np.ndarray]:
@@ -380,10 +393,10 @@ def _run_scalar(
     # Hot loop on native floats; the drift lines mirror
     # overflow_safe_drift_scalar exactly (sqrt hoisted, same op order).
     evaluate = oracle.evaluate_scalar
-    xs = _BlockDraws(_data_block(stream, data_rng))
+    xs = _BlockDraws(_data_block(stream, data_rng), _block_size(n_steps))
     is_adam = isinstance(algorithm, AdamConfig)
     if not is_adam:
-        noise = _BlockDraws(lambda n: noise_rng.standard_normal(n))
+        noise = _BlockDraws(lambda n: noise_rng.standard_normal(n), _block_size(n_steps))
         lam = algorithm.lam
         noise_scale = math.sqrt(2.0 * lam / algorithm.beta)
         sqlam = math.sqrt(lam)
@@ -449,8 +462,10 @@ def _run_vector(
 ) -> RunRecord:
     # Update formulas below replicate tusla_step / sgld_step / adam_step
     # operation-for-operation (the base-case test pins that) while sharing
-    # one oracle evaluation between the step and the grad_norm column.
+    # one oracle evaluation between the step and the grad_norm column. Data
+    # and noise rows come in blocks, the same draws as per-step calls.
     d = theta.size
+    xs = _BlockDraws(_data_block(stream, data_rng), _block_size(n_steps))
     is_adam = isinstance(algorithm, AdamConfig)
     is_tusla = isinstance(algorithm, TuslaConfig)
     if is_adam:
@@ -462,20 +477,21 @@ def _run_vector(
     else:
         lam = algorithm.lam
         noise_scale = math.sqrt(2.0 * lam / algorithm.beta)
+        noise = _BlockDraws(lambda k: noise_rng.standard_normal((k, d)), _block_size(n_steps, d))
 
     diverged = False
     div_step: Optional[int] = None
 
     n = 0
-    norm0 = safe_norm(theta)
-    if not math.isfinite(norm0) or norm0 > threshold:
-        return rec.finish(0, theta, norm0, True, 0)
+    nrm = safe_norm(theta)  # |theta| of the current state, reused by the recorder
+    if not math.isfinite(nrm) or nrm > threshold:
+        return rec.finish(0, theta, nrm, True, 0)
 
     while n < n_steps:
-        x = stream.sample(data_rng)
+        x = xs.next()
         g = oracle.evaluate(theta, x)
         if n % record_every == 0:
-            rec.add(n, theta, safe_norm(theta), safe_norm(g))
+            rec.add(n, theta, nrm, safe_norm(g))
         if is_adam:
             m = b1 * m + (1.0 - b1) * g
             v = b2 * v + (1.0 - b2) * (g * g)
@@ -484,7 +500,7 @@ def _run_vector(
             vhat = v / (1.0 - b2 ** k)
             theta = theta - alpha * (mhat / (np.sqrt(vhat) + eps))
         else:
-            xi = noise_rng.standard_normal(d)
+            xi = noise.next()
             if is_tusla:
                 drift = overflow_safe_drift(g, theta, lam, algorithm.reg)
                 theta = theta - lam * drift + noise_scale * xi
@@ -497,4 +513,4 @@ def _run_vector(
             div_step = n
             break
 
-    return rec.finish(n, theta, safe_norm(theta), diverged, div_step)
+    return rec.finish(n, theta, nrm, diverged, div_step)

@@ -69,6 +69,49 @@ def test_safe_norm_survives_huge_components():
     assert safe_norm(np.array([1e308, 1e308])) == pytest.approx(math.sqrt(2) * 1e308, rel=1e-15)
 
 
+def test_safe_norm_keeps_precision_for_tiny_components():
+    # squares of entries below ~1.5e-154 are subnormal; without rescaling,
+    # |(0, 0, 0, 5.63e-159)| came out 3e-8 relatively too large, which broke
+    # the second cap of test_taming_dominance
+    assert safe_norm(np.array([3e-160, 4e-160])) == pytest.approx(5e-160, rel=1e-15)
+    assert safe_norm(np.array([0.0, 0.0, 0.0, 5.63001137e-159])) == 5.63001137e-159
+    assert safe_norm(np.array([5e-324, 0.0])) == 5e-324
+
+
+def _reference_safe_norm(v: np.ndarray) -> float:
+    # the fromnumeric-dispatch form, np.max(np.abs(v)), that safe_norm
+    # replaced by np.abs(v).max(); same branches and arithmetic otherwise
+    if v.size == 1:
+        return abs(float(v[0]))
+    m = float(np.max(np.abs(v)))
+    if not math.isfinite(m):
+        return math.inf
+    if m == 0.0:
+        return 0.0
+    if m > 1e150 or m < 1e-150:
+        w = v / m
+        return m * math.sqrt(float(np.dot(w, w)))
+    return math.sqrt(float(np.dot(v, v)))
+
+
+_NORM_CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3.0,
+                     1e150, math.nextafter(1e150, 0.0), math.nextafter(1e150, math.inf)]),
+    st.floats(1e149, 1e151),
+    st.floats(-1e151, -1e149),
+    st.floats(-1e-300, 1e-300),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=st.lists(_NORM_CELLS, min_size=1, max_size=9))
+def test_safe_norm_matches_reference_bitwise(cells):
+    v = np.array(cells, dtype=np.float64)
+    got, want = safe_norm(v), _reference_safe_norm(v)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 def test_meta_and_reg_validation():
     with pytest.raises(ValueError):
         OracleMeta(q=0.5, rho=1.0, L1=1.0)

@@ -1,5 +1,6 @@
 """Experiment harness tests: preset fidelity, CSV/JSON round-trips, config
 files, output layout, determinism of written artifacts, and CLI exit codes."""
+import dataclasses
 import json
 import math
 import os
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _mlp_reference as ref
+from tusla import harness
 from tusla.harness import (
     PRESETS,
     ExperimentConfig,
@@ -335,6 +338,24 @@ def test_run_config_reruns_are_byte_identical(tmp_path):
     run_config(_small_cfg(), name="rep", out_dir=b)
     for fname in sorted(os.listdir(a)):
         assert open(f"{a}/{fname}", "rb").read() == open(f"{b}/{fname}", "rb").read(), fname
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_mlp_run_artifacts_match_per_sample_reference(tmp_path, monkeypatch, fmt):
+    # the MLP route end to end: fused oracle, batched teacher labels and
+    # stacked probe risks must write the bytes of the per-sample forms
+    cfg = dataclasses.replace(PRESETS["nn-demo"], seeds=(0, 1), n_steps=300, record_every=10)
+    assert cfg.algorithms() == ("tusla", "sgld", "adam")
+    fast, slow = tmp_path / "fast", tmp_path / "slow"
+    run_config(cfg, name="nn", out_dir=str(fast), fmt=fmt)
+    monkeypatch.setattr(harness, "MlpOracle", ref.ReferenceMlpOracle)
+    monkeypatch.setattr(harness, "TeacherStream", ref.ReferenceTeacherStream)
+    monkeypatch.setattr(harness, "risk", ref.per_probe_risks)
+    run_config(cfg, name="nn", out_dir=str(slow), fmt=fmt)
+    names = sorted(os.listdir(fast))
+    assert names == sorted(os.listdir(slow)) and len(names) == 7
+    for fname in names:
+        assert (fast / fname).read_bytes() == (slow / fname).read_bytes(), fname
 
 
 def test_base_seed_shifts_the_seed_list():

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import _mlp_reference as ref
 from _suites import (
     dfnorm_violations,
     dsnorm_violations,
@@ -358,3 +361,53 @@ def test_teacher_stream():
         z, y = sample[:3], sample[3]
         assert np.all(np.abs(z) <= 1.5)
         assert y == forward(teacher, z)
+
+
+# ---------------------------------------------------------------------------
+# fused and stacked kernels against the per-sample reference forms
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 6), min_size=2, max_size=4).map(tuple),
+    act=st.sampled_from([TANH, ARCTAN]),
+    log_scale=st.floats(-3.0, 3.0),
+    m=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernels_match_per_sample_reference_bitwise(dims, act, log_scale, m, seed):
+    arch = Architecture(dims, act)
+    rng = np.random.default_rng(seed)
+    theta = rng.normal(size=arch.param_dim) * 10.0 ** log_scale
+    params = arch.unflatten(theta)
+    xs = np.column_stack([rng.uniform(-2.0, 2.0, size=(m, dims[0])), rng.normal(size=m)])
+    x, z = xs[0], xs[0, :-1]
+
+    want = ref.gradient_g(params, x).flatten()
+    assert MlpOracle(arch).evaluate(theta, x).tobytes() == want.tobytes()
+    assert gradient_g(params, x).flatten().tobytes() == want.tobytes()
+    assert grad_f(params, z).flatten().tobytes() == ref.grad_f(params, z).flatten().tobytes()
+    assert forward(params, z) == ref.forward(params, z)
+
+    for eta, r in ((0.0, 1.0), (0.01, 2.5)):
+        per_probe = np.array([ref.risk(params, row, eta, r) for row in xs])
+        assert risk(params, xs, eta, r).tobytes() == per_probe.tobytes()
+        assert risk(params, x, eta, r) == per_probe[0]
+    assert MlpOracle(arch).value(theta, x) == ref.risk(params, x, 0.0, 1.0)
+
+    stream = TeacherStream(params, half_width=1.5)
+    batch = stream.sample_batch(np.random.default_rng(seed), m)
+    rng_ref, rng_one = np.random.default_rng(seed), np.random.default_rng(seed)
+    per_call = np.array([ref.teacher_sample(params, rng_ref, 1.5) for _ in range(m)])
+    assert batch.tobytes() == per_call.tobytes()
+    assert np.array([stream.sample(rng_one) for _ in range(m)]).tobytes() == batch.tobytes()
+
+
+def test_risk_rejects_misshapen_samples():
+    arch, params = _tiny_net()
+    with pytest.raises(ValueError):
+        risk(params, np.zeros(3), 0.0, 1.0)
+    with pytest.raises(ValueError):
+        risk(params, np.zeros((4, 3)), 0.0, 1.0)
+    with pytest.raises(ValueError):
+        MlpOracle(arch).evaluate(np.zeros(3), np.zeros(2))

@@ -414,6 +414,16 @@ def test_block_draws_match_per_call_draws():
     buffered = [block.next() for _ in range(5000)]  # crosses a block boundary
     single = [float(rng_b.standard_normal()) for _ in range(5000)]
     assert buffered == single
+    # row blocks, as the vector route draws noise and data rows: a (k, d)
+    # draw gives the rows of k per-step size-d calls, across refills too
+    for block in (1, 7, 4096):
+        for draw in (lambda g, size: g.standard_normal(size),
+                     lambda g, size: g.uniform(-1.0, 1.0, size)):
+            rng_a, rng_b = np.random.default_rng(321), np.random.default_rng(321)
+            rows = _BlockDraws(lambda k: draw(rng_a, (k, 3)), block)
+            buffered = np.array([rows.next() for _ in range(50)])
+            single = np.array([draw(rng_b, 3) for _ in range(50)])
+            assert buffered.tobytes() == single.tobytes()
 
 
 def test_noise_streams_differ_between_algorithms():

@@ -155,6 +155,40 @@ def test_printed_estimator_is_biased():
     assert abs(bracket / 11.0 - u_s_derivative(theta, s)) > 1.0
 
 
+def _printed_mean_field(theta: float, s: int) -> float:
+    # mean of g_s_sample over x ~ U[0, 11]: a midpoint grid of 1000 cells per
+    # unit weights the multiplier's [0, 1] branch by exactly 1/11
+    xs = (np.arange(11_000) + 0.5) / 1000.0
+    return float(np.mean([g_s_sample(theta, float(x), s) for x in xs]))
+
+
+@pytest.mark.parametrize("s", [2, 3])
+def test_printed_estimator_mean_field_has_two_basin_zeros(s):
+    # Inside the basin the mean field is (d^2 + 2s d^(2s-1))/11, d = theta - 0.1.
+    # Its zero at d = 0 is only semi-stable (the field is >= 0 on both sides),
+    # while d* = -(2s)^(-1/(2s-3)) is stable: for s = 2, theta = -0.15. A
+    # low-temperature chain can settle there, |theta - 0.1| = 0.25, and still
+    # pass a "median < 0.5" check without finding the minimizer.
+    for theta in (-0.7, -0.3, 0.05, 0.4, 0.9):
+        d = theta - CENTER
+        want = (d * d + 2.0 * s * d ** (2 * s - 1)) / 11.0
+        assert math.isclose(_printed_mean_field(theta, s), want, rel_tol=1e-12)
+
+    assert _printed_mean_field(CENTER, s) == 0.0
+    for h in (1e-3, 0.05, 0.1):
+        assert _printed_mean_field(CENTER - h, s) > 0.0
+        assert _printed_mean_field(CENTER + h, s) > 0.0
+
+    d_star = -((2.0 * s) ** (-1.0 / (2 * s - 3)))
+    if s == 2:
+        assert d_star == -0.25 and math.isclose(CENTER + d_star, -0.15)
+    theta_star = CENTER + d_star
+    assert abs(_printed_mean_field(theta_star, s)) < 1e-15
+    for h in (1e-3, 0.05):
+        assert _printed_mean_field(theta_star - h, s) < 0.0  # drift -mean pushes theta up
+        assert _printed_mean_field(theta_star + h, s) > 0.0  # and down: a stable zero
+
+
 def test_printed_estimator_jumps_at_branch_switch():
     lo = g_s_sample(math.nextafter(1.1, 0.0), 0.5, 0)
     hi = g_s_sample(math.nextafter(1.1, 2.0), 0.5, 0)
