@@ -202,7 +202,10 @@ def tamed_gradient(
 def overflow_safe_drift_scalar(
     g: float, theta: float, lam: float, eta: float, r: float
 ) -> float:
-    """Scalar H_lam; single source of truth for the d == 1 hot loops.
+    """Scalar H_lam, bitwise overflow_safe_drift on one-element arrays.
+
+    ``run`` inlines the same operations in its loop (shared by both routes),
+    and ``tusla check`` compares this form against overflow_safe_drift.
 
     Never forms a power of |theta| larger than 1: the |theta| >= 1 branch
     multiplies numerator and denominator by |theta|^(-2r), which underflows

@@ -65,13 +65,15 @@ __all__ = [
 class ActivationSpec:
     """Componentwise activation with the constants the bounds need.
 
-    sup_abs / sup_abs_deriv bound |sigma| and |sigma'|; lip_deriv is a
-    Lipschitz constant for sigma'. sobolev_norm is their sum.
+    derivative(a, h) is sigma'(a) given h = apply(a) as well, so tanh can
+    reuse the forward pass's output. sup_abs / sup_abs_deriv bound |sigma|
+    and |sigma'|; lip_deriv is a Lipschitz constant for sigma'. sobolev_norm
+    is their sum.
     """
 
     name: str
     apply: Callable[[np.ndarray], np.ndarray]
-    derivative: Callable[[np.ndarray], np.ndarray]
+    derivative: Callable[[np.ndarray, np.ndarray], np.ndarray]
     sup_abs: float
     sup_abs_deriv: float
     lip_deriv: float
@@ -84,7 +86,7 @@ class ActivationSpec:
 TANH = ActivationSpec(
     name="tanh",
     apply=np.tanh,
-    derivative=lambda z: 1.0 - np.tanh(z) ** 2,
+    derivative=lambda a, h: 1.0 - h ** 2,
     sup_abs=1.0,
     sup_abs_deriv=1.0,
     lip_deriv=4.0 / (3.0 * math.sqrt(3.0)),  # max |tanh''|, attained at atanh(1/sqrt 3)
@@ -93,7 +95,7 @@ TANH = ActivationSpec(
 ARCTAN = ActivationSpec(
     name="arctan",
     apply=np.arctan,
-    derivative=lambda z: 1.0 / (1.0 + z * z),
+    derivative=lambda a, h: 1.0 / (1.0 + a * a),
     sup_abs=math.pi / 2.0,
     sup_abs_deriv=1.0,
     lip_deriv=9.0 / (8.0 * math.sqrt(3.0)),  # max |2z/(1+z^2)^2|, at z = 1/sqrt 3
@@ -223,7 +225,7 @@ def _forward_backward(arch: Architecture, phi: np.ndarray, weights, z: np.ndarra
     grads = [hs[-1]]
     delta = phi  # d f / d h_n
     for i in range(arch.n, 0, -1):
-        s = delta * act.derivative(pre[i - 1])
+        s = delta * act.derivative(pre[i - 1], hs[i])
         grads.insert(1, (s[:, None] * hs[i - 1]).ravel())  # np.outer's product
         if i > 1:
             delta = weights[i - 1].T @ s
@@ -409,7 +411,7 @@ def partial_deriv_bound_check(params: MlpParams, x, slack: float = 1e-9) -> Boun
     # P = d h_n / d h_i, built from the top: P_n = I, P_{i-1} = P_i Msig_i W_i
     p = np.eye(arch.dims[n])
     for i in range(n, 0, -1):
-        jac_factor = p * dsigma(pre[i - 1])  # P @ diag(sigma'(a_i))
+        jac_factor = p * dsigma(pre[i - 1], hs[i])  # P @ diag(sigma'(a_i))
         lhs = operator_norm(jac_factor) * float(np.linalg.norm(hs[i - 1]))
         layer_measured.append(lhs)
         layer_bounds.append(layer_jacobian_bound(params, x, i))

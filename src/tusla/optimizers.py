@@ -8,6 +8,17 @@ iterate norm exceeds the divergence threshold or turns non-finite. Divergence
 is an expected, reportable outcome for the unstable baselines, so the loop
 suppresses IEEE overflow warnings and lets inf/nan propagate to the check.
 
+``run`` has one loop for every algorithm and dimension, stepped in blocks.
+A block draws k data rows and k noise rows at once (k holds at most 4096
+values and at most n_steps rows), which are the same values as k per-step
+draws. The noise is pre-scaled once per block, noise_scale * xi over the
+whole block: a float64 product rounds the same elementwise as at the step,
+so the chain keeps its bits. A one-parameter oracle with evaluate_scalar
+takes the scalar route, on native floats with abs as the norm; everything
+else takes the vector route, on arrays with safe_norm. Both routes run the
+update of tusla_step, sgld_step and adam_step operation for operation, with
+the tamed drift of overflow_safe_drift written inline.
+
 Seeding: one master seed per run expands to independent substreams via
 SeedSequence spawn keys: data = [seed, 0], update noise = [seed, 1, algo_id]
 with algo_id 0/1/2 for TUSLA/SGLD/ADAM. Two algorithms given the same seed
@@ -19,6 +30,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -338,40 +350,10 @@ def run(
     rec = _Recorder(theta0.size, objective)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if theta0.size == 1 and _has_scalar_path(oracle):
-            return _run_scalar(
-                algorithm, float(theta0[0]), oracle, stream, n_steps,
-                data_rng, noise_rng, record_every, divergence_threshold, rec,
-            )
-        return _run_vector(
+        return _run_chain(
             algorithm, theta0, oracle, stream, n_steps,
             data_rng, noise_rng, record_every, divergence_threshold, rec,
         )
-
-
-class _BlockDraws:
-    """Buffers rng draws in blocks; identical sequence to one-at-a-time calls.
-
-    A 1-D block yields native floats, which keeps the scalar loop off numpy
-    scalars; a 2-D block yields its rows as views.
-    """
-
-    def __init__(self, draw_block: Callable[[int], np.ndarray], block: int = 4096) -> None:
-        self._draw = draw_block
-        self._block = block
-        self._refill()
-
-    def _refill(self) -> None:
-        buf = self._draw(self._block)
-        self._rows = buf.tolist() if buf.ndim == 1 else buf
-        self._i = 0
-
-    def next(self):
-        if self._i == self._block:
-            self._refill()
-        v = self._rows[self._i]
-        self._i += 1
-        return v
 
 
 def _block_size(n_steps: int, width: int = 1) -> int:
@@ -386,131 +368,77 @@ def _data_block(stream, rng: np.random.Generator) -> Callable[[int], np.ndarray]
     return lambda n: np.array([stream.sample(rng) for _ in range(n)])
 
 
-def _run_scalar(
-    algorithm, th: float, oracle, stream, n_steps,
-    data_rng, noise_rng, record_every, threshold, rec: _Recorder,
-) -> RunRecord:
-    # Hot loop on native floats; the drift lines mirror
-    # overflow_safe_drift_scalar exactly (sqrt hoisted, same op order).
-    evaluate = oracle.evaluate_scalar
-    xs = _BlockDraws(_data_block(stream, data_rng), _block_size(n_steps))
-    is_adam = isinstance(algorithm, AdamConfig)
-    if not is_adam:
-        noise = _BlockDraws(lambda n: noise_rng.standard_normal(n), _block_size(n_steps))
-        lam = algorithm.lam
-        noise_scale = math.sqrt(2.0 * lam / algorithm.beta)
-        sqlam = math.sqrt(lam)
-        if isinstance(algorithm, TuslaConfig):
-            eta, r = algorithm.reg.eta, algorithm.reg.r
-        else:
-            eta, r = None, None
-        two_r = None if r is None else 2.0 * r
-    else:
-        alpha, b1, b2, eps = algorithm.alpha, algorithm.beta1, algorithm.beta2, algorithm.eps
-        m = v = 0.0
-
-    diverged = False
-    div_step: Optional[int] = None
-    add = rec.add  # local alias
-
-    n = 0
-    norm0 = abs(th)
-    if not math.isfinite(norm0) or norm0 > threshold:
-        return rec.finish(0, th, norm0, True, 0)
-
-    while n < n_steps:
-        x = xs.next()
-        g = evaluate(th, x)
-        if n % record_every == 0:
-            add(n, th, abs(th), abs(g))
-        if is_adam:
-            m = b1 * m + (1.0 - b1) * g
-            v = b2 * v + (1.0 - b2) * (g * g)
-            k = n + 1
-            mhat = m / (1.0 - b1 ** k)
-            vhat = v / (1.0 - b2 ** k)
-            denom = math.sqrt(vhat) + eps  # v >= 0 or nan; sqrt never raises
-            if denom == 0.0:
-                # native floats raise on x/0; reproduce IEEE nan/inf instead
-                upd = math.nan if mhat == 0.0 else math.copysign(math.inf, mhat)
-            else:
-                upd = mhat / denom
-            th = th - alpha * upd
-        else:
-            a = abs(th)
-            if eta is None:
-                drift = g
-            elif a < 1.0:
-                t = a ** two_r
-                drift = (g + (eta * t) * th) / (1.0 + sqlam * t)
-            else:
-                ti = a ** (-two_r)
-                drift = (ti * g + eta * th) / (ti + sqlam)
-            th = th - lam * drift + noise_scale * noise.next()
-        n += 1
-        if not math.isfinite(th) or abs(th) > threshold:
-            diverged = True
-            div_step = n
-            break
-
-    return rec.finish(n, th, abs(th), diverged, div_step)
+def _rows(block: np.ndarray):
+    # a 1-D block becomes native floats, which keeps the scalar route off
+    # numpy scalars; a 2-D block is iterated as row views
+    return block.tolist() if block.ndim == 1 else block
 
 
-def _run_vector(
+def _run_chain(
     algorithm, theta: np.ndarray, oracle, stream, n_steps,
     data_rng, noise_rng, record_every, threshold, rec: _Recorder,
 ) -> RunRecord:
-    # Update formulas below replicate tusla_step / sgld_step / adam_step
-    # operation-for-operation (the base-case test pins that) while sharing
-    # one oracle evaluation between the step and the grad_norm column. Data
-    # and noise rows come in blocks, the same draws as per-step calls.
+    # The route picks the oracle call, the norm and the row form, plus ADAM's
+    # sqrt (see the module docstring). The one norm of each new state serves
+    # the divergence check, the recorder and the next step's drift.
     d = theta.size
-    xs = _BlockDraws(_data_block(stream, data_rng), _block_size(n_steps))
+    if d == 1 and _has_scalar_path(oracle):
+        theta = float(theta[0])
+        evaluate, norm, sqrt, row = oracle.evaluate_scalar, abs, math.sqrt, ()
+    else:
+        evaluate, norm, sqrt, row = oracle.evaluate, safe_norm, np.sqrt, (d,)
     is_adam = isinstance(algorithm, AdamConfig)
     is_tusla = isinstance(algorithm, TuslaConfig)
     if is_adam:
-        alpha, b1, b2, eps = (
-            algorithm.alpha, algorithm.beta1, algorithm.beta2, algorithm.eps,
-        )
-        m = np.zeros_like(theta)
-        v = np.zeros_like(theta)
+        alpha, b1, b2, eps = algorithm.alpha, algorithm.beta1, algorithm.beta2, algorithm.eps
+        m = v = 0.0
     else:
         lam = algorithm.lam
         noise_scale = math.sqrt(2.0 * lam / algorithm.beta)
-        noise = _BlockDraws(lambda k: noise_rng.standard_normal((k, d)), _block_size(n_steps, d))
+    if is_tusla:
+        eta, two_r, sqlam = algorithm.reg.eta, 2.0 * algorithm.reg.r, math.sqrt(lam)
 
-    diverged = False
-    div_step: Optional[int] = None
-
-    n = 0
-    nrm = safe_norm(theta)  # |theta| of the current state, reused by the recorder
+    nrm = norm(theta)
     if not math.isfinite(nrm) or nrm > threshold:
         return rec.finish(0, theta, nrm, True, 0)
 
+    draw_data = _data_block(stream, data_rng)
+    block = _block_size(n_steps, d)
+    add = rec.add
+    n = 0
     while n < n_steps:
-        x = xs.next()
-        g = oracle.evaluate(theta, x)
-        if n % record_every == 0:
-            rec.add(n, theta, nrm, safe_norm(g))
-        if is_adam:
-            m = b1 * m + (1.0 - b1) * g
-            v = b2 * v + (1.0 - b2) * (g * g)
-            k = n + 1
-            mhat = m / (1.0 - b1 ** k)
-            vhat = v / (1.0 - b2 ** k)
-            theta = theta - alpha * (mhat / (np.sqrt(vhat) + eps))
-        else:
-            xi = noise.next()
-            if is_tusla:
-                drift = overflow_safe_drift(g, theta, lam, algorithm.reg)
-                theta = theta - lam * drift + noise_scale * xi
+        # k data rows and k noise rows, the same draws as k per-step calls;
+        # the noise is scaled once per block, and noise_scale * xi rounds
+        # elementwise exactly as it would at the step
+        k = min(block, n_steps - n)
+        xis = repeat(None, k) if is_adam else _rows(
+            noise_scale * noise_rng.standard_normal((k, *row))
+        )
+        for x, xi in zip(_rows(draw_data(k)), xis):
+            g = evaluate(theta, x)
+            if n % record_every == 0:
+                add(n, theta, nrm, norm(g))
+            if is_adam:
+                m = b1 * m + (1.0 - b1) * g
+                v = b2 * v + (1.0 - b2) * (g * g)
+                mhat = m / (1.0 - b1 ** (n + 1))
+                vhat = v / (1.0 - b2 ** (n + 1))
+                try:
+                    upd = mhat / (sqrt(vhat) + eps)
+                except ZeroDivisionError:  # native floats raise on x/0; IEEE gives nan/inf
+                    upd = math.nan if mhat == 0.0 else math.copysign(math.inf, mhat)
+                theta = theta - alpha * upd
             else:
-                theta = theta - lam * g + noise_scale * xi
-        n += 1
-        nrm = safe_norm(theta)
-        if not math.isfinite(nrm) or nrm > threshold:
-            diverged = True
-            div_step = n
-            break
-
-    return rec.finish(n, theta, nrm, diverged, div_step)
+                if is_tusla:
+                    if nrm < 1.0:
+                        t = nrm ** two_r
+                        g = (g + (eta * t) * theta) / (1.0 + sqlam * t)
+                    else:
+                        ti = nrm ** -two_r
+                        g = (ti * g + eta * theta) / (ti + sqlam)
+                theta = theta - lam * g + xi
+            n += 1
+            nrm = norm(theta)
+            if not math.isfinite(nrm) or nrm > threshold:
+                return rec.finish(n, theta, nrm, True, n)
+    return rec.finish(n, theta, nrm, False, None)

@@ -38,8 +38,16 @@ def forward(params: MlpParams, z) -> float:
     return float(params.phi @ hs[-1])
 
 
+# sigma'(a) recomputed from the pre-activation alone, as the package did
+# before its derivative took the stored activation
+DERIVATIVES = {
+    "tanh": lambda z: 1.0 - np.tanh(z) ** 2,
+    "arctan": lambda z: 1.0 / (1.0 + z * z),
+}
+
+
 def grad_f(params: MlpParams, z) -> MlpParams:
-    dsigma = params.arch.activation.derivative
+    dsigma = DERIVATIVES[params.arch.activation.name]
     pre, hs = forward_trace(params, z)
     n = params.arch.n
     g_w = [None] * n

@@ -208,7 +208,7 @@ def test_lipschitz_constants_hand_value():
     act = ActivationSpec(
         name="toy",
         apply=np.tanh,
-        derivative=lambda z: 1.0 - np.tanh(z) ** 2,
+        derivative=lambda a, h: 1.0 - h ** 2,
         sup_abs=0.5,
         sup_abs_deriv=0.3,
         lip_deriv=0.2,
@@ -239,7 +239,7 @@ def test_drift_lipschitz_constants_formula():
 def test_activation_constants(act):
     zs = np.linspace(-6.0, 6.0, 4001)
     vals = act.apply(zs)
-    ders = act.derivative(zs)
+    ders = act.derivative(zs, vals)
     assert np.max(np.abs(vals)) <= act.sup_abs + 1e-12
     assert np.max(np.abs(ders)) <= act.sup_abs_deriv + 1e-12
     # derivative matches finite differences

@@ -2,13 +2,18 @@
 
 The base-case tests reconstruct the documented rng streams (data from
 SeedSequence([seed, 0]), noise from SeedSequence([seed, 1, algo_id])) and pin
-run() against the one-step functions bitwise.
+run() against the one-step functions bitwise, and the block-stepped loop
+against the per-step loops it replaced (tests/_loop_reference.py).
 """
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from _loop_reference import reference_run
 
 from tusla.diagnostics import empirical_moment
 from tusla.gradient_oracle import (
@@ -24,7 +29,9 @@ from tusla.optimizers import (
     AdamState,
     SgldConfig,
     TuslaConfig,
-    _BlockDraws,
+    _block_size,
+    _data_block,
+    _rows,
     adam_bias_corrected,
     adam_step,
     records_equal,
@@ -65,6 +72,16 @@ class VectorOnlyUs(GradientOracle):
 
     def meta(self) -> OracleMeta:
         return self.inner.meta()
+
+
+class PairStream:
+    """Uniform (x, y) pairs for the two-parameter neuron, per call or in blocks."""
+
+    def sample(self, rng):
+        return rng.uniform(-1.0, 1.0, 2)
+
+    def sample_batch(self, rng, n):
+        return rng.uniform(-1.0, 1.0, (n, 2))
 
 
 def _data_rng(seed):
@@ -232,13 +249,124 @@ def test_run_one_step_matches_step_functions_vector_route():
 
 def test_scalar_and_vector_routes_agree_bitwise():
     # same streams, same arithmetic: hiding the scalar fast path must not
-    # change a single bit of the record
+    # change a single bit of the record, for any algorithm, across blocks
     reg = RegularizationParams(eta=0.01, r=12.0)
-    cfg = TuslaConfig(lam=0.05, beta=0.5, reg=reg)
     stream = UniformDataSource()
-    fast = run(cfg, [0.7], UsProblem(s=2), stream, n_steps=400, rng_seed=3)
-    slow = run(cfg, [0.7], VectorOnlyUs(s=2), stream, n_steps=400, rng_seed=3)
+    for cfg in (
+        TuslaConfig(lam=0.05, beta=0.5, reg=reg),
+        SgldConfig(lam=0.001, beta=1.0),
+        AdamConfig(alpha=0.1),
+    ):
+        fast = run(cfg, [0.7], UsProblem(s=2), stream, n_steps=5000, rng_seed=3, record_every=3)
+        slow = run(cfg, [0.7], VectorOnlyUs(s=2), stream, n_steps=5000, rng_seed=3, record_every=3)
+        assert not fast.diverged, type(cfg).__name__
+        assert records_equal(fast, slow), type(cfg).__name__
+
+
+# run() against the per-step loops: (route, algorithm, theta0, n_steps,
+# record_every, divergence threshold, seed). The routes are "scalar"
+# (UsProblem s=2), "vector" (VectorOnlyUs s=2, d = 1), "neuron"
+# (OneNeuronProblem, d = 2, 2048-row blocks) and "quadratic-1"/"quadratic-2"
+# (QuadraticProblem, scalar and vector route, G = theta). The quadratic
+# routes use a penalty strong enough that eta * |theta|^(2r) * theta and G
+# round together, so the drift's operation order shows in the last bits; it
+# lies above the advisory step-size ceiling, which bitwise equality ignores.
+_REG_S2 = RegularizationParams(eta=0.01, r=12.0)
+_REG_NEURON = RegularizationParams(eta=0.01, r=2.5)
+_REG_QUADRATIC = RegularizationParams(eta=0.3, r=1.5)
+_ALGOS = {
+    "tusla": lambda reg: TuslaConfig(lam=0.05, beta=0.05, reg=reg),
+    "tusla-cold": lambda reg: TuslaConfig(lam=0.01, beta=10.0, reg=reg),
+    "sgld": lambda reg: SgldConfig(lam=0.05, beta=0.1),
+    "sgld-small": lambda reg: SgldConfig(lam=0.001, beta=1.0),
+    "adam": lambda reg: AdamConfig(alpha=0.1),
+    "adam-eps0": lambda reg: AdamConfig(alpha=0.1, eps=0.0),
+}
+_ROUTES = {
+    "scalar": (lambda: UsProblem(s=2), UniformDataSource, _REG_S2, 1),
+    "vector": (lambda: VectorOnlyUs(s=2), UniformDataSource, _REG_S2, 1),
+    "neuron": (OneNeuronProblem, PairStream, _REG_NEURON, 2),
+    "quadratic-1": (QuadraticProblem, ConstantDataSource, _REG_QUADRATIC, 1),
+    "quadratic-2": (lambda: QuadraticProblem(d=2), ConstantDataSource, _REG_QUADRATIC, 2),
+}
+_REFERENCE_CASES = {
+    # n_steps past one block: 4096 scalar rows, 2048 rows at d = 2
+    "scalar-blocks": ("scalar", "tusla", 0.0, 5000, 7, 1e10, 0),
+    "vector-blocks": ("vector", "adam", 0.7, 4500, 1000, 1e10, 3),
+    "neuron-blocks": ("neuron", "tusla", 0.5, 2500, 3, 1e10, 1),
+    "quadratic-1-blocks": ("quadratic-1", "tusla", 0.3, 4097, 7, 1e10, 1),
+    "quadratic-2-blocks": ("quadratic-2", "tusla", 0.3, 4097, 7, 1e10, 1),
+    # a divergence in the middle of the second block
+    "scalar-diverges-in-block-2": ("scalar", "tusla", 0.0, 6000, 7, 50.0, 2),
+    "neuron-diverges-in-block-2": ("neuron", "sgld", 0.0, 3000, 7, 30.0, 0),
+    # ADAM with eps = 0: a zero gradient gives 0/0 = nan, a gradient whose
+    # square underflows gives -alpha * inf
+    "adam-0/0-scalar": ("quadratic-1", "adam-eps0", 0.0, 10, 1, 1e10, 0),
+    "adam-0/0-vector": ("quadratic-2", "adam-eps0", 0.0, 10, 1, 1e10, 0),
+    "adam-x/0-scalar": ("quadratic-1", "adam-eps0", 1e-170, 10, 1, 1e10, 0),
+    "adam-x/0-vector": ("quadratic-2", "adam-eps0", 1e-170, 10, 1, 1e10, 0),
+}
+
+
+def _reference_pair(route, algo, theta0, n_steps, record_every, threshold, seed):
+    make_oracle, make_stream, reg, d = _ROUTES[route]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        cfg = _ALGOS[algo](reg)
+    args = (
+        cfg, np.full(d, theta0), make_oracle(), make_stream(), n_steps, seed,
+        record_every, threshold,
+    )
+    return run(*args), reference_run(*args)
+
+
+def _with_reference_cases(test):
+    for case in _REFERENCE_CASES.values():
+        test = example(*case)(test)
+    return test
+
+
+@settings(max_examples=60, deadline=None)
+@_with_reference_cases
+@given(
+    route=st.sampled_from(sorted(_ROUTES)),
+    algo=st.sampled_from(sorted(_ALGOS)),
+    theta0=st.sampled_from([0.0, 0.3, -0.7, 1.5, 40.0, 1e-170]),
+    n_steps=st.one_of(st.integers(0, 60), st.sampled_from([2047, 2049, 4095, 4096, 4097])),
+    record_every=st.sampled_from([1, 2, 3, 7, 1000]),
+    threshold=st.sampled_from([1e10, 3.0, math.inf]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_run_matches_per_step_reference_bitwise(
+    route, algo, theta0, n_steps, record_every, threshold, seed
+):
+    fast, slow = _reference_pair(route, algo, theta0, n_steps, record_every, threshold, seed)
     assert records_equal(fast, slow)
+
+
+def test_reference_cases_reach_their_targets():
+    # the explicit examples above must keep exercising what they are named for
+    def rec(name):
+        fast, slow = _reference_pair(*_REFERENCE_CASES[name])
+        assert records_equal(fast, slow), name
+        return fast
+
+    for name, block in (
+        ("scalar-blocks", 4096), ("vector-blocks", 4096), ("neuron-blocks", 2048),
+        ("quadratic-1-blocks", 4096), ("quadratic-2-blocks", 2048),
+    ):
+        r = rec(name)
+        assert not r.diverged and r.step_indices[-1] > block, name
+    for name, block in (("scalar-diverges-in-block-2", 4096), ("neuron-diverges-in-block-2", 2048)):
+        r = rec(name)
+        assert r.diverged and block < r.divergence_step < 2 * block, name
+        assert r.divergence_step % _REFERENCE_CASES[name][4] != 0, name  # off the record grid
+    for name in ("adam-0/0-scalar", "adam-0/0-vector"):
+        r = rec(name)
+        assert r.divergence_step == 1 and np.all(np.isnan(r.final_theta)), name
+    for name in ("adam-x/0-scalar", "adam-x/0-vector"):
+        r = rec(name)
+        assert r.divergence_step == 1 and np.all(r.final_theta == -math.inf), name
 
 
 # ---------------------------------------------------------------------------
@@ -408,22 +536,33 @@ def test_runs_are_deterministic():
 
 
 def test_block_draws_match_per_call_draws():
-    rng_a = np.random.default_rng(123)
-    rng_b = np.random.default_rng(123)
-    block = _BlockDraws(lambda n: rng_a.standard_normal(n))
-    buffered = [block.next() for _ in range(5000)]  # crosses a block boundary
-    single = [float(rng_b.standard_normal()) for _ in range(5000)]
-    assert buffered == single
-    # row blocks, as the vector route draws noise and data rows: a (k, d)
-    # draw gives the rows of k per-step size-d calls, across refills too
-    for block in (1, 7, 4096):
-        for draw in (lambda g, size: g.standard_normal(size),
-                     lambda g, size: g.uniform(-1.0, 1.0, size)):
-            rng_a, rng_b = np.random.default_rng(321), np.random.default_rng(321)
-            rows = _BlockDraws(lambda k: draw(rng_a, (k, 3)), block)
-            buffered = np.array([rows.next() for _ in range(50)])
-            single = np.array([draw(rng_b, 3) for _ in range(50)])
-            assert buffered.tobytes() == single.tobytes()
+    # run draws k noise rows at once and scales the block once: the rows are
+    # bitwise noise_scale * xi of k per-step draws, across blocks, as native
+    # floats for d = 1 and as row views for d > 1; data blocks likewise match
+    # per-step samples
+    n_steps = 9000
+    for d in (1, 3):
+        k = _block_size(n_steps, d)
+        shape = () if d == 1 else (d,)
+        for scale in (math.sqrt(2.0 * 0.05 / 0.05), math.sqrt(2.0 * 1e-3 / 7.0), 0.1):
+            rng_a, rng_b = np.random.default_rng(123), np.random.default_rng(123)
+            blocked = []
+            for start in range(0, n_steps, k):
+                xi = rng_a.standard_normal((min(k, n_steps - start), *shape))
+                blocked.extend(_rows(scale * xi))
+            single = [scale * rng_b.standard_normal(shape) for _ in range(n_steps)]
+            if d == 1:
+                assert all(type(v) is float for v in blocked)
+                single = [float(v) for v in single]
+            assert np.array(blocked).tobytes() == np.array(single).tobytes()
+    for stream, width in ((UniformDataSource(), 1), (PairStream(), 2)):
+        k = _block_size(n_steps, width)
+        rng_a, rng_b = np.random.default_rng(321), np.random.default_rng(321)
+        draw = _data_block(stream, rng_a)
+        blocked = [row for start in range(0, n_steps, k)
+                   for row in _rows(draw(min(k, n_steps - start)))]
+        single = [stream.sample(rng_b) for _ in range(n_steps)]
+        assert np.array(blocked).tobytes() == np.array(single).tobytes()
 
 
 def test_noise_streams_differ_between_algorithms():

@@ -1,0 +1,52 @@
+"""The traced benchmark's wrap targets exist in the package.
+
+``perfbench/child.py --trace 1`` replaces the package attributes named in its
+LEAVES and SPANS tables with timing wrappers. A refactor that renames or drops
+one of them would make every traced benchmark child crash, so this test
+resolves each path the way the child's ``install`` does, without wrapping
+anything. child.py is read as source and executed into a fresh namespace, so
+nothing is written next to it.
+"""
+import functools
+import inspect
+import types
+from pathlib import Path
+
+import tusla
+import tusla.harness
+
+CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
+
+# arguments the child's span attributes read from the bound call
+SPAN_ARGS = {
+    "harness.export_csv": {"record"},
+    "diagnostics.tusla_terminal_law": {"n_steps", "n_replicas"},
+}
+
+
+def _load_child() -> types.ModuleType:
+    module = types.ModuleType("perfbench_child")
+    module.__file__ = str(CHILD)
+    exec(compile(CHILD.read_text(), str(CHILD), "exec"), module.__dict__)
+    return module
+
+
+def _resolve(path: str):
+    *owner_path, attr = path.split(".")
+    return functools.reduce(getattr, owner_path, tusla), attr
+
+
+def test_traced_leaf_and_span_paths_resolve():
+    child = _load_child()
+    assert child.LEAVES and child.SPANS
+    for name, path, _ in child.LEAVES:
+        owner, attr = _resolve(path)
+        # install reads class attributes from __dict__, so they must be defined there
+        fn = owner.__dict__.get(attr) if isinstance(owner, type) else getattr(owner, attr, None)
+        assert callable(fn), f"{name}: {path} does not resolve"
+    for name, path in child.SPANS:
+        owner, attr = _resolve(path)
+        fn = getattr(owner, attr, None)
+        assert callable(fn), f"{name}: {path} does not resolve"
+        params = set(inspect.signature(fn).parameters)
+        assert SPAN_ARGS.get(name, set()) <= params, f"{name}: {path} lacks {SPAN_ARGS[name]}"
