@@ -19,10 +19,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .gradient_oracle import (
     GradientOracle,
@@ -363,7 +363,8 @@ def wasserstein_p_1d(a, b, p: int) -> float:
 def gaussian_quantiles(sigma: float, n: int) -> np.ndarray:
     """Deterministic N(0, sigma^2) representative points: quantiles at
     midpoint levels (i + 0.5)/n."""
-    return ndtri((np.arange(n) + 0.5) / n) * sigma
+    levels = ((np.arange(n) + 0.5) / n).tolist()
+    return np.array(list(map(NormalDist().inv_cdf, levels))) * sigma
 
 
 def wasserstein_to_gaussian(dist, sigma: float, p: int = 2) -> float:
@@ -376,7 +377,7 @@ def ks_vs_gaussian(dist, sigma: float = 1.0) -> float:
     """One-sample Kolmogorov-Smirnov statistic against N(0, sigma^2)."""
     s = _as_sorted(dist)
     n = s.size
-    cdf = ndtr(s / sigma)
+    cdf = np.array([0.5 * math.erfc(-z / math.sqrt(2.0)) for z in (s / sigma).tolist()])
     i = np.arange(n)
     return float(np.max(np.maximum(cdf - i / n, (i + 1) / n - cdf)))
 

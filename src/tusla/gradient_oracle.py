@@ -35,10 +35,7 @@ __all__ = [
     "RegularizationParams",
     "GradientOracle",
     "growth_envelope",
-    "regularized_gradient",
-    "tamed_gradient",
     "overflow_safe_drift",
-    "overflow_safe_drift_scalar",
     "overflow_safe_drift_batch",
     "lambda_max",
 ]
@@ -176,57 +173,13 @@ def growth_envelope(meta: OracleMeta, g0_norm: float, x_norm: float) -> float:
     return 2.0 ** meta.q * (meta.L1 * (1.0 + x_norm) ** meta.rho + g0_norm)
 
 
-def regularized_gradient(
-    g: ParameterVector, theta: ParameterVector, reg: RegularizationParams
-) -> ParameterVector:
-    """H(theta, x) = G + eta * theta * |theta|^(2r).
-
-    Plain formula, no overflow protection: |theta|^(2r) saturates to inf for
-    large arguments under IEEE semantics. Use ``overflow_safe_drift`` for the
-    drift actually stepped on.
-    """
-    if reg.eta == 0.0:
-        return np.asarray(g, dtype=np.float64).copy()
-    a = safe_norm(theta)
-    return g + (reg.eta * np.float64(a) ** (2.0 * reg.r)) * theta
-
-
-def tamed_gradient(
-    h: ParameterVector, theta: ParameterVector, lam: float, r: float
-) -> ParameterVector:
-    """H / (1 + sqrt(lam) |theta|^(2r)), again in the plain overflow-prone form."""
-    a = safe_norm(theta)
-    return h / (1.0 + math.sqrt(lam) * np.float64(a) ** (2.0 * r))
-
-
-def overflow_safe_drift_scalar(
-    g: float, theta: float, lam: float, eta: float, r: float
-) -> float:
-    """Scalar H_lam, bitwise overflow_safe_drift on one-element arrays.
-
-    ``run`` inlines the same operations in its loop (shared by both routes),
-    and ``tusla check`` compares this form against overflow_safe_drift.
-
-    Never forms a power of |theta| larger than 1: the |theta| >= 1 branch
-    multiplies numerator and denominator by |theta|^(-2r), which underflows
-    harmlessly to 0 and leaves eta * theta / sqrt(lam) in the limit.
-    Finite for finite theta and finite g; see overflow_safe_drift.
-    """
-    a = abs(theta)
-    if a < 1.0:
-        t = a ** (2.0 * r)
-        return (g + (eta * t) * theta) / (1.0 + math.sqrt(lam) * t)
-    ti = a ** (-2.0 * r)
-    return (ti * g + eta * theta) / (ti + math.sqrt(lam))
-
-
 def overflow_safe_drift(
     g: ParameterVector, theta: ParameterVector, lam: float, reg: RegularizationParams
 ) -> ParameterVector:
     """Vector H_lam(theta, x), overflow-safe for any finite theta, given finite g.
 
-    Agrees with tamed_gradient(regularized_gradient(...)) wherever the plain
-    two-stage form is finite.
+    Agrees with the plain two-stage form (regularize, then tame) wherever that
+    form is finite; tests/_loop_reference.py keeps it as the reference.
 
     The guard tames |theta|^(2r), not the oracle. Where the oracle itself
     overflows, g = +-inf; once |theta|^(-2r) has underflowed to 0 the large
@@ -251,12 +204,11 @@ def overflow_safe_drift_batch(
 ) -> np.ndarray:
     """Elementwise H_lam over replica arrays of scalar parameters.
 
-    Same two-branch arithmetic as overflow_safe_drift_scalar, vectorized with
-    np.where. Agreement with the scalar form is within an ulp or two, not
-    bitwise: numpy's vectorized power kernel may round differently from the
-    scalar libm pow. Only the scalar and vector forms, which share one code
-    path per element, are bit-identical. Finite for finite theta and finite
-    g; see overflow_safe_drift.
+    Same two-branch arithmetic as overflow_safe_drift, vectorized with
+    np.where. Agreement with the one-parameter drift is within an ulp or two,
+    not bitwise: numpy's vectorized power kernel may round differently from
+    the scalar libm pow. Finite for finite theta and finite g; see
+    overflow_safe_drift.
     """
     a = np.abs(theta)
     sq = math.sqrt(lam)

@@ -35,20 +35,13 @@ from .diagnostics import (
     wasserstein_p_1d,
     wasserstein_to_gaussian,
 )
-from .gradient_oracle import (
-    RegularizationParams,
-    overflow_safe_drift,
-    overflow_safe_drift_scalar,
-    parameter_vector,
-    safe_norm,
-)
+from .gradient_oracle import RegularizationParams, parameter_vector, safe_norm
 from .neural_net import Architecture, MlpOracle, TeacherStream, activation_by_name, risk
 from .optimizers import (
     AdamConfig,
     RunRecord,
     SgldConfig,
     TuslaConfig,
-    records_equal,
     run,
 )
 from .problems import (
@@ -442,11 +435,11 @@ def parse_csv(path: str) -> dict:
 def _export_record_json(record: RunRecord, path: str) -> None:
     obj = {
         "step": record.step_indices.tolist(),
-        "theta_norm": record.theta_norms.tolist(),
-        "theta": None if record.thetas is None else record.thetas.tolist(),
-        "objective": None if record.objectives is None else record.objectives.tolist(),
+        "theta_norm": _nan_safe_list(record.theta_norms),
+        "theta": None if record.thetas is None else [_nan_safe_list(t) for t in record.thetas],
+        "objective": None if record.objectives is None else _nan_safe_list(record.objectives),
         "grad_norm": _nan_safe_list(record.grad_norms),
-        "final_theta": record.final_theta.tolist(),
+        "final_theta": _nan_safe_list(record.final_theta),
         "diverged": record.diverged,
         "divergence_step": record.divergence_step,
     }
@@ -454,13 +447,13 @@ def _export_record_json(record: RunRecord, path: str) -> None:
 
 
 def _nan_safe_list(arr: np.ndarray) -> list:
-    return [None if not math.isfinite(v) else float(v) for v in arr]
+    return [_json_float(v) for v in arr.tolist()]
 
 
 def _seed_result_jsonable(r: SeedResult) -> dict:
     return {
         "seed": r.seed,
-        "final_distance": None if math.isnan(r.final_distance) else r.final_distance,
+        "final_distance": _json_float(r.final_distance),
         "final_theta_norm": _json_float(r.final_theta_norm),
         "final_objective": _json_float(r.final_objective),
         "diverged": r.diverged,
@@ -599,10 +592,6 @@ def _build_parser() -> _Parser:
     pg.add_argument("--samples", type=int, default=100000, help="Gibbs sampler draws")
     pg.add_argument("--seed", type=int, default=0)
     pg.add_argument("--out", default=None)
-
-    pk = sub.add_parser("check", help="run quick invariant self-checks")
-    pk.add_argument("--draws", type=int, default=500)
-    pk.add_argument("--seed", type=int, default=0)
     return p
 
 
@@ -732,60 +721,6 @@ def _cmd_gibbs(args) -> int:
     return _EX_OK
 
 
-def _cmd_check(args) -> int:
-    failures = 0
-
-    def report(name: str, ok: bool, detail: str = "") -> None:
-        nonlocal failures
-        line = f"  [{'PASS' if ok else 'FAIL'}] {name}"
-        if detail:
-            line += f" ({detail})"
-        print(line)
-        if not ok:
-            failures += 1
-
-    rng = np.random.default_rng(args.seed)
-    reg = RegularizationParams(eta=0.01, r=12.0)
-
-    # overflow-safe drift agrees with its scalar twin
-    worst = 0.0
-    for _ in range(args.draws):
-        th = float(rng.uniform(-3, 3) * 10 ** rng.uniform(0, 3))
-        g = float(rng.normal() * 10 ** rng.uniform(0, 3))
-        lam = float(10 ** rng.uniform(-4, 0))
-        a = overflow_safe_drift(np.array([g]), np.array([th]), lam, reg)[0]
-        b = overflow_safe_drift_scalar(g, th, lam, reg.eta, reg.r)
-        worst = max(worst, abs(a - b) / max(abs(b), 1e-300))
-    report("drift scalar/vector agreement", worst < 1e-12, f"max rel diff {worst:.2e}")
-
-    # growth envelope |G| <= K(x)(1 + |theta|^q) on the benchmark oracle
-    prob = UsProblem(s=2)
-    meta = prob.meta()
-    bad = 0
-    for _ in range(args.draws):
-        th = float(rng.uniform(-1, 1) * 10 ** rng.uniform(-2, 2))
-        x = float(rng.uniform(0, 11))
-        lhs = abs(prob.evaluate_scalar(th, x))
-        if lhs > prob.k_of(x) * (1.0 + abs(th) ** meta.q):
-            bad += 1
-    report("gradient growth envelope", bad == 0, f"{bad} violations / {args.draws}")
-
-    # Wasserstein hand values
-    w1 = wasserstein_p_1d(np.array([0.0, 1.0]), np.array([0.0, 3.0]), 1)
-    w2 = wasserstein_p_1d(np.array([0.0, 1.0]), np.array([0.0, 3.0]), 2)
-    report("wasserstein fixtures", w1 == 1.0 and abs(w2 - math.sqrt(2)) < 1e-15)
-
-    # run determinism
-    cfg = TuslaConfig(lam=0.05, beta=0.05, reg=reg)
-    stream = UniformDataSource()
-    r1 = run(cfg, [1000.0], prob, stream, 200, rng_seed=7)
-    r2 = run(cfg, [1000.0], prob, stream, 200, rng_seed=7)
-    report("run determinism", records_equal(r1, r2))
-
-    print("all checks passed" if failures == 0 else f"{failures} check(s) failed")
-    return _EX_OK if failures == 0 else 1
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     """CLI entry point; returns an exit code instead of raising SystemExit."""
     parser = _build_parser()
@@ -795,9 +730,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             return _cmd_run(args)
         if args.command == "constants":
             return _cmd_constants(args)
-        if args.command == "gibbs":
-            return _cmd_gibbs(args)
-        return _cmd_check(args)
+        return _cmd_gibbs(args)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return _EX_USAGE

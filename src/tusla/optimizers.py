@@ -1,8 +1,8 @@
-"""TUSLA, SGLD, and ADAM steppers plus the recording run loop.
+"""TUSLA, SGLD, and ADAM configurations plus the recording run loop.
 
 All three share one update-noise convention: the Langevin algorithms add
 sqrt(2 * lam / beta) * xi with xi ~ N(0, I) per step; ADAM is noise-free.
-``run`` wires a data stream and seeded substreams to the steppers, records
+``run`` wires a data stream and seeded substreams to the update, records
 trajectory statistics, and stops early (flagging, not raising) when the
 iterate norm exceeds the divergence threshold or turns non-finite. Divergence
 is an expected, reportable outcome for the unstable baselines, so the loop
@@ -16,8 +16,9 @@ whole block: a float64 product rounds the same elementwise as at the step,
 so the chain keeps its bits. A one-parameter oracle with evaluate_scalar
 takes the scalar route, on native floats with abs as the norm; everything
 else takes the vector route, on arrays with safe_norm. Both routes run the
-update of tusla_step, sgld_step and adam_step operation for operation, with
-the tamed drift of overflow_safe_drift written inline.
+update of the one-step reference steppers in tests/_loop_reference.py
+operation for operation, with the tamed drift of overflow_safe_drift
+written inline.
 
 Seeding: one master seed per run expands to independent substreams via
 SeedSequence spawn keys: data = [seed, 0], update noise = [seed, 1, algo_id]
@@ -40,7 +41,7 @@ from .gradient_oracle import (
     ParameterVector,
     RegularizationParams,
     lambda_max,
-    overflow_safe_drift,
+    overflow_safe_drift,  # no caller here: the traced benchmark wraps this name
     parameter_vector,
     safe_norm,
 )
@@ -49,14 +50,8 @@ __all__ = [
     "TuslaConfig",
     "SgldConfig",
     "AdamConfig",
-    "AdamState",
     "RunRecord",
-    "tusla_step",
-    "sgld_step",
-    "adam_step",
-    "adam_bias_corrected",
     "run",
-    "records_equal",
     "ALGO_IDS",
 ]
 
@@ -132,82 +127,6 @@ class AdamConfig:
             raise ValueError(f"eps must be non-negative, got {self.eps}")
 
 
-@dataclass(frozen=True)
-class AdamState:
-    """Iterate plus raw EMAs after n completed steps (m = v = 0, n = 0 at init)."""
-
-    theta: np.ndarray
-    m: np.ndarray
-    v: np.ndarray
-    n: int
-    alpha: float
-    beta1: float
-    beta2: float
-    eps: float
-
-    def __post_init__(self) -> None:
-        if not (self.theta.shape == self.m.shape == self.v.shape):
-            raise ValueError("theta, m, v must share a shape")
-        if self.n < 0:
-            raise ValueError(f"step count must be non-negative, got {self.n}")
-        if np.any(self.v < 0.0):  # nan compares False: post-divergence states pass
-            raise ValueError("second-moment estimate went negative")
-
-    @classmethod
-    def initial(cls, theta0: ParameterVector, cfg: AdamConfig) -> "AdamState":
-        theta0 = parameter_vector(theta0)
-        z = np.zeros_like(theta0)
-        return cls(theta0, z, z.copy(), 0, cfg.alpha, cfg.beta1, cfg.beta2, cfg.eps)
-
-
-def tusla_step(
-    theta: ParameterVector,
-    x,
-    oracle: GradientOracle,
-    cfg: TuslaConfig,
-    xi: ParameterVector,
-) -> ParameterVector:
-    """theta - lam * H_lam(theta, x) + sqrt(2 lam / beta) * xi."""
-    g = oracle.evaluate(theta, x)
-    drift = overflow_safe_drift(g, theta, cfg.lam, cfg.reg)
-    return theta - cfg.lam * drift + math.sqrt(2.0 * cfg.lam / cfg.beta) * xi
-
-
-def sgld_step(
-    theta: ParameterVector,
-    x,
-    oracle: GradientOracle,
-    cfg: SgldConfig,
-    xi: ParameterVector,
-) -> ParameterVector:
-    """theta - lam * G(theta, x) + sqrt(2 lam / beta) * xi (untamed)."""
-    g = oracle.evaluate(theta, x)
-    return theta - cfg.lam * g + math.sqrt(2.0 * cfg.lam / cfg.beta) * xi
-
-
-def adam_step(state: AdamState, x, oracle: GradientOracle) -> AdamState:
-    """One bias-corrected ADAM update; returns the successor state."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = oracle.evaluate(state.theta, x)
-        m = state.beta1 * state.m + (1.0 - state.beta1) * g
-        v = state.beta2 * state.v + (1.0 - state.beta2) * (g * g)
-        k = state.n + 1
-        mhat = m / (1.0 - state.beta1 ** k)
-        vhat = v / (1.0 - state.beta2 ** k)
-        theta = state.theta - state.alpha * (mhat / (np.sqrt(vhat) + state.eps))
-    return AdamState(theta, m, v, k, state.alpha, state.beta1, state.beta2, state.eps)
-
-
-def adam_bias_corrected(state: AdamState) -> tuple[np.ndarray, np.ndarray]:
-    """(m_hat, v_hat) implied by a post-step state: raw EMA / (1 - beta^n)."""
-    if state.n == 0:
-        raise ValueError("no steps taken yet; bias correction undefined at n = 0")
-    return (
-        state.m / (1.0 - state.beta1 ** state.n),
-        state.v / (1.0 - state.beta2 ** state.n),
-    )
-
-
 @dataclass
 class RunRecord:
     """Column-oriented trajectory record.
@@ -231,26 +150,6 @@ class RunRecord:
     @property
     def n_recorded(self) -> int:
         return int(self.step_indices.size)
-
-
-def records_equal(a: RunRecord, b: RunRecord) -> bool:
-    """Bitwise equality of two records (nan-safe)."""
-
-    def eq(x, y):
-        if x is None or y is None:
-            return x is None and y is None
-        return x.shape == y.shape and x.tobytes() == y.tobytes()
-
-    return (
-        eq(a.step_indices, b.step_indices)
-        and eq(a.theta_norms, b.theta_norms)
-        and eq(a.grad_norms, b.grad_norms)
-        and eq(a.thetas, b.thetas)
-        and eq(a.objectives, b.objectives)
-        and eq(a.final_theta, b.final_theta)
-        and a.diverged == b.diverged
-        and a.divergence_step == b.divergence_step
-    )
 
 
 def _streams(rng_seed: int, algo_id: int) -> tuple[np.random.Generator, np.random.Generator]:

@@ -1,20 +1,30 @@
-"""Per-step reference loops the block-stepped ``run`` must match bitwise.
+"""Reference forms the package's ``run`` and drift must match bitwise.
 
-These are the two loops ``run`` used before its routes were merged: a scalar
-loop on native floats with the drift inlined, and a vector loop that calls
-``overflow_safe_drift``. Each draws one data value and one unscaled noise value
-per step from a buffer and multiplies the noise by sqrt(2 lam / beta) at the
-step. ``reference_run`` replays a whole ``run`` through them.
+The one-step forms are the specification of the update: the plain two-stage
+drift (``regularized_gradient`` then ``tamed_gradient``), the scalar drift
+``overflow_safe_drift_scalar``, and the steppers ``tusla_step``, ``sgld_step``
+and ``adam_step`` with their ``AdamState``. ``records_equal`` compares two
+records bit for bit.
+
+The per-step loops are the two loops ``run`` used before its routes were
+merged: a scalar loop on native floats with the drift inlined, and a vector
+loop that calls ``overflow_safe_drift``. Each draws one data value and one
+unscaled noise value per step from a buffer and multiplies the noise by
+sqrt(2 lam / beta) at the step. ``reference_run`` replays a whole ``run``
+through them.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from tusla.gradient_oracle import (
     GradientOracle,
+    ParameterVector,
+    RegularizationParams,
     overflow_safe_drift,
     parameter_vector,
     safe_norm,
@@ -27,6 +37,141 @@ from tusla.optimizers import (
     TuslaConfig,
     _Recorder,
 )
+
+
+# ------------------------------------------------------------ one-step forms
+
+
+def regularized_gradient(
+    g: ParameterVector, theta: ParameterVector, reg: RegularizationParams
+) -> ParameterVector:
+    """H(theta, x) = G + eta * theta * |theta|^(2r).
+
+    Plain formula, no overflow protection: |theta|^(2r) saturates to inf for
+    large arguments under IEEE semantics. Use ``overflow_safe_drift`` for the
+    drift actually stepped on.
+    """
+    if reg.eta == 0.0:
+        return np.asarray(g, dtype=np.float64).copy()
+    a = safe_norm(theta)
+    return g + (reg.eta * np.float64(a) ** (2.0 * reg.r)) * theta
+
+
+def tamed_gradient(
+    h: ParameterVector, theta: ParameterVector, lam: float, r: float
+) -> ParameterVector:
+    """H / (1 + sqrt(lam) |theta|^(2r)), again in the plain overflow-prone form."""
+    a = safe_norm(theta)
+    return h / (1.0 + math.sqrt(lam) * np.float64(a) ** (2.0 * r))
+
+
+def overflow_safe_drift_scalar(
+    g: float, theta: float, lam: float, eta: float, r: float
+) -> float:
+    """Scalar H_lam, bitwise overflow_safe_drift on one-element arrays.
+
+    ``run`` inlines the same operations in its loop (shared by both routes).
+
+    Never forms a power of |theta| larger than 1: the |theta| >= 1 branch
+    multiplies numerator and denominator by |theta|^(-2r), which underflows
+    harmlessly to 0 and leaves eta * theta / sqrt(lam) in the limit.
+    Finite for finite theta and finite g; see overflow_safe_drift.
+    """
+    a = abs(theta)
+    if a < 1.0:
+        t = a ** (2.0 * r)
+        return (g + (eta * t) * theta) / (1.0 + math.sqrt(lam) * t)
+    ti = a ** (-2.0 * r)
+    return (ti * g + eta * theta) / (ti + math.sqrt(lam))
+
+
+@dataclass(frozen=True)
+class AdamState:
+    """Iterate plus raw EMAs after n completed steps (m = v = 0, n = 0 at init)."""
+
+    theta: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
+    n: int
+    alpha: float
+    beta1: float
+    beta2: float
+    eps: float
+
+    def __post_init__(self) -> None:
+        if not (self.theta.shape == self.m.shape == self.v.shape):
+            raise ValueError("theta, m, v must share a shape")
+        if self.n < 0:
+            raise ValueError(f"step count must be non-negative, got {self.n}")
+        if np.any(self.v < 0.0):  # nan compares False: post-divergence states pass
+            raise ValueError("second-moment estimate went negative")
+
+    @classmethod
+    def initial(cls, theta0: ParameterVector, cfg: AdamConfig) -> "AdamState":
+        theta0 = parameter_vector(theta0)
+        z = np.zeros_like(theta0)
+        return cls(theta0, z, z.copy(), 0, cfg.alpha, cfg.beta1, cfg.beta2, cfg.eps)
+
+
+def tusla_step(
+    theta: ParameterVector,
+    x,
+    oracle: GradientOracle,
+    cfg: TuslaConfig,
+    xi: ParameterVector,
+) -> ParameterVector:
+    """theta - lam * H_lam(theta, x) + sqrt(2 lam / beta) * xi."""
+    g = oracle.evaluate(theta, x)
+    drift = overflow_safe_drift(g, theta, cfg.lam, cfg.reg)
+    return theta - cfg.lam * drift + math.sqrt(2.0 * cfg.lam / cfg.beta) * xi
+
+
+def sgld_step(
+    theta: ParameterVector,
+    x,
+    oracle: GradientOracle,
+    cfg: SgldConfig,
+    xi: ParameterVector,
+) -> ParameterVector:
+    """theta - lam * G(theta, x) + sqrt(2 lam / beta) * xi (untamed)."""
+    g = oracle.evaluate(theta, x)
+    return theta - cfg.lam * g + math.sqrt(2.0 * cfg.lam / cfg.beta) * xi
+
+
+def adam_step(state: AdamState, x, oracle: GradientOracle) -> AdamState:
+    """One bias-corrected ADAM update; returns the successor state."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = oracle.evaluate(state.theta, x)
+        m = state.beta1 * state.m + (1.0 - state.beta1) * g
+        v = state.beta2 * state.v + (1.0 - state.beta2) * (g * g)
+        k = state.n + 1
+        mhat = m / (1.0 - state.beta1 ** k)
+        vhat = v / (1.0 - state.beta2 ** k)
+        theta = state.theta - state.alpha * (mhat / (np.sqrt(vhat) + state.eps))
+    return AdamState(theta, m, v, k, state.alpha, state.beta1, state.beta2, state.eps)
+
+
+def records_equal(a: RunRecord, b: RunRecord) -> bool:
+    """Bitwise equality of two records (nan-safe)."""
+
+    def eq(x, y):
+        if x is None or y is None:
+            return x is None and y is None
+        return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+    return (
+        eq(a.step_indices, b.step_indices)
+        and eq(a.theta_norms, b.theta_norms)
+        and eq(a.grad_norms, b.grad_norms)
+        and eq(a.thetas, b.thetas)
+        and eq(a.objectives, b.objectives)
+        and eq(a.final_theta, b.final_theta)
+        and a.diverged == b.diverged
+        and a.divergence_step == b.divergence_step
+    )
+
+
+# ------------------------------------------------------------ per-step loops
 
 
 class BlockDraws:

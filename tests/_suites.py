@@ -9,11 +9,11 @@ import math
 
 import numpy as np
 
+from _loop_reference import regularized_gradient
 from tusla.gradient_oracle import (
     RegularizationParams,
     lambda_max,
     overflow_safe_drift,
-    regularized_gradient,
     safe_norm,
 )
 from tusla.neural_net import (

@@ -7,6 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from _loop_reference import (
+    overflow_safe_drift_scalar,
+    regularized_gradient,
+    tamed_gradient,
+)
 from _suites import (
     g_growth_violations,
     h_growth_violations,
@@ -20,11 +25,8 @@ from tusla.gradient_oracle import (
     lambda_max,
     overflow_safe_drift,
     overflow_safe_drift_batch,
-    overflow_safe_drift_scalar,
     parameter_vector,
-    regularized_gradient,
     safe_norm,
-    tamed_gradient,
 )
 from tusla.problems import (
     OneNeuronProblem,

@@ -1,9 +1,14 @@
 """Experiment harness tests: preset fidelity, CSV/JSON round-trips, config
-files, output layout, determinism of written artifacts, and CLI exit codes."""
+files, output layout, determinism of written artifacts, CLI exit codes, and
+the package's public API."""
+import ast
 import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _mlp_reference as ref
+import tusla
 from tusla import harness
 from tusla.harness import (
     PRESETS,
@@ -437,6 +443,7 @@ def test_cli_seed_flag_shifts_seeds(tmp_path):
 def test_cli_usage_errors(tmp_path):
     assert main(["run"]) == 64  # no --preset/--config
     assert main(["frobnicate"]) == 64
+    assert main(["check"]) == 64  # removed subcommand
     assert main(["run", "--preset", "nope"]) == 64
     assert main(["run", "--preset", "paper-s2", "--set", "bogus=1",
                  "--out", str(tmp_path)]) == 64
@@ -489,5 +496,45 @@ def test_cli_gibbs(tmp_path):
     assert obj["w2_vs_gibbs"] < 0.5
 
 
-def test_cli_check():
-    assert main(["check", "--draws", "50"]) == 0
+@pytest.mark.parametrize("theta0", ["1e6", "1e7"])
+def test_json_artifacts_are_strict_json_when_a_chain_overflows(tmp_path, theta0):
+    # from 1e6 the s = 26 SGLD chain leaves float range in its objective; from
+    # 1e7 the oracle returns inf and theta itself becomes infinite
+    assert main([
+        "run", "--preset", "paper-s26", "--set", "algorithm=sgld", "--set", f"theta0={theta0}",
+        "--set", "n_steps=10", "--set", "seeds=0", "--format", "json", "--out", str(tmp_path),
+    ]) == 0
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    rec = json.loads((tmp_path / "paper-s26-sgld-seed0.json").read_text(), parse_constant=reject)
+    summary = json.loads((tmp_path / "paper-s26-summary.json").read_text(), parse_constant=reject)
+    assert rec["diverged"] and rec["objective"][-1] is None
+    assert summary["algorithms"]["sgld"]["per_seed"][0]["diverged"]
+
+
+# ---------------------------------------------------------------------------
+# public API
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_quick_start_uses_exactly_the_public_api():
+    block = README.read_text().split("## Quick start", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module == "tusla"
+        for alias in node.names
+    ]
+    exec(compile(block, "README quick start", "exec"), {})
+    assert sorted(tusla.__all__) == sorted(imported)
+
+
+def test_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(tusla.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, tusla.harness; assert 'scipy' not in sys.modules, 'scipy imported'"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

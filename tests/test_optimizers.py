@@ -2,8 +2,8 @@
 
 The base-case tests reconstruct the documented rng streams (data from
 SeedSequence([seed, 0]), noise from SeedSequence([seed, 1, algo_id])) and pin
-run() against the one-step functions bitwise, and the block-stepped loop
-against the per-step loops it replaced (tests/_loop_reference.py).
+run() against the one-step reference functions bitwise, and the block-stepped
+loop against the per-step loops it replaced (both in tests/_loop_reference.py).
 """
 import math
 import warnings
@@ -13,31 +13,32 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _loop_reference import reference_run
+from _loop_reference import (
+    AdamState,
+    adam_step,
+    overflow_safe_drift_scalar,
+    records_equal,
+    reference_run,
+    sgld_step,
+    tusla_step,
+)
 
 from tusla.diagnostics import empirical_moment
 from tusla.gradient_oracle import (
     GradientOracle,
     OracleMeta,
     RegularizationParams,
-    overflow_safe_drift_scalar,
     safe_norm,
 )
 from tusla.optimizers import (
     ALGO_IDS,
     AdamConfig,
-    AdamState,
     SgldConfig,
     TuslaConfig,
     _block_size,
     _data_block,
     _rows,
-    adam_bias_corrected,
-    adam_step,
-    records_equal,
     run,
-    sgld_step,
-    tusla_step,
 )
 from tusla.problems import (
     ConstantDataSource,
@@ -144,18 +145,6 @@ def test_adam_ignores_zero_gradient():
         state = adam_step(state, None, ConstantGradient(0.0))
     assert np.array_equal(state.theta, np.array([3.0, -1.5]))
     assert state.n == 4
-
-
-def test_adam_bias_corrected_matches_formula():
-    cfg = AdamConfig(alpha=0.1)
-    state = AdamState.initial(np.zeros(2), cfg)
-    with pytest.raises(ValueError):
-        adam_bias_corrected(state)
-    for _ in range(3):
-        state = adam_step(state, None, ConstantGradient(2.0))
-    mhat, vhat = adam_bias_corrected(state)
-    assert np.array_equal(mhat, state.m / (1.0 - cfg.beta1 ** 3))
-    assert np.array_equal(vhat, state.v / (1.0 - cfg.beta2 ** 3))
 
 
 def test_adam_state_validation():
