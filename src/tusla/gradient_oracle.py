@@ -31,6 +31,7 @@ __all__ = [
     "ParameterVector",
     "parameter_vector",
     "safe_norm",
+    "safe_row_norms",
     "OracleMeta",
     "RegularizationParams",
     "GradientOracle",
@@ -78,6 +79,33 @@ def safe_norm(v: np.ndarray) -> float:
         w = v / m
         return m * math.sqrt(float(np.dot(w, w)))
     return math.sqrt(float(np.dot(v, v)))
+
+
+def safe_row_norms(v: np.ndarray) -> np.ndarray:
+    """safe_norm of each row of a 2-D array, bit for bit.
+
+    Same branches as safe_norm, per row. Each row's dot is one slice of the
+    stacked product v[:, None, :] @ v[:, :, None], which calls the BLAS dot
+    that np.dot calls on the row alone; (v * v).sum(1) and einsum sum in
+    another order and differ in the last bits.
+    """
+    if v.shape[1] == 1:
+        return np.abs(v[:, 0])
+    m = np.abs(v).max(axis=1)
+    finite = np.isfinite(m)
+    scaled = finite & ((m > 1e150) | ((m < 1e-150) & (m > 0.0)))
+    rare = scaled.any() or not finite.all()
+    w = v
+    if rare:
+        w = v.copy()
+        w[scaled] = v[scaled] / m[scaled, None]
+        w[~finite] = 0.0  # their norm is inf; squaring them could overflow
+    out = np.sqrt((w[:, None, :] @ w[:, :, None])[:, 0, 0])
+    if rare:
+        with np.errstate(over="ignore"):  # a norm beyond DBL_MAX is inf, as on floats
+            out[scaled] *= m[scaled]
+        out[~finite] = math.inf
+    return out
 
 
 @dataclass(frozen=True)
@@ -166,6 +194,11 @@ class GradientOracle(ABC):
     def evaluate_batch(self, thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """Vectorized gradient over replica arrays for d == 1 problems."""
         raise NotImplementedError
+
+    def evaluate_rows(self, thetas: np.ndarray, xs) -> np.ndarray:
+        """G at R (theta, x) pairs: row i of the (R, d) result is
+        evaluate(thetas[i], xs[i]). The default stacks per-row calls."""
+        return np.array([self.evaluate(theta, x) for theta, x in zip(thetas, xs)])
 
 
 def growth_envelope(meta: OracleMeta, g0_norm: float, x_norm: float) -> float:

@@ -20,6 +20,7 @@ import json
 import math
 import sys
 import time
+import typing
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -43,6 +44,8 @@ from .optimizers import (
     SgldConfig,
     TuslaConfig,
     run,
+    run_seeds,
+    scalar_route,
 )
 from .problems import (
     ConstantDataSource,
@@ -189,41 +192,41 @@ class RunSummary:
 
 
 class _ProblemSetup:
-    def __init__(self, cfg: ExperimentConfig, seed: int) -> None:
+    """What every seed of a run shares: the oracle, the data stream, the
+    objective and theta*; theta0(seed) gives each seed's start."""
+
+    def __init__(self, cfg: ExperimentConfig) -> None:
         r = cfg.resolved_r()
         self.theta_star: Optional[np.ndarray] = None
+        self.arch: Optional[Architecture] = None
         if cfg.problem == "us":
             self.oracle = UsProblem(s=cfg.s)
             self.stream = UniformDataSource()
-            self.theta0 = parameter_vector([cfg.theta0])
+            self.fixed_theta0 = parameter_vector([cfg.theta0])
             self.objective = lambda v: u_s_value(float(v[0]), cfg.s)
             self.theta_star = np.array([0.1])
         elif cfg.problem == "quadratic":
             self.oracle = QuadraticProblem(d=1)
             self.stream = ConstantDataSource(0.0)
-            self.theta0 = parameter_vector([cfg.theta0])
+            self.fixed_theta0 = parameter_vector([cfg.theta0])
             self.objective = lambda v: 0.5 * float(v[0]) ** 2
             self.theta_star = np.array([0.0])
         elif cfg.problem == "one_neuron":
             self.oracle = OneNeuronProblem(eta=cfg.eta)
             self.stream = ConstantDataSource(np.array([1.0, 0.0]))
-            self.theta0 = parameter_vector([cfg.theta0, cfg.theta0])
+            self.fixed_theta0 = parameter_vector([cfg.theta0, cfg.theta0])
             eta = cfg.eta
             self.objective = lambda v: one_neuron_value(
                 float(v[0]), float(v[1]), 1.0, 0.0, eta
             )
         else:  # mlp
-            arch = Architecture(cfg.dims, activation_by_name(cfg.activation))
+            arch = self.arch = Architecture(cfg.dims, activation_by_name(cfg.activation))
             teacher_rng = np.random.Generator(
                 np.random.PCG64(np.random.SeedSequence([8675309]))
             )
             teacher = arch.init_params(teacher_rng)
             self.oracle = MlpOracle(arch)
             self.stream = TeacherStream(teacher)
-            init_rng = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence([seed, 2]))
-            )
-            self.theta0 = arch.init_params(init_rng).flatten()
             probe_rng = np.random.Generator(
                 np.random.PCG64(np.random.SeedSequence([4242]))
             )
@@ -234,6 +237,12 @@ class _ProblemSetup:
 
             self.objective = objective
         self.reg = RegularizationParams(eta=cfg.eta, r=r)
+
+    def theta0(self, seed: int) -> np.ndarray:
+        if self.arch is None:
+            return self.fixed_theta0
+        init_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 2])))
+        return self.arch.init_params(init_rng).flatten()
 
     def algo_config(self, cfg: ExperimentConfig, algo: str):
         if algo == "tusla":
@@ -303,22 +312,28 @@ def run_config(
         os.makedirs(out_dir, exist_ok=True)
         out = out_dir
 
+    setup = _ProblemSetup(cfg)
+    theta0s = [setup.theta0(seed) for seed in seeds]
+    stacked = not scalar_route(setup.oracle, theta0s[0].size)
+    chain = dict(
+        record_every=cfg.record_every,
+        divergence_threshold=cfg.divergence_threshold,
+        objective=setup.objective,
+    )
     for algo in cfg.algorithms():
         t_algo = time.perf_counter()
         results = []
-        for seed in seeds:
-            setup = _ProblemSetup(cfg, seed)
-            record = run(
-                setup.algo_config(cfg, algo),
-                setup.theta0,
-                setup.oracle,
-                setup.stream,
-                cfg.n_steps,
-                rng_seed=seed,
-                record_every=cfg.record_every,
-                divergence_threshold=cfg.divergence_threshold,
-                objective=setup.objective,
+        algorithm = setup.algo_config(cfg, algo)
+        if stacked:  # every seed as one row of an (R, d) block
+            records = run_seeds(
+                algorithm, theta0s, setup.oracle, setup.stream, cfg.n_steps, seeds, **chain
             )
+        else:  # one chain at a time, each exported before the next runs
+            records = (
+                run(algorithm, theta0, setup.oracle, setup.stream, cfg.n_steps, seed, **chain)
+                for theta0, seed in zip(theta0s, seeds)
+            )
+        for seed, record in zip(seeds, records):
             results.append(_seed_result(setup, seed, record))
             if out is not None:
                 stem = f"{name}-{algo}-seed{seed}"
@@ -356,11 +371,27 @@ def run_preset(
 
 
 def _apply_overrides(cfg: ExperimentConfig, overrides: dict) -> ExperimentConfig:
-    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(overrides) - fields
+    hints = typing.get_type_hints(ExperimentConfig)
+    unknown = set(overrides) - set(hints)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    declared = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+    for key, val in overrides.items():
+        if not _conforms(val, hints[key]):
+            raise ValueError(f"{key} must be {declared[key]}, got {val!r}")
     return dataclasses.replace(cfg, **overrides)
+
+
+def _conforms(val, hint) -> bool:
+    """val has the field type hint: an int passes for a float, not for a str."""
+    if typing.get_origin(hint) is typing.Union:
+        return any(_conforms(val, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return isinstance(val, tuple) and all(_conforms(v, item) for v in val)
+    if hint is float:
+        return isinstance(val, (int, float))
+    return isinstance(val, hint)
 
 
 # ---------------------------------------------------------------- export
@@ -515,6 +546,18 @@ def _parse_value(raw: str):
     return raw
 
 
+def _parse_override(item: str) -> tuple[str, object]:
+    """One key=value override, as a config file line or a --set argument."""
+    if "=" not in item:
+        raise ValueError(f"expected key=value, got {item!r}")
+    key, _, raw = item.partition("=")
+    key = key.strip()
+    val = _parse_value(raw)
+    if key in ("seeds", "dims") and not isinstance(val, tuple):
+        val = (val,)
+    return key, val
+
+
 def load_config(path: str) -> ExperimentConfig:
     """Flat key=value file -> ExperimentConfig ('#' comments, blank lines ok)."""
     overrides: dict = {}
@@ -524,18 +567,15 @@ def load_config(path: str) -> ExperimentConfig:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{ln}: expected key=value, got {line!r}")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            val = _parse_value(raw)
+            try:
+                key, val = _parse_override(line)
+            except ValueError as e:
+                raise ValueError(f"{path}:{ln}: {e}") from None
             if key == "preset":
                 if val not in PRESETS:
                     raise ValueError(f"{path}:{ln}: unknown preset {val!r}")
                 base = PRESETS[val]
                 continue
-            if key in ("seeds", "dims") and not isinstance(val, tuple):
-                val = (val,)
             overrides[key] = val
     return _apply_overrides(base, overrides)
 
@@ -596,15 +636,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_run(args) -> int:
-    overrides: dict = {}
-    for item in args.set:
-        if "=" not in item:
-            raise _UsageError(f"--set expects KEY=VALUE, got {item!r}")
-        key, _, raw = item.partition("=")
-        val = _parse_value(raw)
-        if key in ("seeds", "dims") and not isinstance(val, tuple):
-            val = (val,)
-        overrides[key.strip()] = val
+    overrides = dict(_parse_override(item) for item in args.set)
 
     if args.preset:
         summary = run_preset(

@@ -17,15 +17,20 @@ operator norms); ``lipschitz_constants`` packages the growth metadata
 (q = 2n+2, rho = 3) and ``drift_lipschitz_constants`` the penalized-drift
 variant used when a superlinear penalty is attached.
 
-Every entry point runs on two kernels: ``_forward_backward`` (f and the flat
-grad f of one sample in one pass, on views of a flat theta) for the oracle,
-and ``_forward`` (a stacked forward pass) for outputs, risks and teacher
-labels. The stacked pass batches samples as ``W @ Z[:, :, None]`` per layer
-and ``H[:, None, :] @ phi`` for the readout: numpy's matmul calls the same
-BLAS gemv or dot on every slice that ``W @ z`` and ``phi @ h`` call on one
-sample, so each row is bitwise the single-sample result and artifacts stay
-byte-identical. ``Z @ W.T`` (one gemm) and ``einsum`` sum in another order
-and differ in the last bits.
+Every entry point runs on two kernels, both stacked over rows:
+``_forward`` (a forward pass over a stack of samples, with one shared theta
+or one theta per row) for outputs, risks and teacher labels, and
+``_forward_backward`` (f and the flat grad f at R (theta, z) pairs in one
+pass, on views of the flat theta rows) for the oracle. ``MlpOracle``'s
+evaluate_rows is one such pass over R pairs, and evaluate, grad_f and
+gradient_g are its R = 1 case. The stacks of column vectors h (shape
+(R, d_i, 1)) are multiplied as ``W @ h`` per layer,
+``W.transpose(0, 2, 1) @ s`` back through a layer and
+``h.transpose(0, 2, 1) @ phi[..., None]`` for the readout: numpy's
+matmul calls the same BLAS gemv or dot on every slice that ``W @ h``,
+``W.T @ s`` and ``phi @ h`` call on one sample, so each row is bitwise the
+single-sample result and artifacts stay byte-identical. ``Z @ W.T`` (one
+gemm) and ``einsum`` sum in another order and differ in the last bits.
 """
 from __future__ import annotations
 
@@ -154,10 +159,14 @@ class Architecture:
         return self.unflatten(rng.uniform(-0.5, 0.5, size=self.param_dim))
 
     def _views(self, vec: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """phi and W_1..W_n as views of a flat vector, without a copy."""
-        if vec.shape != (self.param_dim,):
-            raise ValueError(f"expected shape ({self.param_dim},), got {vec.shape}")
-        return vec[: self.dims[-1]], [vec[a:b].reshape(shape) for a, b, shape in self._layout]
+        """phi and W_1..W_n as views of a flat vector, without a copy; for a
+        stack of flat vectors (R, param_dim), stacks of R of each."""
+        if vec.shape[-1:] != (self.param_dim,) or vec.ndim > 2:
+            raise ValueError(f"expected shape ([R,] {self.param_dim}), got {vec.shape}")
+        lead = vec.shape[:-1]
+        return vec[..., : self.dims[-1]], [
+            vec[..., a:b].reshape(lead + shape) for a, b, shape in self._layout
+        ]
 
     def unflatten(self, vec: np.ndarray) -> "MlpParams":
         phi, weights = self._views(np.asarray(vec, dtype=np.float64))
@@ -195,9 +204,11 @@ class MlpParams:
 def _forward(arch: Architecture, phi: np.ndarray, weights, zs: np.ndarray):
     """Stacked forward pass over the rows of zs, shape (m, d_0).
 
-    Returns the outputs f, shape (m,), with the pre-activations a_i and the
-    activations h_i (h_0 = zs) of every row, each of shape (m, d_i, 1). Row j
-    is bitwise the single-sample pass (see the module docstring).
+    phi and the W_i are either shared by every row, or stacks with one per
+    row (leading axis m). Returns the outputs f, shape (m,), with the
+    pre-activations a_i and the activations h_i (h_0 = zs) of every row, each
+    of shape (m, d_i, 1). Row j is bitwise the single-sample pass (see the
+    module docstring).
     """
     sigma = arch.activation.apply
     hs = [zs[:, :, None]]
@@ -206,44 +217,49 @@ def _forward(arch: Architecture, phi: np.ndarray, weights, zs: np.ndarray):
         a = w @ hs[-1]
         pre.append(a)
         hs.append(sigma(a))
-    return (hs[-1][:, None, :, 0] @ phi)[:, 0], pre, hs
+    return (hs[-1].transpose(0, 2, 1) @ phi[..., None])[:, 0, 0], pre, hs
 
 
-def _forward_backward(arch: Architecture, phi: np.ndarray, weights, z: np.ndarray):
-    """f(z) and the flat grad_theta f(z) for one sample, in one pass.
+def _forward_backward(arch: Architecture, thetas: np.ndarray, zs: np.ndarray):
+    """f and the flat grad_theta f at R pairs (theta, z), in one pass.
 
-    phi and weights may be views of a flat theta; the gradient comes back in
-    the flatten() layout [d f/d phi, d f/d W_1, ..., d f/d W_n].
+    thetas holds one flat theta per row, shape (R, param_dim), and zs one
+    input per row, shape (R, d_0). Returns f, shape (R,), and the gradients,
+    shape (R, param_dim), in the flatten() layout
+    [d f/d phi, d f/d W_1, ..., d f/d W_n].
     """
-    act = arch.activation
-    hs = [z]
-    pre = []
-    for w in weights:
-        a = w @ hs[-1]
-        pre.append(a)
-        hs.append(act.apply(a))
-    grads = [hs[-1]]
-    delta = phi  # d f / d h_n
+    phi, weights = arch._views(thetas)
+    f, pre, hs = _forward(arch, phi, weights, zs)
+    derivative = arch.activation.derivative
+    grads = [hs[-1][:, :, 0]]
+    delta = phi[:, :, None]  # d f / d h_n
     for i in range(arch.n, 0, -1):
-        s = delta * act.derivative(pre[i - 1], hs[i])
-        grads.insert(1, (s[:, None] * hs[i - 1]).ravel())  # np.outer's product
+        s = delta * derivative(pre[i - 1], hs[i])
+        # each row's np.outer product, s_j * h_k
+        grads.insert(1, (s * hs[i - 1].transpose(0, 2, 1)).reshape(len(thetas), -1))
         if i > 1:
-            delta = weights[i - 1].T @ s
-    return float(phi @ hs[-1]), np.concatenate(grads)
+            delta = weights[i - 1].transpose(0, 2, 1) @ s
+    return f, np.concatenate(grads, axis=1)
 
 
-def _split_sample(x: np.ndarray, d0: int) -> tuple[np.ndarray, float]:
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.size != d0 + 1:
-        raise ValueError(f"sample must pack (z, y) with z of width {d0}, got size {x.size}")
-    return x[:d0], float(x[d0])
+def _split_rows(xs, d0: int) -> tuple[np.ndarray, np.ndarray]:
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 2 or xs.shape[1] != d0 + 1:
+        raise ValueError(f"samples must be rows (z, y) with z of width {d0}, got shape {xs.shape}")
+    return xs[:, :d0], xs[:, d0]
 
 
-def _loss_gradient(arch: Architecture, phi: np.ndarray, weights, x) -> np.ndarray:
-    """Flat G = -2 (y - f) grad f at one packed sample x = (z, y)."""
-    z, y = _split_sample(x, arch.dims[0])
-    f, gf = _forward_backward(arch, phi, weights, z)
-    return (-2.0 * (y - f)) * gf
+def _loss_gradient(arch: Architecture, thetas: np.ndarray, xs) -> np.ndarray:
+    """Flat G = -2 (y - f) grad f at R pairs (theta, x = (z, y)), as rows."""
+    zs, ys = _split_rows(xs, arch.dims[0])
+    if len(zs) != len(thetas):
+        raise ValueError(f"got {len(thetas)} parameter rows but {len(zs)} samples")
+    f, gf = _forward_backward(arch, thetas, zs)
+    return (-2.0 * (ys - f))[:, None] * gf
+
+
+def _one_row(v) -> np.ndarray:
+    return np.asarray(v, dtype=np.float64).reshape(1, -1)
 
 
 def forward(params: MlpParams, z) -> float:
@@ -254,8 +270,8 @@ def forward(params: MlpParams, z) -> float:
 
 def grad_f(params: MlpParams, z) -> MlpParams:
     """Gradient of the network output with respect to all parameters."""
-    z = np.asarray(z, dtype=np.float64)
-    return params.arch.unflatten(_forward_backward(params.arch, params.phi, params.weights, z)[1])
+    gf = _forward_backward(params.arch, _one_row(params.flatten()), _one_row(z))[1]
+    return params.arch.unflatten(gf[0])
 
 
 def risk(params: MlpParams, x, eta: float, r: float):
@@ -266,14 +282,7 @@ def risk(params: MlpParams, x, eta: float, r: float):
     from one stacked forward pass.
     """
     xs = np.asarray(x, dtype=np.float64)
-    d0 = params.arch.dims[0]
-    if xs.ndim < 2:
-        z, y = _split_sample(xs, d0)
-        zs, ys = z[None, :], y
-    elif xs.ndim == 2 and xs.shape[1] == d0 + 1:
-        zs, ys = xs[:, :d0], xs[:, d0]
-    else:
-        raise ValueError(f"samples must be rows (z, y) with z of width {d0}, got shape {xs.shape}")
+    zs, ys = _split_rows(xs if xs.ndim == 2 else xs.reshape(1, -1), params.arch.dims[0])
     resid = ys - _forward(params.arch, params.phi, params.weights, zs)[0]
     out = resid * resid
     if eta != 0.0:
@@ -284,7 +293,8 @@ def risk(params: MlpParams, x, eta: float, r: float):
 
 def gradient_g(params: MlpParams, x) -> MlpParams:
     """Squared-loss gradient G = -2 (y - f) grad f (no penalty)."""
-    return params.arch.unflatten(_loss_gradient(params.arch, params.phi, params.weights, x))
+    g = _loss_gradient(params.arch, _one_row(params.flatten()), _one_row(x))
+    return params.arch.unflatten(g[0])
 
 
 def gradient_h(params: MlpParams, x, eta: float, r: float) -> MlpParams:
@@ -395,14 +405,14 @@ class BoundCheckReport:
 def partial_deriv_bound_check(params: MlpParams, x, slack: float = 1e-9) -> BoundCheckReport:
     """Verify the gradient-norm and layer-Jacobian bounds at (params, x)."""
     arch = params.arch
-    z, _ = _split_sample(x, arch.dims[0])
+    zs, _ = _split_rows(_one_row(x), arch.dims[0])
     dsigma = arch.activation.derivative
-    _, pre, hs = _forward(arch, params.phi, params.weights, z[None, :])
+    _, pre, hs = _forward(arch, params.phi, params.weights, zs)
     pre = [a[0, :, 0] for a in pre]
     hs = [h[0, :, 0] for h in hs]
     n = arch.n
 
-    gf = grad_f(params, z)
+    gf = grad_f(params, zs)
     df_measured = gf.norm()
     df_b = df_norm_bound(params, x)
 
@@ -444,8 +454,12 @@ class MlpOracle(GradientOracle):
         return self.arch.param_dim
 
     def evaluate(self, theta: np.ndarray, x) -> np.ndarray:
-        phi, weights = self.arch._views(theta)
-        return _loss_gradient(self.arch, phi, weights, x)
+        return self.evaluate_rows(np.asarray(theta, dtype=np.float64)[None], _one_row(x))[0]
+
+    def evaluate_rows(self, thetas: np.ndarray, xs) -> np.ndarray:
+        """G at R pairs (thetas[i], xs[i]) in one stacked pass; row i is
+        bitwise evaluate(thetas[i], xs[i])."""
+        return _loss_gradient(self.arch, thetas, xs)
 
     def value(self, theta: np.ndarray, x) -> float:
         params = self.arch.unflatten(theta)

@@ -8,17 +8,30 @@ iterate norm exceeds the divergence threshold or turns non-finite. Divergence
 is an expected, reportable outcome for the unstable baselines, so the loop
 suppresses IEEE overflow warnings and lets inf/nan propagate to the check.
 
-``run`` has one loop for every algorithm and dimension, stepped in blocks.
-A block draws k data rows and k noise rows at once (k holds at most 4096
-values and at most n_steps rows), which are the same values as k per-step
-draws. The noise is pre-scaled once per block, noise_scale * xi over the
-whole block: a float64 product rounds the same elementwise as at the step,
-so the chain keeps its bits. A one-parameter oracle with evaluate_scalar
-takes the scalar route, on native floats with abs as the norm; everything
-else takes the vector route, on arrays with safe_norm. Both routes run the
-update of the one-step reference steppers in tests/_loop_reference.py
-operation for operation, with the tamed drift of overflow_safe_drift
-written inline.
+There are two loops, both stepped in blocks. A block draws k data rows and
+k noise rows per chain at once (k holds at most 4096 values and at most
+n_steps rows), which are the same values as k per-step draws. The noise is
+pre-scaled once per block, noise_scale * xi over the whole block: a float64
+product rounds the same elementwise as at the step, so the chain keeps its
+bits. A one-parameter oracle with evaluate_scalar takes the scalar route
+(``scalar_route``): one chain on native floats with abs as the norm.
+Everything else takes the stacked vector route: ``run_seeds`` steps the
+chains of R seeds as the rows of one (R, d) array, with one evaluate_rows
+call and one stacked update per step, and ``run`` is its R = 1 case. Both
+run the update of the one-step reference steppers in
+tests/_loop_reference.py operation for operation, with the tamed drift of
+overflow_safe_drift written inline.
+
+Row i of the stacked route is bitwise the single chain of seed i. Each row
+draws from its own streams. Elementwise operations round per element,
+whatever the shape, so only the reductions and the powers need care. The
+row norms are safe_row_norms, safe_norm's branches per row with the dot
+taken as a stacked BLAS dot. Each row's TUSLA factor |theta|^(+-2r) is a
+libm pow on a native float, as on the scalar route; numpy's vector pow
+rounds differently in a few percent of elements. The drift's two branches
+are one expression, (a g + b theta) / c with per-row a, b and c; a = 1.0
+in the small branch, and 1.0 * g is exact. A row that diverges is
+finished at its own step and leaves the block.
 
 Seeding: one master seed per run expands to independent substreams via
 SeedSequence spawn keys: data = [seed, 0], update noise = [seed, 1, algo_id]
@@ -43,7 +56,7 @@ from .gradient_oracle import (
     lambda_max,
     overflow_safe_drift,  # no caller here: the traced benchmark wraps this name
     parameter_vector,
-    safe_norm,
+    safe_row_norms,
 )
 
 __all__ = [
@@ -52,6 +65,8 @@ __all__ = [
     "AdamConfig",
     "RunRecord",
     "run",
+    "run_seeds",
+    "scalar_route",
     "ALGO_IDS",
 ]
 
@@ -158,10 +173,6 @@ def _streams(rng_seed: int, algo_id: int) -> tuple[np.random.Generator, np.rando
     return data, noise
 
 
-def _has_scalar_path(oracle: GradientOracle) -> bool:
-    return type(oracle).evaluate_scalar is not GradientOracle.evaluate_scalar
-
-
 class _Recorder:
     """Collects one row per recorded state: step, theta, |theta| and |G|.
 
@@ -208,6 +219,30 @@ class _Recorder:
         )
 
 
+def scalar_route(oracle: GradientOracle, dim: int) -> bool:
+    """True when a chain of this dimension runs on native floats: a
+    one-parameter oracle with evaluate_scalar. Every other chain takes the
+    stacked vector route."""
+    return dim == 1 and type(oracle).evaluate_scalar is not GradientOracle.evaluate_scalar
+
+
+def _algo_id(algorithm, oracle, n_steps, record_every, divergence_threshold) -> int:
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be non-negative, got {n_steps}")
+    if record_every < 1:
+        raise ValueError(f"record_every must be >= 1, got {record_every}")
+    if not (divergence_threshold > 0.0):
+        raise ValueError(f"divergence threshold must be positive, got {divergence_threshold}")
+    if isinstance(algorithm, TuslaConfig):
+        algorithm.reg.require_order(oracle.meta().q)
+        return ALGO_IDS["tusla"]
+    if isinstance(algorithm, SgldConfig):
+        return ALGO_IDS["sgld"]
+    if isinstance(algorithm, AdamConfig):
+        return ALGO_IDS["adam"]
+    raise TypeError(f"unsupported algorithm config: {type(algorithm).__name__}")
+
+
 def run(
     algorithm,
     theta0: ParameterVector,
@@ -228,36 +263,63 @@ def run(
         (after the loop, on that state's theta row) and recorded with it.
     """
     theta0 = parameter_vector(theta0)
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be non-negative, got {n_steps}")
-    if record_every < 1:
-        raise ValueError(f"record_every must be >= 1, got {record_every}")
-    if not (divergence_threshold > 0.0):
-        raise ValueError(f"divergence threshold must be positive, got {divergence_threshold}")
-
-    if isinstance(algorithm, TuslaConfig):
-        algorithm.reg.require_order(oracle.meta().q)
-        algo_id = ALGO_IDS["tusla"]
-    elif isinstance(algorithm, SgldConfig):
-        algo_id = ALGO_IDS["sgld"]
-    elif isinstance(algorithm, AdamConfig):
-        algo_id = ALGO_IDS["adam"]
-    else:
-        raise TypeError(f"unsupported algorithm config: {type(algorithm).__name__}")
-
+    if not scalar_route(oracle, theta0.size):
+        return run_seeds(
+            algorithm, theta0[None], oracle, stream, n_steps, (rng_seed,),
+            record_every, divergence_threshold, objective,
+        )[0]
+    algo_id = _algo_id(algorithm, oracle, n_steps, record_every, divergence_threshold)
     data_rng, noise_rng = _streams(rng_seed, algo_id)
-    rec = _Recorder(theta0.size, objective)
-
+    rec = _Recorder(1, objective)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return _run_chain(
-            algorithm, theta0, oracle, stream, n_steps,
+            algorithm, float(theta0[0]), oracle, stream, n_steps,
             data_rng, noise_rng, record_every, divergence_threshold, rec,
         )
 
 
+def run_seeds(
+    algorithm,
+    theta0s: np.ndarray,
+    oracle: GradientOracle,
+    stream,
+    n_steps: int,
+    seeds,
+    record_every: int = 1,
+    divergence_threshold: float = 1e10,
+    objective: Optional[Callable[[np.ndarray], float]] = None,
+) -> list[RunRecord]:
+    """One record per seed: row i of theta0s run with rng seed seeds[i].
+
+    Record i is bitwise run(algorithm, theta0s[i], ..., seeds[i], ...). On the
+    vector route every seed steps as one row of an (R, d) block, with one
+    evaluate_rows call and one stacked update per step; on the scalar route
+    the seeds run one after another.
+    """
+    theta0s = np.array([parameter_vector(t) for t in theta0s])
+    if theta0s.ndim != 2 or len(theta0s) != len(seeds) or len(seeds) == 0:
+        raise ValueError(
+            f"need one theta0 row of a common size per seed, got {theta0s.shape} for {len(seeds)} seeds"
+        )
+    if scalar_route(oracle, theta0s.shape[1]):
+        return [
+            run(algorithm, t, oracle, stream, n_steps, seed, record_every,
+                divergence_threshold, objective)
+            for t, seed in zip(theta0s, seeds)
+        ]
+    algo_id = _algo_id(algorithm, oracle, n_steps, record_every, divergence_threshold)
+    streams = [_streams(seed, algo_id) for seed in seeds]
+    recs = [_Recorder(theta0s.shape[1], objective) for _ in seeds]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _run_rows(
+            algorithm, theta0s, oracle, stream, n_steps,
+            streams, record_every, divergence_threshold, recs,
+        )
+
+
 def _block_size(n_steps: int, width: int = 1) -> int:
-    # a block holds at most 4096 values, and a short chain draws (and, for a
-    # teacher stream, labels) only what it uses
+    # a block holds at most 4096 values per chain, and a short chain draws
+    # (and, for a teacher stream, labels) only what it uses
     return max(1, min(4096 // width, n_steps))
 
 
@@ -268,24 +330,19 @@ def _data_block(stream, rng: np.random.Generator) -> Callable[[int], np.ndarray]
 
 
 def _rows(block: np.ndarray):
-    # a 1-D block becomes native floats, which keeps the scalar route off
-    # numpy scalars; a 2-D block is iterated as row views
+    # a 1-D block becomes native floats, which keeps scalar samples and the
+    # scalar route off numpy scalars; a 2-D block is iterated as row views
     return block.tolist() if block.ndim == 1 else block
 
 
 def _run_chain(
-    algorithm, theta: np.ndarray, oracle, stream, n_steps,
+    algorithm, theta: float, oracle, stream, n_steps,
     data_rng, noise_rng, record_every, threshold, rec: _Recorder,
 ) -> RunRecord:
-    # The route picks the oracle call, the norm and the row form, plus ADAM's
-    # sqrt (see the module docstring). The one norm of each new state serves
-    # the divergence check, the recorder and the next step's drift.
-    d = theta.size
-    if d == 1 and _has_scalar_path(oracle):
-        theta = float(theta[0])
-        evaluate, norm, sqrt, row = oracle.evaluate_scalar, abs, math.sqrt, ()
-    else:
-        evaluate, norm, sqrt, row = oracle.evaluate, safe_norm, np.sqrt, (d,)
+    # The scalar route: native floats throughout (see the module docstring).
+    # The one norm of each new state serves the divergence check, the
+    # recorder and the next step's drift.
+    evaluate, norm, sqrt = oracle.evaluate_scalar, abs, math.sqrt
     is_adam = isinstance(algorithm, AdamConfig)
     is_tusla = isinstance(algorithm, TuslaConfig)
     if is_adam:
@@ -302,17 +359,15 @@ def _run_chain(
         return rec.finish(0, theta, nrm, True, 0)
 
     draw_data = _data_block(stream, data_rng)
-    block = _block_size(n_steps, d)
+    block = _block_size(n_steps)
     add = rec.add
     n = 0
     while n < n_steps:
-        # k data rows and k noise rows, the same draws as k per-step calls;
-        # the noise is scaled once per block, and noise_scale * xi rounds
-        # elementwise exactly as it would at the step
+        # k data values and k noise values, the same draws as k per-step
+        # calls; the noise is scaled once per block, and noise_scale * xi
+        # rounds elementwise exactly as it would at the step
         k = min(block, n_steps - n)
-        xis = repeat(None, k) if is_adam else _rows(
-            noise_scale * noise_rng.standard_normal((k, *row))
-        )
+        xis = repeat(None, k) if is_adam else (noise_scale * noise_rng.standard_normal(k)).tolist()
         for x, xi in zip(_rows(draw_data(k)), xis):
             g = evaluate(theta, x)
             if n % record_every == 0:
@@ -341,3 +396,98 @@ def _run_chain(
             if not math.isfinite(nrm) or nrm > threshold:
                 return rec.finish(n, theta, nrm, True, n)
     return rec.finish(n, theta, nrm, False, None)
+
+
+def _run_rows(
+    algorithm, thetas: np.ndarray, oracle, stream, n_steps,
+    streams, record_every, threshold, recs: list[_Recorder],
+) -> list[RunRecord]:
+    # The stacked vector route: row i of thetas is chain live[i], which draws
+    # from its own streams and records into recs[live[i]]. Every operation is
+    # the single chain's, per row (see the module docstring). A chain that
+    # diverges is finished at its step and its row leaves the block.
+    out: list = [None] * len(recs)
+    live = list(range(len(recs)))
+    d = thetas.shape[1]
+    is_adam = isinstance(algorithm, AdamConfig)
+    is_tusla = isinstance(algorithm, TuslaConfig)
+    if is_adam:
+        alpha, b1, b2, eps = algorithm.alpha, algorithm.beta1, algorithm.beta2, algorithm.eps
+        m = np.zeros_like(thetas)
+        v = np.zeros_like(thetas)
+    else:
+        lam = algorithm.lam
+        noise_scale = math.sqrt(2.0 * lam / algorithm.beta)
+        noise_rngs = [noise_rng for _, noise_rng in streams]
+    if is_tusla:
+        eta, two_r, sqlam = algorithm.reg.eta, 2.0 * algorithm.reg.r, math.sqrt(lam)
+    draws = [_data_block(stream, data_rng) for data_rng, _ in streams]
+    evaluate = oracle.evaluate_rows
+    isfinite = math.isfinite
+
+    n = 0
+    nrms = safe_row_norms(thetas).tolist()
+    xs = xis = None
+    block = _block_size(n_steps, d)
+    while True:
+        gone = [i for i, a in enumerate(nrms) if not isfinite(a) or a > threshold]
+        if gone:
+            for i in gone:
+                out[live[i]] = recs[live[i]].finish(n, thetas[i], nrms[i], True, n)
+            keep = [i for i in range(len(live)) if i not in gone]
+            if not keep:
+                return out
+            live = [live[i] for i in keep]
+            nrms = [nrms[i] for i in keep]
+            thetas = thetas[keep]
+            if is_adam:
+                m, v = m[keep], v[keep]
+            if xs is not None:
+                xs = xs[:, keep]
+                if not is_adam:
+                    xis = xis[:, keep]
+        if n == n_steps:
+            break
+        if n % block == 0:
+            # k data rows and k noise rows per chain, the same draws as k
+            # per-step calls, stacked along axis 1: xs[j] holds step j's
+            # sample of every live chain; noise is pre-scaled as on the
+            # scalar route
+            k = min(block, n_steps - n)
+            xs = np.stack([draws[c](k) for c in live], axis=1)
+            if not is_adam:
+                xis = noise_scale * np.stack(
+                    [noise_rngs[c].standard_normal((k, d)) for c in live], axis=1
+                )
+        j = n % block
+        g = evaluate(thetas, _rows(xs[j]))
+        if n % record_every == 0:
+            gnorms = safe_row_norms(g).tolist()
+            for i, c in enumerate(live):
+                recs[c].add(n, thetas[i], nrms[i], gnorms[i])
+        if is_adam:
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * (g * g)
+            mhat = m / (1.0 - b1 ** (n + 1))
+            vhat = v / (1.0 - b2 ** (n + 1))
+            thetas = thetas - alpha * (mhat / (np.sqrt(vhat) + eps))
+        else:
+            if is_tusla:
+                # both branches as (a g + b theta) / c with per-row a, b, c;
+                # a = 1.0 in the small branch, and 1.0 * g is exact
+                abc = []
+                for a in nrms:
+                    if a < 1.0:
+                        t = a ** two_r
+                        abc.append((1.0, eta * t, 1.0 + sqlam * t))
+                    else:
+                        ti = a ** -two_r
+                        abc.append((ti, eta, ti + sqlam))
+                fa, fb, fc = np.array(abc).T[:, :, None]
+                g = (fa * g + fb * thetas) / fc
+            thetas = thetas - lam * g + xis[j]
+        n += 1
+        nrms = safe_row_norms(thetas).tolist()
+    for i, c in enumerate(live):
+        out[c] = recs[c].finish(n, thetas[i], nrms[i], False, None)
+    return out

@@ -27,6 +27,7 @@ from tusla.gradient_oracle import (
     overflow_safe_drift_batch,
     parameter_vector,
     safe_norm,
+    safe_row_norms,
 )
 from tusla.problems import (
     OneNeuronProblem,
@@ -112,6 +113,32 @@ def test_safe_norm_matches_reference_bitwise(cells):
     v = np.array(cells, dtype=np.float64)
     got, want = safe_norm(v), _reference_safe_norm(v)
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+_NORM_ROWS = st.integers(1, 9).flatmap(
+    lambda d: st.lists(
+        st.one_of(
+            st.lists(_NORM_CELLS, min_size=d, max_size=d),
+            # every entry below 1e-150, or one above 1e150: the rescaled branches
+            st.lists(st.floats(-1e-150, 1e-150), min_size=d, max_size=d),
+            st.lists(st.floats(-1e-300, 1e-300), min_size=d - 1, max_size=d - 1).map(
+                lambda row: row + [1.7e308]
+            ),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_NORM_ROWS)
+def test_safe_row_norms_match_safe_norm_bitwise(rows):
+    v = np.array(rows, dtype=np.float64).reshape(len(rows), -1)
+    got = safe_row_norms(v)
+    want = np.array([safe_norm(row) for row in v])
+    assert got.shape == (len(rows),)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_meta_and_reg_validation():

@@ -66,9 +66,9 @@ def test_paper_s2_tusla_spread_is_the_ou_stationary_variance():
     # stepping fault, keeps acceptance criterion 1's TUSLA median at 13.73.
     cfg = PRESETS["paper-s2"]
     tail = []
+    setup = _ProblemSetup(cfg)
     for seed in cfg.seeds:
-        setup = _ProblemSetup(cfg, seed)
-        rec = run(setup.algo_config(cfg, "tusla"), setup.theta0, setup.oracle, setup.stream,
+        rec = run(setup.algo_config(cfg, "tusla"), setup.theta0(seed), setup.oracle, setup.stream,
                   cfg.n_steps, rng_seed=seed, record_every=cfg.record_every,
                   divergence_threshold=cfg.divergence_threshold)
         assert not rec.diverged
@@ -289,6 +289,10 @@ def test_load_config_errors(tmp_path):
     bad_preset.write_text("preset=nope\n")
     with pytest.raises(ValueError):
         load_config(str(bad_preset))
+    bad_type = tmp_path / "d.cfg"
+    bad_type.write_text("n_steps=abc\n")
+    with pytest.raises(ValueError):
+        load_config(str(bad_type))
 
 
 def test_parse_value_forms():
@@ -449,6 +453,15 @@ def test_cli_usage_errors(tmp_path):
                  "--out", str(tmp_path)]) == 64
     assert main(["run", "--preset", "paper-s2", "--set", "n_steps",
                  "--out", str(tmp_path)]) == 64
+    for bad in ("n_steps=abc", "n_steps=1.5", "lam=abc"):  # wrongly typed values
+        assert main(["run", "--preset", "paper-s2", "--set", bad,
+                     "--out", str(tmp_path)]) == 64, bad
+    # a key with spaces around it is the key: seeds=3 becomes the list (3,)
+    assert main(["run", "--preset", "paper-s2", "--set", "seeds =3", "--set", "n_steps=5",
+                 "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "paper-s2-summary.json").read_text())
+    assert summary["config"]["seeds"] == [3]
+    assert sorted(p.name for p in tmp_path.glob("*.csv"))[0] == "paper-s2-adam-seed3.csv"
 
 
 def test_cli_io_error(tmp_path):

@@ -403,6 +403,41 @@ def test_kernels_match_per_sample_reference_bitwise(dims, act, log_scale, m, see
     assert np.array([stream.sample(rng_one) for _ in range(m)]).tobytes() == batch.tobytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 6), min_size=2, max_size=4).map(tuple),
+    act=st.sampled_from([TANH, ARCTAN]),
+    log_scale=st.floats(-3.0, 3.0),
+    rows=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_evaluate_rows_match_per_sample_reference_bitwise(dims, act, log_scale, rows, seed):
+    # one stacked pass over R (theta, x) pairs; row i is the single-pair
+    # gradient, against both evaluate and the per-sample reference
+    arch = Architecture(dims, act)
+    rng = np.random.default_rng(seed)
+    thetas = rng.normal(size=(rows, arch.param_dim)) * 10.0 ** log_scale
+    xs = np.column_stack([rng.uniform(-2.0, 2.0, size=(rows, dims[0])), rng.normal(size=rows)])
+    oracle = MlpOracle(arch)
+    got = oracle.evaluate_rows(thetas, xs)
+    assert got.shape == (rows, arch.param_dim)
+    for theta, x, g in zip(thetas, xs, got):
+        assert g.tobytes() == oracle.evaluate(theta, x).tobytes()
+        assert g.tobytes() == ref.gradient_g(arch.unflatten(theta), x).flatten().tobytes()
+
+
+def test_evaluate_rows_rejects_misshapen_rows():
+    arch, _ = _tiny_net()
+    oracle = MlpOracle(arch)
+    d, d0 = arch.param_dim, arch.dims[0]
+    with pytest.raises(ValueError):
+        oracle.evaluate_rows(np.zeros((2, d)), np.zeros((3, d0 + 1)))  # 2 thetas, 3 samples
+    with pytest.raises(ValueError):
+        oracle.evaluate_rows(np.zeros((2, d)), np.zeros((2, d0)))  # no label column
+    with pytest.raises(ValueError):
+        oracle.evaluate_rows(np.zeros((2, d + 1)), np.zeros((2, d0 + 1)))
+
+
 def test_risk_rejects_misshapen_samples():
     arch, params = _tiny_net()
     with pytest.raises(ValueError):

@@ -39,7 +39,9 @@ from tusla.optimizers import (
     _data_block,
     _rows,
     run,
+    run_seeds,
 )
+from tusla.neural_net import Architecture, MlpOracle, TeacherStream
 from tusla.problems import (
     ConstantDataSource,
     OneNeuronProblem,
@@ -356,6 +358,97 @@ def test_reference_cases_reach_their_targets():
     for name in ("adam-x/0-scalar", "adam-x/0-vector"):
         r = rec(name)
         assert r.divergence_step == 1 and np.all(r.final_theta == -math.inf), name
+
+
+# run_seeds() against per-seed run() and the per-step loops: (route,
+# algorithm, per-row theta0 scales, n_steps, record_every, divergence
+# threshold, first seed). Row i starts from scale_i * the route's base theta
+# and runs with seed first_seed + i. The routes are the nn-demo network
+# (MlpOracle, d = 32, 128-row blocks), the two-parameter neuron and VectorOnlyUs
+# (d = 1); the last two have no evaluate_rows of their own, so they go
+# through the stacked default.
+_MLP = Architecture((3, 4, 4))
+_STACKED_ROUTES = {
+    "mlp": (
+        lambda: MlpOracle(_MLP),
+        lambda: TeacherStream(_MLP.init_params(np.random.default_rng(5))),
+        RegularizationParams(eta=0.01, r=4.0),
+        _MLP.init_params(np.random.default_rng(6)).flatten(),  # |theta| = 1.65
+    ),
+    "neuron": (OneNeuronProblem, PairStream, _REG_NEURON, np.array([1.0, -1.0])),
+    "vector": (lambda: VectorOnlyUs(s=2), UniformDataSource, _REG_S2, np.array([1.0])),
+}
+_NN_SCALES = (1.0, 0.3, 3.0, 1.0, 0.0, 1.0, 0.3, 1.0)
+_STACKED_CASES = {
+    # n_steps past one block on each route, record_every not dividing it
+    "mlp-blocks": ("mlp", "tusla-cold", _NN_SCALES, 300, 7, 1e10, 0),
+    "neuron-blocks": ("neuron", "adam", (1.0, 0.3, -2.0), 2049, 1000, 1e10, 4),
+    "vector-blocks": ("vector", "sgld-small", (0.3, -0.7), 4097, 3, 1e10, 9),
+    # the 3.0 row starts beyond the threshold; row 1 diverges at step 148,
+    # inside the second 128-row block and off the 7-grid; the rest run on
+    "mlp-diverges-mid-block": ("mlp", "adam", _NN_SCALES, 300, 7, 2.5, 0),
+}
+
+
+def _stacked_and_single(route, algo, scales, n_steps, record_every, threshold, seed):
+    make_oracle, make_stream, reg, base = _STACKED_ROUTES[route]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        cfg = _ALGOS[algo](reg)
+    oracle, stream = make_oracle(), make_stream()
+    theta0s = np.array([scale * base for scale in scales])
+    seeds = [seed + i for i in range(len(scales))]
+    chain = dict(record_every=record_every, divergence_threshold=threshold,
+                 objective=lambda v: float(np.sum(v)))
+    stacked = run_seeds(cfg, theta0s, oracle, stream, n_steps, seeds, **chain)
+    for theta0, s, rec in zip(theta0s, seeds, stacked):
+        assert records_equal(rec, run(cfg, theta0, oracle, stream, n_steps, s, **chain))
+        want = reference_run(cfg, theta0, oracle, stream, n_steps, s, **chain)
+        assert records_equal(rec, want)
+        assert rec.objectives.tobytes() == want.objectives.tobytes()
+    return stacked
+
+
+def _with_stacked_cases(test):
+    for case in _STACKED_CASES.values():
+        test = example(*case)(test)
+    return test
+
+
+@settings(max_examples=40, deadline=None)
+@_with_stacked_cases
+@given(
+    route=st.sampled_from(sorted(_STACKED_ROUTES)),
+    algo=st.sampled_from(sorted(_ALGOS)),
+    scales=st.sampled_from([1, 2, 3, 8]).flatmap(
+        lambda r: st.lists(st.sampled_from([0.0, 0.3, -0.7, 1.0, 3.0, 40.0]),
+                           min_size=r, max_size=r).map(tuple)
+    ),
+    n_steps=st.one_of(st.integers(0, 40), st.sampled_from([127, 129, 300])),
+    record_every=st.sampled_from([1, 3, 7]),
+    threshold=st.sampled_from([1e10, 2.5, 30.0]),
+    seed=st.integers(0, 2**32 - 16),
+)
+def test_run_seeds_rows_match_single_seed_runs_bitwise(
+    route, algo, scales, n_steps, record_every, threshold, seed
+):
+    # records_equal covers steps, norms, grad norms, thetas, final theta and
+    # the divergence fields; the helper also compares the objective column
+    _stacked_and_single(route, algo, scales, n_steps, record_every, threshold, seed)
+
+
+def test_stacked_cases_reach_their_targets():
+    for name, block in (("mlp-blocks", 128), ("neuron-blocks", 2048), ("vector-blocks", 4096)):
+        recs = _stacked_and_single(*_STACKED_CASES[name])
+        n_steps, record_every = _STACKED_CASES[name][3:5]
+        assert n_steps > block and n_steps % record_every != 0, name
+        assert not any(r.diverged for r in recs), name
+    recs = _stacked_and_single(*_STACKED_CASES["mlp-diverges-mid-block"])
+    steps = [r.divergence_step for r in recs]
+    assert steps[2] == 0  # beyond the threshold at step 0
+    assert 128 < steps[1] < 256 and steps[1] % 7 != 0  # mid-block, off the grid
+    assert sum(s is None for s in steps) >= 5  # the others run on to the end
+    assert all(r.step_indices[-1] == 300 for r, s in zip(recs, steps) if s is None)
 
 
 # ---------------------------------------------------------------------------
