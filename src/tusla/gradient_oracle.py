@@ -60,34 +60,22 @@ def parameter_vector(values) -> ParameterVector:
 
 
 def safe_norm(v: np.ndarray) -> float:
-    """Euclidean norm that cannot overflow.
-
-    For d == 1 this is exactly abs(v[0]) (no sqrt(x*x) round trip), which
-    keeps scalar and vector code paths bit-identical. For larger vectors the
-    components are rescaled by their max before squaring when any entry
-    exceeds 1e150, so |v| is finite whenever the entries are, or when all
-    lie below 1e-150, where the squares would lose precision as subnormals.
-    """
-    if v.size == 1:
-        return abs(float(v[0]))
-    m = float(np.abs(v).max())
-    if not math.isfinite(m):
-        return math.inf
-    if m == 0.0:
-        return 0.0
-    if m > 1e150 or m < 1e-150:
-        w = v / m
-        return m * math.sqrt(float(np.dot(w, w)))
-    return math.sqrt(float(np.dot(v, v)))
+    """Euclidean norm that cannot overflow: the one-row safe_row_norms."""
+    return float(safe_row_norms(v.reshape(1, -1))[0])
 
 
 def safe_row_norms(v: np.ndarray) -> np.ndarray:
-    """safe_norm of each row of a 2-D array, bit for bit.
+    """Euclidean norm of each row of a 2-D array, safe from overflow.
 
-    Same branches as safe_norm, per row. Each row's dot is one slice of the
-    stacked product v[:, None, :] @ v[:, :, None], which calls the BLAS dot
-    that np.dot calls on the row alone; (v * v).sum(1) and einsum sum in
-    another order and differ in the last bits.
+    For d == 1 this is exactly abs(v[:, 0]) (no sqrt(x*x) round trip), which
+    keeps scalar and vector code paths bit-identical. For wider rows the
+    components are rescaled by the row's max before squaring when any entry
+    exceeds 1e150, so a norm is finite whenever the entries are, or when all
+    lie below 1e-150, where the squares would lose precision as subnormals.
+    Each row's dot is one slice of the stacked product
+    v[:, None, :] @ v[:, :, None], which calls the BLAS dot that np.dot calls
+    on the row alone; (v * v).sum(1) and einsum sum in another order and
+    differ in the last bits.
     """
     if v.shape[1] == 1:
         return np.abs(v[:, 0])

@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 import typing
@@ -55,6 +56,7 @@ from .problems import (
     UsProblem,
     one_neuron_value,
     u_s_value,
+    u_s_value_batch,
 )
 
 __all__ = [
@@ -96,7 +98,6 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = tuple(range(16))
     record_every: int = 1
     divergence_threshold: float = 1e10
-    out_path: Optional[str] = None
     dims: tuple[int, ...] = (3, 4, 4)  # mlp only
     activation: str = "tanh"  # mlp only
 
@@ -192,25 +193,22 @@ class RunSummary:
 
 
 class _ProblemSetup:
-    """What every seed of a run shares: the oracle, the data stream, the
-    objective and theta*; theta0(seed) gives each seed's start."""
+    """One problem as every command builds it: the oracle, the data stream,
+    the penalty reg, the objective and theta* (from the oracle, where it
+    declares one); theta0(seed) gives each seed's start."""
 
     def __init__(self, cfg: ExperimentConfig) -> None:
-        r = cfg.resolved_r()
-        self.theta_star: Optional[np.ndarray] = None
         self.arch: Optional[Architecture] = None
         if cfg.problem == "us":
             self.oracle = UsProblem(s=cfg.s)
             self.stream = UniformDataSource()
             self.fixed_theta0 = parameter_vector([cfg.theta0])
             self.objective = lambda v: u_s_value(float(v[0]), cfg.s)
-            self.theta_star = np.array([0.1])
         elif cfg.problem == "quadratic":
             self.oracle = QuadraticProblem(d=1)
             self.stream = ConstantDataSource(0.0)
             self.fixed_theta0 = parameter_vector([cfg.theta0])
             self.objective = lambda v: 0.5 * float(v[0]) ** 2
-            self.theta_star = np.array([0.0])
         elif cfg.problem == "one_neuron":
             self.oracle = OneNeuronProblem(eta=cfg.eta)
             self.stream = ConstantDataSource(np.array([1.0, 0.0]))
@@ -236,7 +234,9 @@ class _ProblemSetup:
                 return float(np.mean(risk(_arch.unflatten(v), _probe, 0.0, 1.0)))
 
             self.objective = objective
-        self.reg = RegularizationParams(eta=cfg.eta, r=r)
+        star = getattr(self.oracle, "theta_star", None)
+        self.theta_star = None if star is None else np.array([star])
+        self.reg = RegularizationParams(eta=cfg.eta, r=cfg.resolved_r())
 
     def theta0(self, seed: int) -> np.ndarray:
         if self.arch is None:
@@ -305,14 +305,12 @@ def run_config(
 
     t_total = time.perf_counter()
     algos: dict[str, AlgoSummary] = {}
-    out = None
-    if out_dir is not None:
-        import os
-
-        os.makedirs(out_dir, exist_ok=True)
-        out = out_dir
-
     setup = _ProblemSetup(cfg)
+    # every algorithm's settings are checked before the first chain runs, so
+    # an invalid one leaves no partial artifacts
+    algorithms = {algo: setup.algo_config(cfg, algo) for algo in cfg.algorithms()}
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
     theta0s = [setup.theta0(seed) for seed in seeds]
     stacked = not scalar_route(setup.oracle, theta0s[0].size)
     chain = dict(
@@ -320,10 +318,9 @@ def run_config(
         divergence_threshold=cfg.divergence_threshold,
         objective=setup.objective,
     )
-    for algo in cfg.algorithms():
+    for algo, algorithm in algorithms.items():
         t_algo = time.perf_counter()
         results = []
-        algorithm = setup.algo_config(cfg, algo)
         if stacked:  # every seed as one row of an (R, d) block
             records = run_seeds(
                 algorithm, theta0s, setup.oracle, setup.stream, cfg.n_steps, seeds, **chain
@@ -335,12 +332,12 @@ def run_config(
             )
         for seed, record in zip(seeds, records):
             results.append(_seed_result(setup, seed, record))
-            if out is not None:
-                stem = f"{name}-{algo}-seed{seed}"
+            if out_dir is not None:
+                stem = f"{out_dir}/{name}-{algo}-seed{seed}"
                 if fmt == "csv":
-                    export_csv(record, f"{out}/{stem}.csv")
+                    export_csv(record, f"{stem}.csv")
                 else:
-                    _export_record_json(record, f"{out}/{stem}.json")
+                    _export_record_json(record, f"{stem}.json")
         algos[algo] = _aggregate(algo, results, time.perf_counter() - t_algo)
 
     summary = RunSummary(
@@ -349,8 +346,8 @@ def run_config(
         algorithms=algos,
         wall_time_s=time.perf_counter() - t_total,
     )
-    if out is not None:
-        _write_summary_json(summary, f"{out}/{name}-summary.json")
+    if out_dir is not None:
+        _dump_json(summary_jsonable(summary), f"{out_dir}/{name}-summary.json")
     return summary
 
 
@@ -481,20 +478,9 @@ def _nan_safe_list(arr: np.ndarray) -> list:
     return [_json_float(v) for v in arr.tolist()]
 
 
-def _seed_result_jsonable(r: SeedResult) -> dict:
-    return {
-        "seed": r.seed,
-        "final_distance": _json_float(r.final_distance),
-        "final_theta_norm": _json_float(r.final_theta_norm),
-        "final_objective": _json_float(r.final_objective),
-        "diverged": r.diverged,
-        "divergence_step": r.divergence_step,
-    }
-
-
-def _json_float(v: float):
+def _json_float(v):
     # json has no inf/nan literals; divergent runs produce both
-    return float(v) if math.isfinite(v) else None
+    return None if isinstance(v, float) and not math.isfinite(v) else v
 
 
 def summary_jsonable(summary: RunSummary) -> dict:
@@ -512,21 +498,25 @@ def summary_jsonable(summary: RunSummary) -> dict:
                 "median_final_distance": a.median_final_distance,
                 "mean_final_distance": a.mean_final_distance,
                 "median_final_objective": a.median_final_objective,
-                "per_seed": [_seed_result_jsonable(r) for r in a.results],
+                "per_seed": [
+                    {k: _json_float(v) for k, v in dataclasses.asdict(r).items()}
+                    for r in a.results
+                ],
             }
             for algo, a in summary.algorithms.items()
         },
     }
 
 
-def _dump_json(obj, path: str) -> None:
+def _dump_json(obj, path: Optional[str]) -> None:
+    """Every JSON the harness writes: sorted keys, indent 2, a final LF; to
+    stdout when path is None."""
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
     with open(path, "w", newline="") as f:
-        f.write(json.dumps(obj, indent=2, sort_keys=True))
-        f.write("\n")
-
-
-def _write_summary_json(summary: RunSummary, path: str) -> None:
-    _dump_json(summary_jsonable(summary), path)
+        f.write(text)
 
 
 # ---------------------------------------------------------------- config files
@@ -636,20 +626,12 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_run(args) -> int:
-    overrides = dict(_parse_override(item) for item in args.set)
-
-    if args.preset:
-        summary = run_preset(
-            args.preset, overrides=overrides or None, out_dir=args.out,
-            fmt=args.format, base_seed=args.seed,
-        )
-    else:
-        cfg = load_config(args.config)
-        if overrides:
-            cfg = _apply_overrides(cfg, overrides)
-        summary = run_config(
-            cfg, name="custom", out_dir=args.out, fmt=args.format, base_seed=args.seed,
-        )
+    cfg = PRESETS[args.preset] if args.preset else load_config(args.config)
+    cfg = _apply_overrides(cfg, dict(_parse_override(item) for item in args.set))
+    summary = run_config(
+        cfg, name=args.preset or "custom", out_dir=args.out, fmt=args.format,
+        base_seed=args.seed,
+    )
 
     print(f"{summary.name}: wrote per-run {args.format} files and "
           f"{summary.name}-summary.json under {args.out}/")
@@ -666,32 +648,28 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_constants(args) -> int:
+    setup = _ProblemSetup(
+        ExperimentConfig(problem=args.problem, s=args.s, eta=args.eta, r=args.r)
+    )
+    oracle, stream = setup.oracle, setup.stream
+    exact = {}
+    n = 64  # the quadratic's data are a constant
     if args.problem == "us":
-        oracle = UsProblem(s=args.s)
-        stream = UniformDataSource()
-        r = float(args.r) if args.r is not None else float(args.s + 10)
-        k_mean, k_se = estimate_k_mean(oracle, stream, args.n_samples, args.seed)
-        x_mean, x_se = estimate_x_rho_mean(oracle, stream, args.n_samples, args.seed)
+        n = args.n_samples
         exact = {"k_mean_exact": oracle.k_mean_exact(), "x_rho_mean_exact": oracle.x_rho_mean_exact()}
-    else:
-        oracle = QuadraticProblem()
-        stream = ConstantDataSource(0.0)
-        r = float(args.r) if args.r is not None else 1.5
-        k_mean, k_se = estimate_k_mean(oracle, stream, 64, args.seed)
-        x_mean, x_se = estimate_x_rho_mean(oracle, stream, 64, args.seed)
-        exact = {}
-    reg = RegularizationParams(eta=args.eta, r=r)
-    tc = theory_constants(oracle.meta(), reg, k_mean, args.p, x_mean)
+    k_mean, k_se = estimate_k_mean(oracle, stream, n, args.seed)
+    x_mean, x_se = estimate_x_rho_mean(oracle, stream, n, args.seed)
+    tc = theory_constants(oracle.meta(), setup.reg, k_mean, args.p, x_mean)
     fields = dataclasses.asdict(tc)
     out = {
         # constants at top level (json null for the ones beyond float range;
         # their log10_* companions are always finite)
-        **{k: (v if math.isfinite(v) else None) for k, v in fields.items()},
+        **{k: _json_float(v) for k, v in fields.items()},
         "overflowed": sorted(k for k, v in fields.items() if not math.isfinite(v)),
         "problem": args.problem,
         "s": args.s if args.problem == "us" else None,
         "eta": args.eta,
-        "r": r,
+        "r": setup.reg.r,
         "p": args.p,
         "meta": dataclasses.asdict(oracle.meta()),
         "k_mean": k_mean,
@@ -700,35 +678,23 @@ def _cmd_constants(args) -> int:
         "x_rho_mean_se": x_se,
         **exact,
     }
-    text = json.dumps(out, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    _dump_json(out, args.out or None)
     return _EX_OK
 
 
 def _cmd_gibbs(args) -> int:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([args.seed, 9])))
+    eta = args.eta if args.problem != "us" or args.eta > 0 else 0.01  # u_s at --eta 0 runs at eta = 0.01
+    setup = _ProblemSetup(ExperimentConfig(problem=args.problem, s=args.s, eta=eta))
     if args.problem == "quadratic":
-        oracle = QuadraticProblem()
-        stream = ConstantDataSource(0.0)
-        reg = RegularizationParams(eta=args.eta, r=1.5)
         u = lambda x: 0.5 * x * x
         sigma = 1.0 / math.sqrt(args.beta)
     else:
-        oracle = UsProblem(s=args.s)
-        stream = UniformDataSource()
-        eta = args.eta if args.eta > 0 else 0.01
-        reg = RegularizationParams(eta=eta, r=float(args.s + 10))
-        from .problems import u_s_value_batch
-
         u = lambda x: u_s_value_batch(x, args.s)
         sigma = None
 
     law = tusla_terminal_law(
-        oracle, stream, args.lam, args.beta, reg,
+        setup.oracle, setup.stream, args.lam, args.beta, setup.reg,
         theta0=args.theta0, n_steps=args.steps, n_replicas=args.replicas, seed=args.seed,
     )
     gibbs = gibbs_sampler_1d(u, args.beta, None, rng, n_samples=args.samples)
@@ -744,12 +710,7 @@ def _cmd_gibbs(args) -> int:
         "w2_vs_gaussian": None if sigma is None else wasserstein_to_gaussian(law, sigma, 2),
         "ks_gibbs_vs_gaussian": None if sigma is None else ks_vs_gaussian(gibbs, sigma),
     }
-    text = json.dumps(out, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    _dump_json(out, args.out or None)
     return _EX_OK
 
 

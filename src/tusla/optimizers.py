@@ -8,19 +8,20 @@ iterate norm exceeds the divergence threshold or turns non-finite. Divergence
 is an expected, reportable outcome for the unstable baselines, so the loop
 suppresses IEEE overflow warnings and lets inf/nan propagate to the check.
 
-There are two loops, both stepped in blocks. A block draws k data rows and
-k noise rows per chain at once (k holds at most 4096 values and at most
-n_steps rows), which are the same values as k per-step draws. The noise is
-pre-scaled once per block, noise_scale * xi over the whole block: a float64
-product rounds the same elementwise as at the step, so the chain keeps its
-bits. A one-parameter oracle with evaluate_scalar takes the scalar route
-(``scalar_route``): one chain on native floats with abs as the norm.
-Everything else takes the stacked vector route: ``run_seeds`` steps the
-chains of R seeds as the rows of one (R, d) array, with one evaluate_rows
-call and one stacked update per step, and ``run`` is its R = 1 case. Both
-run the update of the one-step reference steppers in
-tests/_loop_reference.py operation for operation, with the tamed drift of
-overflow_safe_drift written inline.
+There are two loops, both stepped in blocks. A block draws k data rows (one
+stream.sample_batch call) and k noise rows per chain at once (k holds at
+most 4096 values and at most n_steps rows), which are the same values as k
+per-step draws. The noise is pre-scaled once per block, noise_scale * xi
+over the whole block: a float64 product rounds the same elementwise as at
+the step, so the chain keeps its bits. A one-parameter oracle with
+evaluate_scalar takes the scalar route (``scalar_route``): one chain on
+native floats with abs as the norm. Everything else takes the stacked
+vector route: ``run_seeds`` steps the chains of R seeds as the rows of one
+(R, d) array, with one evaluate_rows call and one stacked update per step,
+and ``run`` is its R = 1 case. ``run_seeds`` stacks scalar-route seeds too,
+as rows of width 1. Both loops run the update of the one-step reference
+steppers in tests/_loop_reference.py operation for operation, with the
+tamed drift of overflow_safe_drift written inline.
 
 Row i of the stacked route is bitwise the single chain of seed i. Each row
 draws from its own streams. Elementwise operations round per element,
@@ -258,7 +259,8 @@ def run(
     record_every-th state plus the initial and final (or divergent) one.
 
     algorithm: a TuslaConfig, SgldConfig, or AdamConfig.
-    stream: data source with sample(rng) (and optionally sample_batch).
+    stream: data source with sample_batch(rng, n), which draws the same
+        values as n calls of sample(rng).
     objective: optional theta -> float, evaluated once per recorded state
         (after the loop, on that state's theta row) and recorded with it.
     """
@@ -291,22 +293,15 @@ def run_seeds(
 ) -> list[RunRecord]:
     """One record per seed: row i of theta0s run with rng seed seeds[i].
 
-    Record i is bitwise run(algorithm, theta0s[i], ..., seeds[i], ...). On the
-    vector route every seed steps as one row of an (R, d) block, with one
-    evaluate_rows call and one stacked update per step; on the scalar route
-    the seeds run one after another.
+    Record i is bitwise run(algorithm, theta0s[i], ..., seeds[i], ...). On
+    either route every seed steps as one row of an (R, d) block, with one
+    evaluate_rows call and one stacked update per step.
     """
     theta0s = np.array([parameter_vector(t) for t in theta0s])
     if theta0s.ndim != 2 or len(theta0s) != len(seeds) or len(seeds) == 0:
         raise ValueError(
             f"need one theta0 row of a common size per seed, got {theta0s.shape} for {len(seeds)} seeds"
         )
-    if scalar_route(oracle, theta0s.shape[1]):
-        return [
-            run(algorithm, t, oracle, stream, n_steps, seed, record_every,
-                divergence_threshold, objective)
-            for t, seed in zip(theta0s, seeds)
-        ]
     algo_id = _algo_id(algorithm, oracle, n_steps, record_every, divergence_threshold)
     streams = [_streams(seed, algo_id) for seed in seeds]
     recs = [_Recorder(theta0s.shape[1], objective) for _ in seeds]
@@ -321,12 +316,6 @@ def _block_size(n_steps: int, width: int = 1) -> int:
     # a block holds at most 4096 values per chain, and a short chain draws
     # (and, for a teacher stream, labels) only what it uses
     return max(1, min(4096 // width, n_steps))
-
-
-def _data_block(stream, rng: np.random.Generator) -> Callable[[int], np.ndarray]:
-    if hasattr(stream, "sample_batch"):
-        return lambda n: stream.sample_batch(rng, n)
-    return lambda n: np.array([stream.sample(rng) for _ in range(n)])
 
 
 def _rows(block: np.ndarray):
@@ -358,7 +347,6 @@ def _run_chain(
     if not math.isfinite(nrm) or nrm > threshold:
         return rec.finish(0, theta, nrm, True, 0)
 
-    draw_data = _data_block(stream, data_rng)
     block = _block_size(n_steps)
     add = rec.add
     n = 0
@@ -368,7 +356,7 @@ def _run_chain(
         # rounds elementwise exactly as it would at the step
         k = min(block, n_steps - n)
         xis = repeat(None, k) if is_adam else (noise_scale * noise_rng.standard_normal(k)).tolist()
-        for x, xi in zip(_rows(draw_data(k)), xis):
+        for x, xi in zip(_rows(stream.sample_batch(data_rng, k)), xis):
             g = evaluate(theta, x)
             if n % record_every == 0:
                 add(n, theta, nrm, norm(g))
@@ -421,7 +409,7 @@ def _run_rows(
         noise_rngs = [noise_rng for _, noise_rng in streams]
     if is_tusla:
         eta, two_r, sqlam = algorithm.reg.eta, 2.0 * algorithm.reg.r, math.sqrt(lam)
-    draws = [_data_block(stream, data_rng) for data_rng, _ in streams]
+    data_rngs = [data_rng for data_rng, _ in streams]
     evaluate = oracle.evaluate_rows
     isfinite = math.isfinite
 
@@ -454,7 +442,7 @@ def _run_rows(
             # sample of every live chain; noise is pre-scaled as on the
             # scalar route
             k = min(block, n_steps - n)
-            xs = np.stack([draws[c](k) for c in live], axis=1)
+            xs = np.stack([stream.sample_batch(data_rngs[c], k) for c in live], axis=1)
             if not is_adam:
                 xis = noise_scale * np.stack(
                     [noise_rngs[c].standard_normal((k, d)) for c in live], axis=1

@@ -31,7 +31,10 @@ from tusla.harness import (
     run_preset,
     summary_jsonable,
 )
+from tusla.diagnostics import gibbs_sampler_1d, tusla_terminal_law, wasserstein_p_1d
+from tusla.gradient_oracle import RegularizationParams
 from tusla.optimizers import RunRecord, run
+from tusla.problems import UniformDataSource, UsProblem, u_s_value_batch
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +459,15 @@ def test_cli_usage_errors(tmp_path):
     for bad in ("n_steps=abc", "n_steps=1.5", "lam=abc"):  # wrongly typed values
         assert main(["run", "--preset", "paper-s2", "--set", bad,
                      "--out", str(tmp_path)]) == 64, bad
+    # out_path is no config field: an unknown key, not a silent no-op
+    assert main(["run", "--preset", "paper-s2", "--set", "out_path=x",
+                 "--out", str(tmp_path)]) == 64
+    # an invalid ADAM setting fails before TUSLA and SGLD run: no partial artifacts
+    for bad in ("alpha=-1", "beta1=1.5"):
+        out = tmp_path / bad
+        assert main(["run", "--preset", "paper-s2", "--set", bad, "--set", "seeds=0,1",
+                     "--set", "n_steps=5", "--out", str(out)]) == 64, bad
+        assert not out.exists() or not any(out.iterdir()), bad
     # a key with spaces around it is the key: seeds=3 becomes the list (3,)
     assert main(["run", "--preset", "paper-s2", "--set", "seeds =3", "--set", "n_steps=5",
                  "--out", str(tmp_path)]) == 0
@@ -507,6 +519,36 @@ def test_cli_gibbs(tmp_path):
         assert key in obj
     assert obj["replicas_used"] == 64
     assert obj["w2_vs_gibbs"] < 0.5
+
+
+def test_cli_gibbs_us_runs_at_the_default_penalty(tmp_path):
+    # --problem us with --eta 0 (the default) runs at eta = 0.01 and r = s + 10
+    out = tmp_path / "g.json"
+    assert main(["gibbs", "--problem", "us", "--s", "2", "--steps", "200", "--replicas", "16",
+                 "--samples", "2000", "--out", str(out)]) == 0
+    obj = json.loads(out.read_text())
+    law = tusla_terminal_law(
+        UsProblem(s=2), UniformDataSource(), 0.01, 4.0, RegularizationParams(0.01, 12.0),
+        theta0=0.0, n_steps=200, n_replicas=16, seed=0,
+    )
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([0, 9])))
+    gibbs = gibbs_sampler_1d(lambda x: u_s_value_batch(x, 2), 4.0, None, rng, n_samples=2000)
+    assert obj["w1_vs_gibbs"] == wasserstein_p_1d(law, gibbs, 1)
+    assert obj["w2_vs_gibbs"] == wasserstein_p_1d(law, gibbs, 2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--problem", "us", "--s", "2", "--n-samples", "500"],
+    ["constants", "--problem", "quadratic", "--eta", "0.5"],
+    ["gibbs", "--problem", "quadratic", "--replicas", "16", "--steps", "100",
+     "--samples", "2000"],
+])
+def test_cli_json_on_stdout_is_the_out_file(tmp_path, capsysbinary, argv):
+    out = tmp_path / "o.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert main(argv) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
 
 
 @pytest.mark.parametrize("theta0", ["1e6", "1e7"])

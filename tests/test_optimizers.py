@@ -36,7 +36,6 @@ from tusla.optimizers import (
     SgldConfig,
     TuslaConfig,
     _block_size,
-    _data_block,
     _rows,
     run,
     run_seeds,
@@ -364,9 +363,10 @@ def test_reference_cases_reach_their_targets():
 # algorithm, per-row theta0 scales, n_steps, record_every, divergence
 # threshold, first seed). Row i starts from scale_i * the route's base theta
 # and runs with seed first_seed + i. The routes are the nn-demo network
-# (MlpOracle, d = 32, 128-row blocks), the two-parameter neuron and VectorOnlyUs
-# (d = 1); the last two have no evaluate_rows of their own, so they go
-# through the stacked default.
+# (MlpOracle, d = 32, 128-row blocks), the two-parameter neuron, VectorOnlyUs
+# (d = 1) and UsProblem, whose run() takes the scalar route while run_seeds
+# stacks it as d = 1 rows; all but the network have no evaluate_rows of their
+# own, so they go through the stacked default.
 _MLP = Architecture((3, 4, 4))
 _STACKED_ROUTES = {
     "mlp": (
@@ -377,6 +377,7 @@ _STACKED_ROUTES = {
     ),
     "neuron": (OneNeuronProblem, PairStream, _REG_NEURON, np.array([1.0, -1.0])),
     "vector": (lambda: VectorOnlyUs(s=2), UniformDataSource, _REG_S2, np.array([1.0])),
+    "scalar": (lambda: UsProblem(s=2), UniformDataSource, _REG_S2, np.array([1.0])),
 }
 _NN_SCALES = (1.0, 0.3, 3.0, 1.0, 0.0, 1.0, 0.3, 1.0)
 _STACKED_CASES = {
@@ -640,9 +641,8 @@ def test_block_draws_match_per_call_draws():
     for stream, width in ((UniformDataSource(), 1), (PairStream(), 2)):
         k = _block_size(n_steps, width)
         rng_a, rng_b = np.random.default_rng(321), np.random.default_rng(321)
-        draw = _data_block(stream, rng_a)
         blocked = [row for start in range(0, n_steps, k)
-                   for row in _rows(draw(min(k, n_steps - start)))]
+                   for row in _rows(stream.sample_batch(rng_a, min(k, n_steps - start)))]
         single = [stream.sample(rng_b) for _ in range(n_steps)]
         assert np.array(blocked).tobytes() == np.array(single).tobytes()
 
