@@ -31,6 +31,7 @@ from .gradient_oracle import (
     lambda_max,
     overflow_safe_drift_batch,
 )
+from .optimizers import _block_size, _check_beta, _check_step_size
 
 __all__ = [
     "TheoryConstants",
@@ -396,25 +397,45 @@ def tusla_terminal_law(
     """Terminal law of the tamed update over n_replicas independent chains.
 
     Vectorized over replicas for 1-D oracles exposing evaluate_batch; each
-    step draws one data sample and one Gaussian per replica. The per-replica
-    law is identical to running ``optimizers.run`` n_replicas times (the
-    update arithmetic is the same overflow-safe drift), but the stream
-    layout differs, so seeds are not interchangeable between the two.
-    Non-finite replicas are dropped with a warning.
+    step draws one data sample and one Gaussian per replica. The draws come
+    in blocks of k steps, at most 4096 values as in the chain loops: one
+    sample_batch(k * n_replicas) and one standard_normal((k, n_replicas))
+    call give the values of k per-step calls, so the stream layout does not
+    depend on the block size. The per-replica law is identical to running
+    ``optimizers.run`` n_replicas times (the update arithmetic is the same
+    overflow-safe drift), but the stream layout differs, so seeds are not
+    interchangeable between the two. lam and beta must be positive and
+    finite, n_steps >= 0 and n_replicas >= 1. Non-finite replicas are
+    dropped with a warning.
     """
     if oracle.dim() != 1:
         raise ValueError("replica integrator handles 1-D parameters only")
+    _check_step_size(lam)
+    _check_beta(beta)
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+    if n_replicas < 1:
+        raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
     reg.require_order(oracle.meta().q)
     data_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0])))
     noise_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 1, 0])))
     thetas = np.full(n_replicas, float(theta0))
     scale = math.sqrt(2.0 * lam / beta)
+    block = _block_size(n_steps, n_replicas)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n_steps):
-            xs = stream.sample_batch(data_rng, n_replicas)
-            g = oracle.evaluate_batch(thetas, xs)
-            drift = overflow_safe_drift_batch(g, thetas, lam, reg)
-            thetas = thetas - lam * drift + scale * noise_rng.standard_normal(n_replicas)
+        for start in range(0, n_steps, block):
+            k = min(block, n_steps - start)
+            xs = stream.sample_batch(data_rng, k * n_replicas)
+            xs = xs.reshape((k, n_replicas) + xs.shape[1:])
+            # scale * xi rounds elementwise as it would at the step
+            xis = noise_rng.standard_normal((k, n_replicas))
+            xis *= scale
+            for x, xi in zip(xs, xis):
+                g = oracle.evaluate_batch(thetas, x)
+                drift = overflow_safe_drift_batch(g, thetas, lam, reg)
+                drift *= lam
+                thetas -= drift
+                thetas += xi
     finite = np.isfinite(thetas)
     if not np.all(finite):
         warnings.warn(

@@ -226,20 +226,24 @@ def overflow_safe_drift_batch(
     """Elementwise H_lam over replica arrays of scalar parameters.
 
     Same two-branch arithmetic as overflow_safe_drift, vectorized with
-    np.where. Agreement with the one-parameter drift is within an ulp or two,
-    not bitwise: numpy's vectorized power kernel may round differently from
-    the scalar libm pow. Finite for finite theta and finite g; see
-    overflow_safe_drift.
+    np.where. Both branches are built from one power per element,
+    p = |theta|^(2r) below |theta| = 1 and |theta|^(-2r) from there on, so p
+    lies in [0, 1] or is nan. For r >= 1.5 (every r that require_order
+    admits) each element is bitwise the form with one clamped power per
+    branch (tests/_loop_reference.py); at 2r in {0.5, 1, 2} numpy's
+    scalar-exponent shortcuts round differently. Against the one-parameter
+    drift, agreement is within an ulp or two, not bitwise: numpy's vectorized
+    pow may round differently from libm pow. Finite for finite theta and
+    finite g (see overflow_safe_drift); with an infinite g the unused branch
+    may form 0 * inf and warn.
     """
     a = np.abs(theta)
     sq = math.sqrt(lam)
     small = a < 1.0
-    # np.where evaluates both branches; clamp each branch's power argument so
-    # the inactive branch cannot raise or generate spurious inf.
-    t = np.where(small, a, 0.0) ** (2.0 * reg.r)
-    ti = np.where(small, 1.0, a) ** (-2.0 * reg.r)
-    low = (g + (reg.eta * t) * theta) / (1.0 + sq * t)
-    high = (ti * g + reg.eta * theta) / (ti + sq)
+    two_r = 2.0 * reg.r
+    p = a ** np.where(small, two_r, -two_r)
+    low = (g + (reg.eta * p) * theta) / (1.0 + sq * p)
+    high = (p * g + reg.eta * theta) / (p + sq)
     return np.where(small, low, high)
 
 

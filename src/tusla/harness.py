@@ -686,20 +686,25 @@ def _cmd_gibbs(args) -> int:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([args.seed, 9])))
     eta = args.eta if args.problem != "us" or args.eta > 0 else 0.01  # u_s at --eta 0 runs at eta = 0.01
     setup = _ProblemSetup(ExperimentConfig(problem=args.problem, s=args.s, eta=eta))
+    # the law checks lam, beta, steps and replicas before anything divides by them
+    law = tusla_terminal_law(
+        setup.oracle, setup.stream, args.lam, args.beta, setup.reg,
+        theta0=args.theta0, n_steps=args.steps, n_replicas=args.replicas, seed=args.seed,
+    )
     if args.problem == "quadratic":
         u = lambda x: 0.5 * x * x
         sigma = 1.0 / math.sqrt(args.beta)
     else:
         u = lambda x: u_s_value_batch(x, args.s)
         sigma = None
-
-    law = tusla_terminal_law(
-        setup.oracle, setup.stream, args.lam, args.beta, setup.reg,
-        theta0=args.theta0, n_steps=args.steps, n_replicas=args.replicas, seed=args.seed,
-    )
     gibbs = gibbs_sampler_1d(u, args.beta, None, rng, n_samples=args.samples)
     out = {
         "problem": args.problem,
+        "s": args.s if args.problem == "us" else None,
+        "eta": eta,
+        "r": setup.reg.r,
+        "theta0": args.theta0,
+        "seed": args.seed,
         "beta": args.beta,
         "lam": args.lam,
         "replicas": args.replicas,

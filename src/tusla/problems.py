@@ -212,17 +212,25 @@ class UsProblem(GradientOracle):
         return np.array([self.evaluate_scalar(float(theta[0]), x)])
 
     def evaluate_batch(self, thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        # a product rounds the same in either order, so the last add and
+        # multiply run in place with the bits of mult * (bracket + pen) and
+        # mult * lin + pen
         d = thetas - _CENTER
+        ad = np.abs(d)
         s = self.s
         mult = np.where((xs >= 0.0) & (xs <= 1.0), 11.0, -1.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            pen = np.zeros_like(d) if s == 0 else 2.0 * s * d ** (2 * s - 1)
-            inner = np.abs(d) <= 1.0
+            pen = 0.0 if s == 0 else 2.0 * s * d ** (2 * s - 1)
+            inner = ad <= 1.0
             if self.unbiased:
-                lin = np.where(inner, d, np.sign(d))
-                return mult * lin + pen
-            bracket = np.where(inner, d * d, np.abs(d) - 0.5) + pen
-            return mult * bracket
+                out = np.where(inner, d, np.sign(d))
+                out *= mult
+                out += pen
+                return out
+            out = np.where(inner, d * d, ad - 0.5)
+            out += pen
+            out *= mult
+            return out
 
     def value(self, theta: float) -> float:
         return u_s_value(float(theta), self.s)

@@ -12,15 +12,22 @@ loop that calls ``overflow_safe_drift``. Each draws one data value and one
 unscaled noise value per step from a buffer and multiplies the noise by
 sqrt(2 lam / beta) at the step. ``reference_run`` replays a whole ``run``
 through them.
+
+The replica law ``reference_terminal_law`` is ``tusla_terminal_law`` as a
+per-step loop, one data draw and one noise draw per step, with the drift
+``overflow_safe_drift_batch_two_power`` (one clamped power per branch) and,
+for u_s, the gradient ``us_evaluate_batch``.
 """
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from tusla.diagnostics import EmpiricalDistribution1D
 from tusla.gradient_oracle import (
     GradientOracle,
     ParameterVector,
@@ -37,6 +44,7 @@ from tusla.optimizers import (
     TuslaConfig,
     _Recorder,
 )
+from tusla.problems import UsProblem
 
 
 # ------------------------------------------------------------ one-step forms
@@ -363,3 +371,82 @@ def _run_vector(
             break
 
     return rec.finish(n, theta, nrm, diverged, div_step)
+
+
+# ------------------------------------------------------------ replica law
+
+
+def overflow_safe_drift_batch_two_power(
+    g: np.ndarray, theta: np.ndarray, lam: float, reg: RegularizationParams
+) -> np.ndarray:
+    """The replica drift with one clamped power per branch, as it was before
+    ``overflow_safe_drift_batch`` built both branches from one power."""
+    a = np.abs(theta)
+    sq = math.sqrt(lam)
+    small = a < 1.0
+    # np.where evaluates both branches; clamp each branch's power argument so
+    # the inactive branch cannot raise or generate spurious inf.
+    t = np.where(small, a, 0.0) ** (2.0 * reg.r)
+    ti = np.where(small, 1.0, a) ** (-2.0 * reg.r)
+    low = (g + (reg.eta * t) * theta) / (1.0 + sq * t)
+    high = (ti * g + reg.eta * theta) / (ti + sq)
+    return np.where(small, low, high)
+
+
+def us_evaluate_batch(oracle: UsProblem, thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """``UsProblem.evaluate_batch`` before it ran its last add and multiply in place."""
+    d = thetas - 0.1
+    s = oracle.s
+    mult = np.where((xs >= 0.0) & (xs <= 1.0), 11.0, -1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pen = np.zeros_like(d) if s == 0 else 2.0 * s * d ** (2 * s - 1)
+        inner = np.abs(d) <= 1.0
+        if oracle.unbiased:
+            lin = np.where(inner, d, np.sign(d))
+            return mult * lin + pen
+        bracket = np.where(inner, d * d, np.abs(d) - 0.5) + pen
+        return mult * bracket
+
+
+def reference_terminal_law(
+    oracle: GradientOracle,
+    stream,
+    lam: float,
+    beta: float,
+    reg: RegularizationParams,
+    theta0: float,
+    n_steps: int,
+    n_replicas: int,
+    seed: int,
+) -> EmpiricalDistribution1D:
+    """``tusla_terminal_law`` as a per-step loop: one data draw and one noise
+    draw per step, the two-power drift and, for u_s, the out-of-place
+    gradient."""
+    if oracle.dim() != 1:
+        raise ValueError("replica integrator handles 1-D parameters only")
+    reg.require_order(oracle.meta().q)
+    if isinstance(oracle, UsProblem):
+        evaluate_batch = lambda thetas, xs: us_evaluate_batch(oracle, thetas, xs)
+    else:
+        evaluate_batch = oracle.evaluate_batch
+    data_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0])))
+    noise_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 1, 0])))
+    thetas = np.full(n_replicas, float(theta0))
+    scale = math.sqrt(2.0 * lam / beta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_steps):
+            xs = stream.sample_batch(data_rng, n_replicas)
+            g = evaluate_batch(thetas, xs)
+            drift = overflow_safe_drift_batch_two_power(g, thetas, lam, reg)
+            thetas = thetas - lam * drift + scale * noise_rng.standard_normal(n_replicas)
+    finite = np.isfinite(thetas)
+    if not np.all(finite):
+        warnings.warn(
+            f"{int(np.sum(~finite))} of {n_replicas} replicas diverged; dropped",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        thetas = thetas[finite]
+    if thetas.size == 0:
+        raise ValueError("all replicas diverged")
+    return EmpiricalDistribution1D.from_samples(thetas)

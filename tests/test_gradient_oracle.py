@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _loop_reference import (
+    overflow_safe_drift_batch_two_power,
     overflow_safe_drift_scalar,
     regularized_gradient,
     tamed_gradient,
@@ -332,6 +333,9 @@ def _drift_close(got, want, g, theta, lam, eta, r, ulps=8):
     return abs(got - want) <= ulps * (float(np.spacing(scale)) + 5e-324 / den)
 
 
+_SPECIAL = [0.0, -0.0, 5e-324, math.nextafter(1.0, 0.0), 1.0, 1e154, 1.7e308, math.inf, math.nan]
+
+
 def test_drift_batch_mixed_branches_elementwise():
     rng = np.random.default_rng(3)
     reg = RegularizationParams(eta=0.01, r=12.0)
@@ -341,6 +345,19 @@ def test_drift_batch_mixed_branches_elementwise():
     for i in range(80):
         s = overflow_safe_drift_scalar(gs[i], thetas[i], 0.05, reg.eta, reg.r)
         assert _drift_close(batch[i], s, gs[i], thetas[i], 0.05, reg.eta, reg.r)
+    # every pair of special values for theta and g, both signs of each, and
+    # magnitudes at which the penalty term and the gradient compete
+    special = np.array(_SPECIAL + [-v for v in _SPECIAL])
+    gs = np.concatenate([gs, np.repeat(special, special.size),
+                         rng.normal(size=400) * 10.0 ** rng.uniform(-4.0, 0.0, 400)])
+    thetas = np.concatenate([thetas, np.tile(special, special.size), rng.uniform(-2.0, 2.0, 400)])
+    for eta, r in ((0.0, 1.5), (0.01, 12.0), (0.3, 36.0)):
+        reg = RegularizationParams(eta=eta, r=r)
+        with np.errstate(all="ignore"):
+            one = overflow_safe_drift_batch(gs, thetas, 0.05, reg)
+            two = overflow_safe_drift_batch_two_power(gs, thetas, 0.05, reg)
+        # one power per element builds both branches: bitwise the two-power form
+        assert np.array_equal(one.view(np.int64), two.view(np.int64)), (eta, r)
 
 
 def test_drift_branch_boundary_is_seamless():

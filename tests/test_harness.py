@@ -468,6 +468,14 @@ def test_cli_usage_errors(tmp_path):
         assert main(["run", "--preset", "paper-s2", "--set", bad, "--set", "seeds=0,1",
                      "--set", "n_steps=5", "--out", str(out)]) == 64, bad
         assert not out.exists() or not any(out.iterdir()), bad
+    # tusla gibbs checks lam, beta, steps and replicas before it runs or writes
+    for bad in (["--beta", "0"], ["--beta", "nan"], ["--beta", "-1"], ["--lam", "0"],
+                ["--lam", "inf"], ["--steps", "-1"], ["--replicas", "0"]):
+        for problem in ("quadratic", "us"):
+            out = tmp_path / "gibbs.json"
+            assert main(["gibbs", "--problem", problem, "--steps", "2", "--replicas", "2",
+                         "--samples", "100", *bad, "--out", str(out)]) == 64, (problem, bad)
+            assert not out.exists(), (problem, bad)
     # a key with spaces around it is the key: seeds=3 becomes the list (3,)
     assert main(["run", "--preset", "paper-s2", "--set", "seeds =3", "--set", "n_steps=5",
                  "--out", str(tmp_path)]) == 0
@@ -519,22 +527,32 @@ def test_cli_gibbs(tmp_path):
         assert key in obj
     assert obj["replicas_used"] == 64
     assert obj["w2_vs_gibbs"] < 0.5
+    # the problem it ran: no s for the quadratic, the default penalty
+    assert (obj["s"], obj["eta"], obj["r"], obj["theta0"], obj["seed"]) == (None, 0.0, 1.5, 0.0, 0)
 
 
 def test_cli_gibbs_us_runs_at_the_default_penalty(tmp_path):
-    # --problem us with --eta 0 (the default) runs at eta = 0.01 and r = s + 10
-    out = tmp_path / "g.json"
-    assert main(["gibbs", "--problem", "us", "--s", "2", "--steps", "200", "--replicas", "16",
-                 "--samples", "2000", "--out", str(out)]) == 0
-    obj = json.loads(out.read_text())
-    law = tusla_terminal_law(
-        UsProblem(s=2), UniformDataSource(), 0.01, 4.0, RegularizationParams(0.01, 12.0),
-        theta0=0.0, n_steps=200, n_replicas=16, seed=0,
-    )
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([0, 9])))
-    gibbs = gibbs_sampler_1d(lambda x: u_s_value_batch(x, 2), 4.0, None, rng, n_samples=2000)
-    assert obj["w1_vs_gibbs"] == wasserstein_p_1d(law, gibbs, 1)
-    assert obj["w2_vs_gibbs"] == wasserstein_p_1d(law, gibbs, 2)
+    # --problem us with --eta 0 (the default) runs at eta = 0.01 and r = s + 10,
+    # and the JSON records the problem it ran
+    for s, r in ((2, 12.0), (26, 36.0)):
+        out = tmp_path / f"g{s}.json"
+        assert main(["gibbs", "--problem", "us", "--s", str(s), "--steps", "200",
+                     "--replicas", "16", "--samples", "2000", "--theta0", "0.5", "--seed", "3",
+                     "--out", str(out)]) == 0
+        obj = json.loads(out.read_text())
+        law = tusla_terminal_law(
+            UsProblem(s=s), UniformDataSource(), 0.01, 4.0, RegularizationParams(0.01, r),
+            theta0=0.5, n_steps=200, n_replicas=16, seed=3,
+        )
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([3, 9])))
+        gibbs = gibbs_sampler_1d(lambda x: u_s_value_batch(x, s), 4.0, None, rng, n_samples=2000)
+        assert obj == {
+            "problem": "us", "s": s, "eta": 0.01, "r": r, "theta0": 0.5, "seed": 3,
+            "beta": 4.0, "lam": 0.01, "replicas": 16, "steps": 200, "replicas_used": 16,
+            "w1_vs_gibbs": wasserstein_p_1d(law, gibbs, 1),
+            "w2_vs_gibbs": wasserstein_p_1d(law, gibbs, 2),
+            "w2_vs_gaussian": None, "ks_gibbs_vs_gaussian": None,
+        }, s
 
 
 @pytest.mark.parametrize("argv", [

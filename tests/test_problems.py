@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from _loop_reference import us_evaluate_batch
 from tusla.diagnostics import estimate_k_mean, estimate_x_rho_mean
 from tusla.problems import (
     ConstantDataSource,
@@ -216,6 +217,22 @@ def test_evaluate_batch_matches_scalar():
             assert np.array_equal(batch[~finite], scalar[~finite])
             gap = np.abs(batch[finite] - scalar[finite])
             assert np.all(gap <= 4.0 * np.spacing(scale[finite]))
+
+
+def test_evaluate_batch_is_the_out_of_place_form_bitwise():
+    # the in-place add and multiply round as the reference form's, also at
+    # theta* itself (d = +0, times -1), the branch edges and non-finite theta
+    rng = np.random.default_rng(6)
+    special = [CENTER, CENTER + 1.0, CENTER - 1.0, 0.0, -0.0, 1e300, -1e300,
+               math.inf, -math.inf, math.nan]
+    thetas = np.concatenate([rng.uniform(-8.0, 8.0, 400), np.repeat(special, 2)])
+    xs = np.concatenate([rng.uniform(0.0, 11.0, 400), np.tile([0.5, 5.0], len(special))])
+    for s in (0, 1, 2, 26):
+        for unbiased in (False, True):
+            prob = UsProblem(s=s, unbiased=unbiased)
+            got = prob.evaluate_batch(thetas, xs)
+            want = us_evaluate_batch(prob, thetas, xs)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (s, unbiased)
 
 
 def test_evaluate_wraps_scalar():
