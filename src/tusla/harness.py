@@ -1,14 +1,21 @@
-"""Experiment harness: presets, batched seed runs, CSV/JSON export, CLI.
+"""Experiment harness: presets, parallel seed runs, CSV/JSON export, CLI.
 
 One ``ExperimentConfig`` describes a full comparison: a problem, one or all
-algorithms, hyperparameters, and a seed list. ``run_preset`` executes every
-(algorithm, seed) pair sequentially (runs are independent; order never
-affects results), writes one CSV per run plus one JSON summary, and returns
-the in-memory ``RunSummary``.
+algorithms, hyperparameters, and a seed list. ``run_preset`` runs every
+(algorithm, seed) chain, writes one CSV or JSON per chain plus one JSON
+summary, and returns the in-memory ``RunSummary``.
+
+Chains are independent: each draws from its own seeded streams, so the order
+in which they run never affects a result. ``run_config`` therefore runs them
+side by side in forked worker processes (its docstring says how). Workers
+write the chains' files and return only their ``SeedResult``s; the parent
+aggregates those in (algorithm, seed) order and writes the summary, so every
+file has the bytes of a serial run.
 
 Determinism contract: the same invocation produces byte-identical CSV and
-JSON files. Wall-clock timings are therefore reported on stdout and kept in
-the returned summary object, but never written to the JSON file.
+JSON files, whatever the worker count. Wall-clock timings are therefore
+reported on stdout and kept in the returned summary object, but never
+written to the JSON file.
 
 Exit codes: 0 success, 2 I/O failure, 64 usage error.
 """
@@ -190,6 +197,7 @@ class RunSummary:
     config: ExperimentConfig
     algorithms: dict[str, AlgoSummary]
     wall_time_s: float
+    workers: int = 1  # processes that ran the chains; 1 means in process
 
 
 class _ProblemSetup:
@@ -296,7 +304,27 @@ def run_config(
     fmt: str = "csv",
     base_seed: Optional[int] = None,
 ) -> RunSummary:
-    """Execute every (algorithm, seed) pair of cfg; optionally write files."""
+    """Execute every (algorithm, seed) pair of cfg; optionally write files.
+
+    The chains run as tasks: one per (algorithm, seed) on the scalar route,
+    which calls ``run``, and one per algorithm on the stacked vector route,
+    which calls ``run_seeds`` over all seeds. A task writes its own files and
+    returns its ``SeedResult``s and seconds; records never cross a pipe.
+    ``AlgoSummary.wall_time_s`` is the summed task seconds of its chains.
+
+    The tasks go to min(usable CPUs, tasks) workers, where the usable CPUs
+    are this process's affinity mask (``taskset -c 0`` gives a serial run).
+    The pool uses the fork start method, so the workers inherit the job
+    (oracle, stream, objective) without pickling it, and the warning filters
+    too. The tasks run here, one after another, when there is one task or
+    one usable CPU, when the platform cannot fork, or when this process is
+    daemonic (a ``multiprocessing.Pool`` worker may not have children). Caveat: forking a multi-threaded
+    process can leave a child blocked on a lock another thread held, and
+    Python 3.12 and later warn (``DeprecationWarning``) when they fork one,
+    as they may when a threaded BLAS runs. A task's exception is raised
+    here once the other tasks have finished; a worker that dies raises
+    ``BrokenProcessPool``.
+    """
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {fmt!r}")
     seeds = cfg.seeds
@@ -304,51 +332,115 @@ def run_config(
         seeds = tuple(base_seed + i for i in range(len(cfg.seeds)))
 
     t_total = time.perf_counter()
-    algos: dict[str, AlgoSummary] = {}
     setup = _ProblemSetup(cfg)
     # every algorithm's settings are checked before the first chain runs, so
     # an invalid one leaves no partial artifacts
     algorithms = {algo: setup.algo_config(cfg, algo) for algo in cfg.algorithms()}
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-    theta0s = [setup.theta0(seed) for seed in seeds]
-    stacked = not scalar_route(setup.oracle, theta0s[0].size)
-    chain = dict(
-        record_every=cfg.record_every,
-        divergence_threshold=cfg.divergence_threshold,
-        objective=setup.objective,
-    )
-    for algo, algorithm in algorithms.items():
-        t_algo = time.perf_counter()
-        results = []
-        if stacked:  # every seed as one row of an (R, d) block
-            records = run_seeds(
-                algorithm, theta0s, setup.oracle, setup.stream, cfg.n_steps, seeds, **chain
-            )
-        else:  # one chain at a time, each exported before the next runs
-            records = (
-                run(algorithm, theta0, setup.oracle, setup.stream, cfg.n_steps, seed, **chain)
-                for theta0, seed in zip(theta0s, seeds)
-            )
-        for seed, record in zip(seeds, records):
-            results.append(_seed_result(setup, seed, record))
-            if out_dir is not None:
-                stem = f"{out_dir}/{name}-{algo}-seed{seed}"
-                if fmt == "csv":
-                    export_csv(record, f"{stem}.csv")
-                else:
-                    _export_record_json(record, f"{stem}.json")
-        algos[algo] = _aggregate(algo, results, time.perf_counter() - t_algo)
+    job = _Job(cfg, setup, algorithms, seeds, name, out_dir, fmt)
+    if job.stacked:  # every seed as one row of an (R, d) block
+        tasks = [(algo, seeds) for algo in algorithms]
+    else:
+        tasks = [(algo, (seed,)) for algo in algorithms for seed in seeds]
+    outcomes, workers = _map_tasks(job, tasks)
 
+    algos: dict[str, AlgoSummary] = {}
+    for algo in algorithms:
+        mine = [out for (a, _), out in zip(tasks, outcomes) if a == algo]
+        results = [r for task_results, _ in mine for r in task_results]
+        algos[algo] = _aggregate(algo, results, sum(seconds for _, seconds in mine))
     summary = RunSummary(
         name=name,
         config=cfg,
         algorithms=algos,
         wall_time_s=time.perf_counter() - t_total,
+        workers=workers,
     )
     if out_dir is not None:
         _dump_json(summary_jsonable(summary), f"{out_dir}/{name}-summary.json")
     return summary
+
+
+class _Job:
+    """What every task of one run_config call shares."""
+
+    def __init__(self, cfg, setup, algorithms, seeds, name, out_dir, fmt) -> None:
+        self.setup, self.algorithms = setup, algorithms
+        self.n_steps, self.name, self.out_dir, self.fmt = cfg.n_steps, name, out_dir, fmt
+        self.theta0 = {seed: setup.theta0(seed) for seed in seeds}
+        self.stacked = not scalar_route(setup.oracle, self.theta0[seeds[0]].size)
+        self.chain = dict(
+            record_every=cfg.record_every,
+            divergence_threshold=cfg.divergence_threshold,
+            objective=setup.objective,
+        )
+
+
+def _run_task(job: _Job, task: tuple) -> tuple[list[SeedResult], float]:
+    """Run one task's chains and write their files; its results and seconds."""
+    t0 = time.perf_counter()
+    algo, seeds = task
+    setup, algorithm = job.setup, job.algorithms[algo]
+    theta0s = [job.theta0[seed] for seed in seeds]
+    if job.stacked:
+        records = run_seeds(
+            algorithm, theta0s, setup.oracle, setup.stream, job.n_steps, seeds, **job.chain
+        )
+    else:
+        records = [
+            run(algorithm, theta0s[0], setup.oracle, setup.stream, job.n_steps, seeds[0],
+                **job.chain)
+        ]
+    results = []
+    for seed, record in zip(seeds, records):
+        results.append(_seed_result(setup, seed, record))
+        if job.out_dir is not None:
+            stem = f"{job.out_dir}/{job.name}-{algo}-seed{seed}"
+            if job.fmt == "csv":
+                export_csv(record, f"{stem}.csv")
+            else:
+                _export_record_json(record, f"{stem}.json")
+    return results, time.perf_counter() - t0
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform: run in process
+        return 1
+
+
+def _map_tasks(job: _Job, tasks: list) -> tuple[list, int]:
+    """Every task's outcome, in task order, and the number of processes used."""
+    workers = min(_usable_cpus(), len(tasks))
+    if workers > 1:
+        # imported here, so that import tusla does not pay for them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and not multiprocessing.current_process().daemon):
+            # unlike multiprocessing.Pool, the executor raises BrokenProcessPool
+            # when a worker dies (a signal, the OOM killer) instead of hanging
+            with ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_bind_job, initargs=(job,),
+            ) as pool:
+                return list(pool.map(_run_bound_task, tasks)), workers
+    return [_run_task(job, task) for task in tasks], 1
+
+
+_bound_job: Optional[_Job] = None  # set in pool workers only, by _bind_job
+
+
+def _bind_job(job: _Job) -> None:
+    global _bound_job
+    _bound_job = job
+
+
+def _run_bound_task(task: tuple) -> tuple[list[SeedResult], float]:
+    return _run_task(_bound_job, task)
 
 
 def run_preset(
@@ -606,7 +698,8 @@ def _build_parser() -> _Parser:
     pc.add_argument("--eta", type=float, default=0.01)
     pc.add_argument("--r", type=float, default=None)
     pc.add_argument("--p", type=int, default=2, help="moment order for lambda_max")
-    pc.add_argument("--n-samples", type=int, default=20000, help="Monte-Carlo draws for data moments")
+    pc.add_argument("--n-samples", type=int, default=None,
+                    help="Monte-Carlo draws for data moments (us only; default 20000)")
     pc.add_argument("--seed", type=int, default=0)
     pc.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
@@ -634,14 +727,15 @@ def _cmd_run(args) -> int:
     )
 
     print(f"{summary.name}: wrote per-run {args.format} files and "
-          f"{summary.name}-summary.json under {args.out}/")
+          f"{summary.name}-summary.json under {args.out}/ "
+          f"({summary.workers} worker{'s' if summary.workers > 1 else ''})")
     for algo, a in summary.algorithms.items():
         med = "n/a" if a.median_final_distance is None else f"{a.median_final_distance:.6g}"
         mobj = "n/a" if a.median_final_objective is None else f"{a.median_final_objective:.6g}"
         print(
             f"  {algo}: non-crashed {a.n_non_crashed}/{a.n_seeds}, "
             f"median |theta-theta*| {med}, median objective {mobj}, "
-            f"{a.wall_time_s:.2f}s"
+            f"{a.wall_time_s:.2f}s of chain time"
         )
     print(f"total {summary.wall_time_s:.2f}s")
     return _EX_OK
@@ -655,8 +749,12 @@ def _cmd_constants(args) -> int:
     exact = {}
     n = 64  # the quadratic's data are a constant
     if args.problem == "us":
-        n = args.n_samples
+        n = 20000 if args.n_samples is None else args.n_samples
+        if n < 2:  # the standard errors divide by n - 1
+            raise ValueError(f"--n-samples must be at least 2, got {n}")
         exact = {"k_mean_exact": oracle.k_mean_exact(), "x_rho_mean_exact": oracle.x_rho_mean_exact()}
+    elif args.n_samples is not None:
+        raise ValueError("--n-samples applies to --problem us only: the quadratic's data are a constant")
     k_mean, k_se = estimate_k_mean(oracle, stream, n, args.seed)
     x_mean, x_se = estimate_x_rho_mean(oracle, stream, n, args.seed)
     tc = theory_constants(oracle.meta(), setup.reg, k_mean, args.p, x_mean)
@@ -683,6 +781,11 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_gibbs(args) -> int:
+    # checked before the law, which takes seconds at the defaults
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    if not math.isfinite(args.theta0):
+        raise ValueError(f"--theta0 must be finite, got {args.theta0}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([args.seed, 9])))
     eta = args.eta if args.problem != "us" or args.eta > 0 else 0.01  # u_s at --eta 0 runs at eta = 0.01
     setup = _ProblemSetup(ExperimentConfig(problem=args.problem, s=args.s, eta=eta))

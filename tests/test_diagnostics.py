@@ -296,13 +296,28 @@ def test_wasserstein_unequal_sizes():
     b=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=25),
     p=st.sampled_from([1, 2]),
 )
+@example(a=[0.0], b=[699051.3269081416] * 3, p=1)  # W1 lands one ulp above W2
+@example(a=[0.0], b=[1e-200], p=2)  # diff * diff underflows to 0
 @settings(max_examples=150, deadline=None)
 def test_wasserstein_axioms(a, b, p):
     d = wasserstein_p_1d(a, b, p)
     assert d >= 0.0
     assert d == wasserstein_p_1d(b, a, p)
     assert wasserstein_p_1d(a, a, p) == 0.0
-    assert wasserstein_p_1d(a, b, 1) <= wasserstein_p_1d(a, b, 2) + 1e-12
+    # W1 <= W2 holds exactly (Jensen), but W1 = mean(x) and W2 = sqrt(mean(x * x))
+    # round independently over the same n distances x >= 0. With u = eps / 2 and
+    # s = 2**-1074 the smallest subnormal: the sum of nonnegative terms rounds
+    # by at most (1 + u)**(n - 1), each product, division and the sqrt by one u,
+    # and a product or quotient that underflows by s / 2 at most. So
+    #   W1 <= (1 + u)**n * M1 + s / 2,
+    #   W2 >= (1 - u)**((n + 3) / 2) * M2 - sqrt(s),  sqrt(s) = 2**-537,
+    # for the exact means M1 <= M2, and since (1 + u)**n / (1 - u)**((n + 3) / 2)
+    # is 1 + (1.5 n + 1.5) u to first order,
+    #   W1 <= (W2 + 2**-536) * (1 + (2 n + 4) eps).
+    n = max(len(a), len(b))
+    eps = np.finfo(float).eps
+    w1, w2 = wasserstein_p_1d(a, b, 1), wasserstein_p_1d(a, b, 2)
+    assert w1 <= (w2 + 2.0 ** -536) * (1 + (2 * n + 4) * eps)
 
 
 @given(

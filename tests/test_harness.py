@@ -1,13 +1,16 @@
 """Experiment harness tests: preset fidelity, CSV/JSON round-trips, config
-files, output layout, determinism of written artifacts, CLI exit codes, and
-the package's public API."""
+files, output layout, determinism of written artifacts, the worker pool, CLI
+exit codes, and the package's public API."""
 import ast
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import warnings
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -413,6 +416,128 @@ def test_divergent_seeds_are_excluded_from_aggregates():
 
 
 # ---------------------------------------------------------------------------
+# the worker pool
+
+# (preset, --set overrides, the chain function its tasks call): paper-s2 is
+# the scalar route with one task per chain, and its SGLD chains diverge at
+# step 2; nn-demo is the stacked route with one task per algorithm
+_POOL_CASES = [
+    pytest.param("paper-s2", ("seeds=0,1,2", "n_steps=300"), "run", id="scalar"),
+    pytest.param("nn-demo", ("seeds=0,1,2", "n_steps=100"), "run_seeds", id="stacked"),
+]
+
+
+def _pool_argv(preset, overrides, fmt, out):
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    return ["run", "--preset", preset, *sets, "--format", fmt, "--out", str(out)]
+
+
+def _count_calls(monkeypatch, attr) -> list:
+    calls = []
+    real = getattr(harness, attr)
+
+    def counted(*args, **kwargs):
+        calls.append(attr)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, attr, counted)
+    return calls
+
+
+def _raiser(exc_type, *args):
+    def fail(*_args, **_kwargs):
+        raise exc_type(*args, f"raised in pid {os.getpid()}")
+
+    return fail
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("preset,overrides,chain", _POOL_CASES)
+def test_pool_artifacts_match_an_in_process_run(
+    tmp_path, monkeypatch, capsys, preset, overrides, chain, fmt
+):
+    calls = _count_calls(monkeypatch, chain)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    assert main(_pool_argv(preset, overrides, fmt, tmp_path / "pool")) == 0
+    assert "(2 workers)" in capsys.readouterr().out
+    assert calls == []  # every chain ran in a worker
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    assert main(_pool_argv(preset, overrides, fmt, tmp_path / "serial")) == 0
+    assert "(1 worker)" in capsys.readouterr().out
+    assert len(calls) == (9 if chain == "run" else 3)
+    names = sorted(os.listdir(tmp_path / "pool"))
+    assert names == sorted(os.listdir(tmp_path / "serial")) and len(names) == 10
+    for fname in names:
+        pooled, serial = tmp_path / "pool" / fname, tmp_path / "serial" / fname
+        assert pooled.read_bytes() == serial.read_bytes(), fname
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("preset,overrides,chain", _POOL_CASES)
+def test_pool_worker_failures_reach_the_cli(
+    tmp_path, monkeypatch, capsys, preset, overrides, chain, fmt
+):
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    argv = _pool_argv(preset, overrides, fmt, tmp_path / "out")
+    exporter = "export_csv" if fmt == "csv" else "_export_record_json"
+    real_exporter, real_chain = getattr(harness, exporter), getattr(harness, chain)
+    parent = f"raised in pid {os.getpid()}"
+
+    monkeypatch.setattr(harness, exporter, _raiser(OSError, 28, "no space left"))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "no space left" in err and parent not in err
+    monkeypatch.setattr(harness, exporter, real_exporter)
+
+    monkeypatch.setattr(harness, chain, _raiser(ValueError))
+    assert main(argv) == 64
+    err = capsys.readouterr().err
+    assert "raised in pid" in err and parent not in err
+
+    # the workers inherit the warning filters, so tier-1's error::RuntimeWarning
+    # gate still sees a numerical warning raised in a worker
+    def warns(*args, **kwargs):
+        warnings.warn(f"overflow in pid {os.getpid()}", RuntimeWarning)
+        return real_chain(*args, **kwargs)
+
+    monkeypatch.setattr(harness, chain, warns)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="overflow in pid") as info:
+            main(argv)
+    assert f"pid {os.getpid()}" not in str(info.value)
+
+
+def test_a_worker_that_dies_fails_the_run(monkeypatch):
+    def dies(*args, **kwargs):
+        os._exit(70)
+
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(harness, "run", dies)
+    with pytest.raises(BrokenProcessPool):
+        run_config(_small_cfg())
+
+
+def test_single_task_config_runs_in_process(tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch, "run")
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    summary = run_config(_small_cfg(seeds=(0,), algorithm="tusla"), out_dir=str(tmp_path))
+    assert calls == ["run"] and summary.workers == 1
+
+
+def _run_small_config(_):
+    return run_config(_small_cfg()).workers
+
+
+def test_pool_worker_runs_nested_configs_in_process(monkeypatch):
+    # a multiprocessing.Pool worker is daemonic and may not have children
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    assert run_config(_small_cfg()).workers == 2
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.map_async(_run_small_config, [0]).get(timeout=60) == [1]
+
+
+# ---------------------------------------------------------------------------
 # CLI
 
 
@@ -447,7 +572,7 @@ def test_cli_seed_flag_shifts_seeds(tmp_path):
     assert [r["seed"] for r in summary["algorithms"]["adam"]["per_seed"]] == [5, 6]
 
 
-def test_cli_usage_errors(tmp_path):
+def test_cli_usage_errors(tmp_path, monkeypatch):
     assert main(["run"]) == 64  # no --preset/--config
     assert main(["frobnicate"]) == 64
     assert main(["check"]) == 64  # removed subcommand
@@ -475,6 +600,24 @@ def test_cli_usage_errors(tmp_path):
             out = tmp_path / "gibbs.json"
             assert main(["gibbs", "--problem", problem, "--steps", "2", "--replicas", "2",
                          "--samples", "100", *bad, "--out", str(out)]) == 64, (problem, bad)
+            assert not out.exists(), (problem, bad)
+    # tusla constants: the standard errors need two draws, and the quadratic
+    # problem draws no data, so an explicit --n-samples there is an error
+    for bad in (["--problem", "us", "--n-samples", "0"], ["--problem", "us", "--n-samples", "1"],
+                ["--problem", "quadratic", "--n-samples", "64"]):
+        out = tmp_path / "constants.json"
+        assert main(["constants", *bad, "--out", str(out)]) == 64, bad
+        assert not out.exists(), bad
+    # tusla gibbs checks --samples and --theta0 before the law runs at all
+    def no_law(*args, **kwargs):
+        raise AssertionError("tusla_terminal_law ran")
+
+    monkeypatch.setattr(harness, "tusla_terminal_law", no_law)
+    for bad in (["--samples", "0"], ["--samples", "-5"], ["--theta0", "nan"],
+                ["--theta0", "inf"], ["--theta0", "-inf"]):
+        for problem in ("quadratic", "us"):
+            out = tmp_path / "gibbs.json"
+            assert main(["gibbs", "--problem", problem, *bad, "--out", str(out)]) == 64, bad
             assert not out.exists(), (problem, bad)
     # a key with spaces around it is the key: seeds=3 becomes the list (3,)
     assert main(["run", "--preset", "paper-s2", "--set", "seeds =3", "--set", "n_steps=5",
@@ -606,8 +749,17 @@ def test_readme_quick_start_uses_exactly_the_public_api():
     assert sorted(tusla.__all__) == sorted(imported)
 
 
-def test_import_does_not_load_scipy():
+def _assert_import_skips(module: str) -> None:
     src = os.path.dirname(os.path.dirname(tusla.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, tusla.harness; assert 'scipy' not in sys.modules, 'scipy imported'"
+    code = f"import sys, tusla.harness; assert {module!r} not in sys.modules, '{module} imported'"
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_import_does_not_load_multiprocessing():
+    # run_config imports it when it forks a pool, not before
+    _assert_import_skips("multiprocessing")
+
+
+def test_import_does_not_load_scipy():
+    _assert_import_skips("scipy")
