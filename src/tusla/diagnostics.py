@@ -1,15 +1,14 @@
-"""Stability constants, dissipativity checks, and sampling-law diagnostics.
+"""Stability constants and sampling-law diagnostics.
 
-Three groups:
+Two groups:
 
 * ``theory_constants`` materializes every constant in the convergence
   analysis (dissipativity pair (A, B), contraction/growth constants, the
-  admissible step ceiling) from an oracle's declared metadata. The B constant
-  is astronomically large for high-degree problems and can exceed float64
-  range; log10 companions are always finite.
-* ``dissipativity_check`` evaluates <theta, h(theta)> - (A |theta|^2 - B) on
-  a grid and reports violations, with optional per-point tolerance for
-  Monte-Carlo drift estimates.
+  admissible step ceiling) from an oracle's declared metadata, for
+  ``tusla constants``. The B constant is astronomically large for
+  high-degree problems and can exceed float64 range; log10 companions are
+  always finite. The grid check of the envelope
+  <theta, h(theta)> >= A |theta|^2 - B is test code (``tests/_suites.py``).
 * 1-D law tooling: an inverse-CDF Gibbs sampler for densities proportional
   to exp(-beta u), order-statistics Wasserstein distances, and a vectorized
   replica integrator for terminal laws of the tamed Langevin update.
@@ -20,7 +19,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -38,9 +37,6 @@ __all__ = [
     "theory_constants",
     "estimate_k_mean",
     "estimate_x_rho_mean",
-    "DissipativityReport",
-    "dissipativity_check",
-    "empirical_moment",
     "EmpiricalDistribution1D",
     "gibbs_sampler_1d",
     "wasserstein_p_1d",
@@ -152,72 +148,6 @@ def estimate_x_rho_mean(
         [(1.0 + oracle.x_norm(stream.sample(rng))) ** rho for _ in range(n)]
     )
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n))
-
-
-@dataclass(frozen=True)
-class DissipativityReport:
-    """Slack of <theta, h> - (A |theta|^2 - B) over a parameter grid.
-
-    A point violates when slack < -tol (tol covers Monte-Carlo error in h).
-    passed is True iff no point violates.
-    """
-
-    slacks: np.ndarray
-    tols: np.ndarray
-    min_slack: float
-    argmin_index: int
-    violation_indices: tuple[int, ...]
-    passed: bool
-
-
-def dissipativity_check(
-    h_eval: Callable,
-    A: float,
-    B: float,
-    grid: Sequence,
-    tol=0.0,
-) -> DissipativityReport:
-    """Evaluate the dissipativity inequality pointwise on grid.
-
-    h_eval: theta -> drift vector (mean field; exact or Monte-Carlo).
-    tol: scalar, per-point array, or callable theta -> nonnegative slack
-        allowance; use ~3 standard errors for Monte-Carlo drifts.
-    """
-    pts = [np.atleast_1d(np.asarray(t, dtype=np.float64)) for t in grid]
-    if not pts:
-        raise ValueError("empty grid")
-    if callable(tol):
-        tols = np.array([float(tol(t)) for t in pts])
-    else:
-        tols = np.broadcast_to(np.asarray(tol, dtype=np.float64), (len(pts),)).copy()
-    if np.any(tols < 0.0):
-        raise ValueError("tolerances must be non-negative")
-
-    slacks = np.empty(len(pts))
-    for i, t in enumerate(pts):
-        h = np.atleast_1d(np.asarray(h_eval(t), dtype=np.float64))
-        n2 = float(t @ t)
-        slacks[i] = float(t @ h) - (A * n2 - B)
-    viol = tuple(int(i) for i in np.nonzero(slacks < -tols)[0])
-    amin = int(np.argmin(slacks))
-    return DissipativityReport(
-        slacks=slacks,
-        tols=tols,
-        min_slack=float(slacks[amin]),
-        argmin_index=amin,
-        violation_indices=viol,
-        passed=len(viol) == 0,
-    )
-
-
-def empirical_moment(record, p: int) -> np.ndarray:
-    """Running mean of |theta|^(2p) over the recorded states of a run."""
-    if p < 0:
-        raise ValueError(f"moment order must be non-negative, got {p}")
-    norms = np.asarray(record.theta_norms, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        vals = norms ** (2 * p)
-    return np.cumsum(vals) / np.arange(1, norms.size + 1)
 
 
 @dataclass(frozen=True)

@@ -75,7 +75,6 @@ __all__ = [
     "run_preset",
     "run_config",
     "export_csv",
-    "parse_csv",
     "load_config",
     "main",
     "main_entry",
@@ -121,6 +120,8 @@ class ExperimentConfig:
             raise ValueError("need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be non-negative, got {min(self.seeds)}")
 
     def resolved_r(self) -> float:
         if self.r is not None:
@@ -306,6 +307,9 @@ def run_config(
 ) -> RunSummary:
     """Execute every (algorithm, seed) pair of cfg; optionally write files.
 
+    base_seed replaces cfg.seeds with base_seed, base_seed + 1, ... before
+    anything runs, so the summary's config records the seeds that ran.
+
     The chains run as tasks: one per (algorithm, seed) on the scalar route,
     which calls ``run``, and one per algorithm on the stacked vector route,
     which calls ``run_seeds`` over all seeds. A task writes its own files and
@@ -327,9 +331,9 @@ def run_config(
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {fmt!r}")
-    seeds = cfg.seeds
     if base_seed is not None:
-        seeds = tuple(base_seed + i for i in range(len(cfg.seeds)))
+        cfg = dataclasses.replace(cfg, seeds=tuple(range(base_seed, base_seed + len(cfg.seeds))))
+    seeds = cfg.seeds
 
     t_total = time.perf_counter()
     setup = _ProblemSetup(cfg)
@@ -522,36 +526,6 @@ def export_csv(record: RunRecord, path: str) -> str:
     return path
 
 
-def parse_csv(path: str) -> dict:
-    """Inverse of export_csv; returns column arrays (theta as list or None)."""
-    with open(path, newline="") as f:
-        header = f.readline().strip()
-        if header != "step,theta_norm,theta,objective,grad_norm":
-            raise ValueError(f"unexpected header: {header!r}")
-        steps, norms, thetas, objs, grads = [], [], [], [], []
-        for line in f:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            s, nrm, th, ob, gd = line.split(",")
-            steps.append(int(s))
-            norms.append(float(nrm))
-            thetas.append(
-                np.array([float(c) for c in th.split(";")]) if th else None
-            )
-            objs.append(float(ob) if ob else math.nan)
-            grads.append(float(gd))
-    has_theta = thetas and thetas[0] is not None
-    has_obj = any(not math.isnan(o) for o in objs)
-    return {
-        "step": np.array(steps, dtype=np.int64),
-        "theta_norm": np.array(norms),
-        "theta": np.array(thetas) if has_theta else None,
-        "objective": np.array(objs) if has_obj else None,
-        "grad_norm": np.array(grads),
-    }
-
-
 def _export_record_json(record: RunRecord, path: str) -> None:
     obj = {
         "step": record.step_indices.tolist(),
@@ -708,7 +682,8 @@ def _build_parser() -> _Parser:
     pg.add_argument("--s", type=int, default=2)
     pg.add_argument("--beta", type=float, default=4.0)
     pg.add_argument("--lam", type=float, default=0.01)
-    pg.add_argument("--eta", type=float, default=0.0)
+    pg.add_argument("--eta", type=float, default=0.0,
+                    help="penalty weight, >= 0 (u_s at --eta 0 runs at 0.01)")
     pg.add_argument("--replicas", type=int, default=512)
     pg.add_argument("--steps", type=int, default=20000)
     pg.add_argument("--theta0", type=float, default=0.0)
@@ -786,8 +761,10 @@ def _cmd_gibbs(args) -> int:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
     if not math.isfinite(args.theta0):
         raise ValueError(f"--theta0 must be finite, got {args.theta0}")
+    if not args.eta >= 0.0:
+        raise ValueError(f"--eta must be >= 0, got {args.eta}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([args.seed, 9])))
-    eta = args.eta if args.problem != "us" or args.eta > 0 else 0.01  # u_s at --eta 0 runs at eta = 0.01
+    eta = 0.01 if args.problem == "us" and args.eta == 0.0 else args.eta
     setup = _ProblemSetup(ExperimentConfig(problem=args.problem, s=args.s, eta=eta))
     # the law checks lam, beta, steps and replicas before anything divides by them
     law = tusla_terminal_law(

@@ -26,7 +26,6 @@ __all__ = [
     "ConstantDataSource",
     "u_s_value",
     "u_s_value_batch",
-    "u_s_derivative",
     "g_s_sample",
     "g_s_unbiased",
     "UsProblem",
@@ -101,15 +100,6 @@ def u_s_value_batch(theta: np.ndarray, s: int) -> np.ndarray:
         inner = d * d / 22.0 + pen
         outer = (np.abs(d) - 0.5) / 11.0 + pen
     return np.where(np.abs(d) <= 1.0, inner, outer)
-
-
-def u_s_derivative(theta: float, s: int) -> float:
-    """Exact derivative of u_s (continuous; the branches agree at |d| = 1)."""
-    d = theta - _CENTER
-    pen = 0.0 if s == 0 else 2.0 * s * _guard_pow(d, 2 * s - 1)
-    if abs(d) <= 1.0:
-        return d / 11.0 + pen
-    return math.copysign(1.0 / 11.0, d) + pen
 
 
 def _multiplier(x: float) -> float:
@@ -232,9 +222,6 @@ class UsProblem(GradientOracle):
             out *= mult
             return out
 
-    def value(self, theta: float) -> float:
-        return u_s_value(float(theta), self.s)
-
     def g0_norm(self, x: float) -> float:
         return abs(self.evaluate_scalar(0.0, x))
 
@@ -280,10 +267,6 @@ class QuadraticProblem(GradientOracle):
 
     def evaluate_batch(self, thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
         return thetas.copy()
-
-    def value(self, theta) -> float:
-        v = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-        return 0.5 * float(np.dot(v, v))
 
     def g0_norm(self, x: object) -> float:
         return 0.0
@@ -355,10 +338,6 @@ class OneNeuronProblem(GradientOracle):
     def evaluate(self, theta: ParameterVector, x) -> ParameterVector:
         xv, yv = float(x[0]), float(x[1])
         return one_neuron_gradient(float(theta[0]), float(theta[1]), xv, yv, self.eta)
-
-    def value(self, theta: ParameterVector, x) -> float:
-        xv, yv = float(x[0]), float(x[1])
-        return one_neuron_value(float(theta[0]), float(theta[1]), xv, yv, self.eta)
 
     def g0_norm(self, x) -> float:
         # At w = 0 only the w2 component survives: |G(0, x)| = 2|y||atan(S)|.

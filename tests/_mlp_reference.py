@@ -5,7 +5,9 @@ fused: one forward pass per call (``W @ h`` per layer, ``phi @ h`` readout), a
 backward pass that recomputes the forward trace, per-sample teacher labels and
 per-probe risks. Tests compare the kernels against them bit for bit, and
 ``ReferenceMlpOracle``/``ReferenceTeacherStream`` let a whole run be replayed
-through them.
+through them. ``gradient_h`` adds the superlinear penalty's gradient to G;
+the bound checkers in ``_suites.py`` build on ``forward_trace`` and
+``grad_f``.
 """
 from __future__ import annotations
 
@@ -65,6 +67,19 @@ def gradient_g(params: MlpParams, x) -> MlpParams:
     gf = grad_f(params, z)
     c = -2.0 * (y - forward(params, z))
     return MlpParams(params.arch, c * gf.phi, tuple(c * w for w in gf.weights))
+
+
+def gradient_h(params: MlpParams, x, eta: float, r: float) -> MlpParams:
+    """G plus the superlinear penalty gradient eta |theta|^(2r) theta."""
+    g = gradient_g(params, x)
+    if eta == 0.0:
+        return g
+    scale = eta * params.norm() ** (2.0 * r)
+    return MlpParams(
+        params.arch,
+        g.phi + scale * params.phi,
+        tuple(gw + scale * w for gw, w in zip(g.weights, params.weights)),
+    )
 
 
 def risk(params: MlpParams, x, eta: float, r: float) -> float:

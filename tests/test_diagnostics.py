@@ -10,11 +10,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from _loop_reference import reference_terminal_law
+from _suites import dissipativity_check, empirical_moment
 
 from tusla.diagnostics import (
     EmpiricalDistribution1D,
-    dissipativity_check,
-    empirical_moment,
     estimate_k_mean,
     estimate_x_rho_mean,
     gaussian_quantiles,

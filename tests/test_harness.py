@@ -29,7 +29,6 @@ from tusla.harness import (
     export_csv,
     load_config,
     main,
-    parse_csv,
     run_config,
     run_preset,
     summary_jsonable,
@@ -38,6 +37,36 @@ from tusla.diagnostics import gibbs_sampler_1d, tusla_terminal_law, wasserstein_
 from tusla.gradient_oracle import RegularizationParams
 from tusla.optimizers import RunRecord, run
 from tusla.problems import UniformDataSource, UsProblem, u_s_value_batch
+
+
+def parse_csv(path: str) -> dict:
+    """Inverse of export_csv; returns column arrays (theta as list or None)."""
+    with open(path, newline="") as f:
+        header = f.readline().strip()
+        if header != "step,theta_norm,theta,objective,grad_norm":
+            raise ValueError(f"unexpected header: {header!r}")
+        steps, norms, thetas, objs, grads = [], [], [], [], []
+        for line in f:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            s, nrm, th, ob, gd = line.split(",")
+            steps.append(int(s))
+            norms.append(float(nrm))
+            thetas.append(
+                np.array([float(c) for c in th.split(";")]) if th else None
+            )
+            objs.append(float(ob) if ob else math.nan)
+            grads.append(float(gd))
+    has_theta = thetas and thetas[0] is not None
+    has_obj = any(not math.isnan(o) for o in objs)
+    return {
+        "step": np.array(steps, dtype=np.int64),
+        "theta_norm": np.array(norms),
+        "theta": np.array(thetas) if has_theta else None,
+        "objective": np.array(objs) if has_obj else None,
+        "grad_norm": np.array(grads),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -593,6 +622,10 @@ def test_cli_usage_errors(tmp_path, monkeypatch):
         assert main(["run", "--preset", "paper-s2", "--set", bad, "--set", "seeds=0,1",
                      "--set", "n_steps=5", "--out", str(out)]) == 64, bad
         assert not out.exists() or not any(out.iterdir()), bad
+    # a negative base seed is rejected before the first chain runs
+    out = tmp_path / "negative-seed"
+    assert main(["run", "--preset", "paper-s2", "--seed", "-1", "--out", str(out)]) == 64
+    assert not out.exists() or not any(out.iterdir())
     # tusla gibbs checks lam, beta, steps and replicas before it runs or writes
     for bad in (["--beta", "0"], ["--beta", "nan"], ["--beta", "-1"], ["--lam", "0"],
                 ["--lam", "inf"], ["--steps", "-1"], ["--replicas", "0"]):
@@ -614,7 +647,7 @@ def test_cli_usage_errors(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "tusla_terminal_law", no_law)
     for bad in (["--samples", "0"], ["--samples", "-5"], ["--theta0", "nan"],
-                ["--theta0", "inf"], ["--theta0", "-inf"]):
+                ["--theta0", "inf"], ["--theta0", "-inf"], ["--eta", "-0.5"], ["--eta", "nan"]):
         for problem in ("quadratic", "us"):
             out = tmp_path / "gibbs.json"
             assert main(["gibbs", "--problem", problem, *bad, "--out", str(out)]) == 64, bad
@@ -625,6 +658,19 @@ def test_cli_usage_errors(tmp_path, monkeypatch):
     summary = json.loads((tmp_path / "paper-s2-summary.json").read_text())
     assert summary["config"]["seeds"] == [3]
     assert sorted(p.name for p in tmp_path.glob("*.csv"))[0] == "paper-s2-adam-seed3.csv"
+
+
+def test_base_seed_summary_records_the_seeds_that_ran(tmp_path):
+    # --seed replaces the seed list before anything runs, so the summary's
+    # config and its per-seed rows name the same seeds
+    assert main(["run", "--preset", "paper-s2", "--seed", "100", "--set", "seeds=0,1",
+                 "--set", "n_steps=5", "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "paper-s2-summary.json").read_text())
+    assert summary["config"]["seeds"] == [100, 101]
+    for algo in summary["algorithms"].values():
+        assert [row["seed"] for row in algo["per_seed"]] == [100, 101]
+    with pytest.raises(ValueError, match="non-negative"):
+        ExperimentConfig(seeds=(0, -1))
 
 
 def test_cli_io_error(tmp_path):

@@ -1,5 +1,10 @@
 """Feed-forward network tests: exact forward/gradient fixtures, finite
-differences, activation constants, and the certified growth bounds."""
+differences, activation constants, and the certified growth bounds.
+
+The hand-value fixtures run on the per-sample reference forms in
+``_mlp_reference.py``, which the kernels match bitwise
+(``test_kernels_match_per_sample_reference_bitwise``); the bound checkers
+are in ``_suites.py``."""
 import math
 
 import numpy as np
@@ -10,9 +15,12 @@ from hypothesis import strategies as st
 import _mlp_reference as ref
 from _suites import (
     dfnorm_violations,
+    drift_lipschitz_constants,
     dsnorm_violations,
     mlp_gradient_growth_violations,
     mlp_gradient_lipschitz_violations,
+    operator_norm,
+    partial_deriv_bound_check,
 )
 from tusla.neural_net import (
     ARCTAN,
@@ -23,14 +31,7 @@ from tusla.neural_net import (
     MlpParams,
     TeacherStream,
     activation_by_name,
-    drift_lipschitz_constants,
-    forward,
-    gradient_g,
-    gradient_h,
-    grad_f,
     lipschitz_constants,
-    operator_norm,
-    partial_deriv_bound_check,
     risk,
 )
 
@@ -48,22 +49,22 @@ def _tiny_net(phi=3.0, w=2.0):
 
 def test_forward_hand_value():
     _, params = _tiny_net()
-    assert forward(params, [0.5]) == 3.0 * math.tanh(1.0)
-    assert forward(params, [0.5]) == 2.2847824678672946
+    assert ref.forward(params, [0.5]) == 3.0 * math.tanh(1.0)
+    assert ref.forward(params, [0.5]) == 2.2847824678672946
 
 
 def test_forward_zero_params_is_zero():
     arch = Architecture(dims=(2, 3, 4))
-    assert forward(arch.zero_params(), [0.7, -0.2]) == 0.0
+    assert ref.forward(arch.unflatten(np.zeros(arch.param_dim)), [0.7, -0.2]) == 0.0
     # zero weights kill the signal even under a nonzero readout
     vec = np.zeros(arch.param_dim)
     vec[: arch.dims[2]] = 5.0
-    assert forward(arch.unflatten(vec), [0.7, -0.2]) == 0.0
+    assert ref.forward(arch.unflatten(vec), [0.7, -0.2]) == 0.0
 
 
 def test_grad_f_hand_values():
     _, params = _tiny_net()
-    g = grad_f(params, [0.5])
+    g = ref.grad_f(params, [0.5])
     t = math.tanh(1.0)
     assert g.phi[0] == t
     assert math.isclose(g.weights[0][0, 0], 3.0 * (1.0 - t * t) * 0.5, rel_tol=1e-15)
@@ -71,9 +72,9 @@ def test_grad_f_hand_values():
 
 def test_risk_hand_values():
     arch, params = _tiny_net()
-    x = np.array([0.5, forward(params, [0.5])])
+    x = np.array([0.5, ref.forward(params, [0.5])])
     assert risk(params, x, 0.0, 1.0) == 0.0
-    zero = arch.zero_params()
+    zero = arch.unflatten(np.zeros(arch.param_dim))
     assert risk(zero, np.array([0.4, 3.0]), 0.0, 1.0) == 9.0
     # unit-norm parameters isolate the penalty term
     unit = arch.unflatten(np.array([1.0, 0.0]))
@@ -90,8 +91,7 @@ def test_gradient_g_matches_finite_difference():
             arch = Architecture(dims=dims, activation=act)
             theta = rng.uniform(-1.0, 1.0, arch.param_dim)
             x = np.concatenate([rng.uniform(-2.0, 2.0, dims[0]), [rng.normal()]])
-            params = arch.unflatten(theta)
-            g = gradient_g(params, x).flatten()
+            g = MlpOracle(arch).evaluate(theta, x)
             h = 1e-5 * (1.0 + float(np.linalg.norm(theta)))
             fd = np.empty_like(theta)
             for j in range(theta.size):
@@ -111,7 +111,7 @@ def test_gradient_h_matches_finite_difference_of_penalized_risk():
     for _ in range(5):
         theta = rng.uniform(-1.0, 1.0, arch.param_dim)
         x = np.concatenate([rng.uniform(-2.0, 2.0, 2), [rng.normal()]])
-        hvec = gradient_h(arch.unflatten(theta), x, eta, r).flatten()
+        hvec = ref.gradient_h(arch.unflatten(theta), x, eta, r).flatten()
         step = 1e-5 * (1.0 + float(np.linalg.norm(theta)))
         fd = np.empty_like(theta)
         for j in range(theta.size):
@@ -131,7 +131,7 @@ def test_gradient_h_reduces_to_g_without_penalty():
     x = np.array([0.3, -0.4, 1.0])
     params = arch.unflatten(theta)
     assert np.array_equal(
-        gradient_h(params, x, 0.0, 2.0).flatten(), gradient_g(params, x).flatten()
+        ref.gradient_h(params, x, 0.0, 2.0).flatten(), ref.gradient_g(params, x).flatten()
     )
 
 
@@ -139,8 +139,7 @@ def test_gradient_g_zero_readout_kills_weight_gradients():
     arch = Architecture(dims=(2, 3, 2))
     vec = np.zeros(arch.param_dim)
     vec[arch.dims[2]:] = 0.7  # nonzero weights, zero phi
-    params = arch.unflatten(vec)
-    g = gradient_g(params, np.array([0.5, -0.25, 2.0]))
+    g = arch.unflatten(MlpOracle(arch).evaluate(vec, np.array([0.5, -0.25, 2.0])))
     for w in g.weights:
         assert np.all(w == 0.0)
     assert np.any(g.phi != 0.0)
@@ -294,7 +293,7 @@ def test_bound_check_at_origin_and_random_points():
     rng = np.random.default_rng(71)
     arch = Architecture(dims=(2, 4, 3))
     x = np.array([0.4, -0.9, 1.2])
-    assert partial_deriv_bound_check(arch.zero_params(), x).passed
+    assert partial_deriv_bound_check(arch.unflatten(np.zeros(arch.param_dim)), x).passed
     for _ in range(10):
         params = arch.unflatten(rng.normal(size=arch.param_dim))
         report = partial_deriv_bound_check(params, x)
@@ -345,9 +344,8 @@ def test_mlp_oracle_delegation():
     rng = np.random.default_rng(83)
     theta = rng.normal(size=arch.param_dim)
     x = np.array([0.1, -0.3, 0.8])
-    want = gradient_g(arch.unflatten(theta), x).flatten()
+    want = ref.gradient_g(arch.unflatten(theta), x).flatten()
     assert np.array_equal(oracle.evaluate(theta, x), want)
-    assert oracle.value(theta, x) == risk(arch.unflatten(theta), x, 0.0, 1.0)
 
 
 def test_teacher_stream():
@@ -360,7 +358,7 @@ def test_teacher_stream():
         assert sample.shape == (4,)
         z, y = sample[:3], sample[3]
         assert np.all(np.abs(z) <= 1.5)
-        assert y == forward(teacher, z)
+        assert y == ref.forward(teacher, z)
 
 
 # ---------------------------------------------------------------------------
@@ -381,19 +379,15 @@ def test_kernels_match_per_sample_reference_bitwise(dims, act, log_scale, m, see
     theta = rng.normal(size=arch.param_dim) * 10.0 ** log_scale
     params = arch.unflatten(theta)
     xs = np.column_stack([rng.uniform(-2.0, 2.0, size=(m, dims[0])), rng.normal(size=m)])
-    x, z = xs[0], xs[0, :-1]
+    x = xs[0]
 
     want = ref.gradient_g(params, x).flatten()
     assert MlpOracle(arch).evaluate(theta, x).tobytes() == want.tobytes()
-    assert gradient_g(params, x).flatten().tobytes() == want.tobytes()
-    assert grad_f(params, z).flatten().tobytes() == ref.grad_f(params, z).flatten().tobytes()
-    assert forward(params, z) == ref.forward(params, z)
 
     for eta, r in ((0.0, 1.0), (0.01, 2.5)):
         per_probe = np.array([ref.risk(params, row, eta, r) for row in xs])
         assert risk(params, xs, eta, r).tobytes() == per_probe.tobytes()
         assert risk(params, x, eta, r) == per_probe[0]
-    assert MlpOracle(arch).value(theta, x) == ref.risk(params, x, 0.0, 1.0)
 
     stream = TeacherStream(params, half_width=1.5)
     batch = stream.sample_batch(np.random.default_rng(seed), m)

@@ -22,8 +22,8 @@ from _loop_reference import (
     sgld_step,
     tusla_step,
 )
+from _suites import empirical_moment
 
-from tusla.diagnostics import empirical_moment
 from tusla.gradient_oracle import (
     GradientOracle,
     OracleMeta,
@@ -47,6 +47,7 @@ from tusla.problems import (
     QuadraticProblem,
     UniformDataSource,
     UsProblem,
+    u_s_value,
 )
 
 
@@ -500,10 +501,10 @@ def test_objective_column():
     oracle = UsProblem(s=2)
     cfg = SgldConfig(lam=0.01, beta=1.0)
     rec = run(cfg, [0.3], oracle, UniformDataSource(), n_steps=4, rng_seed=2,
-              objective=lambda th: oracle.value(float(th[0])))
+              objective=lambda th: u_s_value(float(th[0]), 2))
     assert rec.objectives is not None
     for i in range(rec.n_recorded):
-        assert rec.objectives[i] == oracle.value(float(rec.thetas[i, 0]))
+        assert rec.objectives[i] == u_s_value(float(rec.thetas[i, 0]), 2)
     rec2 = run(cfg, [0.3], oracle, UniformDataSource(), n_steps=4, rng_seed=2)
     assert rec2.objectives is None
 
@@ -527,8 +528,10 @@ def test_recorded_objective_is_evaluated_on_recorded_rows(
     oracle, theta0, lam, diverges, record_every
 ):
     n_steps = 200
-    u_s = UsProblem(s=2).value
     calls = []
+
+    def u_s(t):
+        return u_s_value(t, 2)
 
     def objective(v):
         calls.append(v.shape)

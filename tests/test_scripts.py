@@ -1,0 +1,33 @@
+"""Smoke tests for the experiment scripts: each script's main runs in
+process, at small sizes, with its command line set through sys.argv."""
+import json
+import runpy
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _run_script(monkeypatch, name: str, *args: str) -> None:
+    main = runpy.run_path(str(SCRIPTS / name), run_name="script_under_test")["main"]
+    monkeypatch.setattr(sys, "argv", [name, *args])
+    main()
+
+
+def test_run_benchmarks_prints_a_row_per_algorithm(monkeypatch, capsys):
+    _run_script(monkeypatch, "run_benchmarks.py", "--presets", "nn-demo", "--steps", "20")
+    out = capsys.readouterr().out
+    assert "nn-demo  (20 steps, 8 seeds" in out
+    for algo in ("tusla", "sgld", "adam"):
+        assert f"  {algo} " in out
+
+
+def test_sampling_study_writes_a_row_per_lam(monkeypatch, tmp_path):
+    path = tmp_path / "rows.json"
+    _run_script(monkeypatch, "sampling_study.py", "--lams", "0.1", "0.05",
+                "--replicas", "8", "--steps", "50", "--json", str(path))
+    rows = json.loads(path.read_text())
+    assert [row["lam"] for row in rows] == [0.1, 0.05]
+    for row in rows:
+        assert set(row) == {"lam", "w2_vs_gaussian", "w2_vs_gibbs"}
+        assert row["w2_vs_gaussian"] >= 0.0 and row["w2_vs_gibbs"] >= 0.0
