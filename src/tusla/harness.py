@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -51,6 +52,7 @@ from .optimizers import (
     RunRecord,
     SgldConfig,
     TuslaConfig,
+    fork_map,
     run,
     run_seeds,
     scalar_route,
@@ -316,18 +318,12 @@ def run_config(
     returns its ``SeedResult``s and seconds; records never cross a pipe.
     ``AlgoSummary.wall_time_s`` is the summed task seconds of its chains.
 
-    The tasks go to min(usable CPUs, tasks) workers, where the usable CPUs
-    are this process's affinity mask (``taskset -c 0`` gives a serial run).
-    The pool uses the fork start method, so the workers inherit the job
-    (oracle, stream, objective) without pickling it, and the warning filters
-    too. The tasks run here, one after another, when there is one task or
-    one usable CPU, when the platform cannot fork, or when this process is
-    daemonic (a ``multiprocessing.Pool`` worker may not have children). Caveat: forking a multi-threaded
-    process can leave a child blocked on a lock another thread held, and
-    Python 3.12 and later warn (``DeprecationWarning``) when they fork one,
-    as they may when a threaded BLAS runs. A task's exception is raised
-    here once the other tasks have finished; a worker that dies raises
-    ``BrokenProcessPool``.
+    The tasks go to ``optimizers.fork_map``: min(usable CPUs, tasks) forked
+    workers, which inherit the job (oracle, stream, objective) without
+    pickling it, or this process alone when that is one, when the platform
+    cannot fork, or when this process is daemonic. ``taskset -c 0`` gives a
+    serial run. A task's exception is raised here once the other tasks have
+    finished; a worker that dies raises ``BrokenProcessPool``.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {fmt!r}")
@@ -347,7 +343,7 @@ def run_config(
         tasks = [(algo, seeds) for algo in algorithms]
     else:
         tasks = [(algo, (seed,)) for algo in algorithms for seed in seeds]
-    outcomes, workers = _map_tasks(job, tasks)
+    outcomes, workers = fork_map(functools.partial(_run_task, job), tasks)
 
     algos: dict[str, AlgoSummary] = {}
     for algo in algorithms:
@@ -406,45 +402,6 @@ def _run_task(job: _Job, task: tuple) -> tuple[list[SeedResult], float]:
             else:
                 _export_record_json(record, f"{stem}.json")
     return results, time.perf_counter() - t0
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform: run in process
-        return 1
-
-
-def _map_tasks(job: _Job, tasks: list) -> tuple[list, int]:
-    """Every task's outcome, in task order, and the number of processes used."""
-    workers = min(_usable_cpus(), len(tasks))
-    if workers > 1:
-        # imported here, so that import tusla does not pay for them
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        if ("fork" in multiprocessing.get_all_start_methods()
-                and not multiprocessing.current_process().daemon):
-            # unlike multiprocessing.Pool, the executor raises BrokenProcessPool
-            # when a worker dies (a signal, the OOM killer) instead of hanging
-            with ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork"),
-                initializer=_bind_job, initargs=(job,),
-            ) as pool:
-                return list(pool.map(_run_bound_task, tasks)), workers
-    return [_run_task(job, task) for task in tasks], 1
-
-
-_bound_job: Optional[_Job] = None  # set in pool workers only, by _bind_job
-
-
-def _bind_job(job: _Job) -> None:
-    global _bound_job
-    _bound_job = job
-
-
-def _run_bound_task(task: tuple) -> tuple[list[SeedResult], float]:
-    return _run_task(_bound_job, task)
 
 
 def run_preset(
@@ -648,6 +605,11 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # the subparsers are _Parsers too; no prefix such as gibbs --r may pass
+    # for an option it abbreviates (--replicas)
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message: str):  # argparse would sys.exit(2); we want 64
         raise _UsageError(message)
 

@@ -39,10 +39,14 @@ SeedSequence spawn keys: data = [seed, 0], update noise = [seed, 1, algo_id]
 with algo_id 0/1/2 for TUSLA/SGLD/ADAM. Two algorithms given the same seed
 therefore see the same data sequence but independent noise. Gaussians come
 from numpy Generator.standard_normal (PCG64 + ziggurat).
+
+``fork_map`` is the one worker pool: ``harness.run_config`` runs its chains
+through it and ``diagnostics.tusla_terminal_law`` its replica slices.
 """
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from itertools import repeat
@@ -479,3 +483,74 @@ def _run_rows(
     for i, c in enumerate(live):
         out[c] = recs[c].finish(n, thetas[i], nrms[i], False, None)
     return out
+
+
+# ---------------------------------------------------------------------------
+# worker pool, shared by run_config's chains and the replica law's slices
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform: run in process
+        return 1
+
+
+def fork_workers(n_tasks: int) -> int:
+    """Processes ``fork_map`` uses for n_tasks tasks; 1 means in process.
+
+    min(usable CPUs, n_tasks), where the usable CPUs are this process's
+    affinity mask (``taskset -c 0`` gives 1), and 1 where the platform
+    cannot fork or this process is daemonic (a ``multiprocessing.Pool``
+    worker may not have children).
+    """
+    workers = min(_usable_cpus(), n_tasks)
+    if workers > 1:
+        # imported here, so that import tusla does not pay for it
+        import multiprocessing
+
+        if ("fork" not in multiprocessing.get_all_start_methods()
+                or multiprocessing.current_process().daemon):
+            return 1
+    return workers
+
+
+def fork_map(fn: Callable, tasks: list) -> tuple[list, int]:
+    """[fn(task) for task in tasks], in task order, and the processes used.
+
+    The tasks go to ``fork_workers(len(tasks))`` forked workers, or run here
+    one after another when that is 1. A fork start method lets each worker
+    inherit fn (which may close over lambdas, oracles and streams) and the
+    warning filters without pickling; only the tasks and their outcomes
+    cross a pipe. A task's exception is raised here once the other tasks
+    have finished; a worker that dies raises ``BrokenProcessPool``. Caveat:
+    forking a multi-threaded process can leave a child blocked on a lock
+    another thread held, and Python 3.12 and later warn
+    (``DeprecationWarning``) when they fork one, as they may when a
+    threaded BLAS runs.
+    """
+    workers = fork_workers(len(tasks))
+    if workers == 1:
+        return [fn(task) for task in tasks], 1
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # unlike multiprocessing.Pool, the executor raises BrokenProcessPool
+    # when a worker dies (a signal, the OOM killer) instead of hanging
+    with ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_bind, initargs=(fn,),
+    ) as pool:
+        return list(pool.map(_call_bound, tasks)), workers
+
+
+_bound_fn: Optional[Callable] = None  # set in pool workers only, by _bind
+
+
+def _bind(fn: Callable) -> None:
+    global _bound_fn
+    _bound_fn = fn
+
+
+def _call_bound(task):
+    return _bound_fn(task)

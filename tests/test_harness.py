@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import _mlp_reference as ref
 import tusla
-from tusla import harness
+from tusla import harness, optimizers
 from tusla.harness import (
     PRESETS,
     ExperimentConfig,
@@ -486,11 +486,11 @@ def test_pool_artifacts_match_an_in_process_run(
     tmp_path, monkeypatch, capsys, preset, overrides, chain, fmt
 ):
     calls = _count_calls(monkeypatch, chain)
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(optimizers, "_usable_cpus", lambda: 2)
     assert main(_pool_argv(preset, overrides, fmt, tmp_path / "pool")) == 0
     assert "(2 workers)" in capsys.readouterr().out
     assert calls == []  # every chain ran in a worker
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(optimizers, "_usable_cpus", lambda: 1)
     assert main(_pool_argv(preset, overrides, fmt, tmp_path / "serial")) == 0
     assert "(1 worker)" in capsys.readouterr().out
     assert len(calls) == (9 if chain == "run" else 3)
@@ -506,7 +506,7 @@ def test_pool_artifacts_match_an_in_process_run(
 def test_pool_worker_failures_reach_the_cli(
     tmp_path, monkeypatch, capsys, preset, overrides, chain, fmt
 ):
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(optimizers, "_usable_cpus", lambda: 2)
     argv = _pool_argv(preset, overrides, fmt, tmp_path / "out")
     exporter = "export_csv" if fmt == "csv" else "_export_record_json"
     real_exporter, real_chain = getattr(harness, exporter), getattr(harness, chain)
@@ -541,7 +541,7 @@ def test_a_worker_that_dies_fails_the_run(monkeypatch):
     def dies(*args, **kwargs):
         os._exit(70)
 
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(optimizers, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(harness, "run", dies)
     with pytest.raises(BrokenProcessPool):
         run_config(_small_cfg())
@@ -549,7 +549,7 @@ def test_a_worker_that_dies_fails_the_run(monkeypatch):
 
 def test_single_task_config_runs_in_process(tmp_path, monkeypatch):
     calls = _count_calls(monkeypatch, "run")
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(optimizers, "_usable_cpus", lambda: 2)
     summary = run_config(_small_cfg(seeds=(0,), algorithm="tusla"), out_dir=str(tmp_path))
     assert calls == ["run"] and summary.workers == 1
 
@@ -560,7 +560,7 @@ def _run_small_config(_):
 
 def test_pool_worker_runs_nested_configs_in_process(monkeypatch):
     # a multiprocessing.Pool worker is daemonic and may not have children
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(optimizers, "_usable_cpus", lambda: 2)
     assert run_config(_small_cfg()).workers == 2
     with multiprocessing.get_context("fork").Pool(1) as pool:
         assert pool.map_async(_run_small_config, [0]).get(timeout=60) == [1]
@@ -745,6 +745,27 @@ def test_cli_gibbs_us_runs_at_the_default_penalty(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
+    ["gibbs", "--r", "12"], ["gibbs", "--rep", "4"], ["gibbs", "--st", "5"],
+    ["gibbs", "--sa", "10"], ["constants", "--n", "100"], ["run", "--pre", "paper-s2"],
+])
+def test_cli_rejects_abbreviated_options(tmp_path, argv):
+    # gibbs has no --r (constants has): a prefix is not read as --replicas
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 64
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("problem", ["us", "quadratic"])
+def test_cli_gibbs_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, problem):
+    argv = ["gibbs", "--problem", problem, "--steps", "300", "--replicas", "33",
+            "--samples", "2000", "--theta0", "0.5", "--seed", "3"]
+    for cpus in (1, 2):
+        monkeypatch.setattr(optimizers, "_usable_cpus", lambda: cpus)
+        assert main([*argv, "--out", str(tmp_path / f"{cpus}.json")]) == 0
+    assert (tmp_path / "1.json").read_bytes() == (tmp_path / "2.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
     ["constants", "--problem", "us", "--s", "2", "--n-samples", "500"],
     ["constants", "--problem", "quadratic", "--eta", "0.5"],
     ["gibbs", "--problem", "quadratic", "--replicas", "16", "--steps", "100",
@@ -803,7 +824,7 @@ def _assert_import_skips(module: str) -> None:
 
 
 def test_import_does_not_load_multiprocessing():
-    # run_config imports it when it forks a pool, not before
+    # the pool imports it only when more than one CPU is usable
     _assert_import_skips("multiprocessing")
 
 
