@@ -31,7 +31,15 @@ from .gradient_oracle import (
     lambda_max,
     overflow_safe_drift_batch,
 )
-from .optimizers import _block_size, _check_beta, _check_step_size, fork_map, fork_workers
+from .optimizers import (
+    ALGO_IDS,
+    _block_size,
+    _check_beta,
+    _check_step_size,
+    _streams,
+    fork_map,
+    fork_workers,
+)
 
 __all__ = [
     "TheoryConstants",
@@ -379,8 +387,7 @@ def _law_columns(
 ) -> np.ndarray:
     # terminal states of replicas cols; the blocks are drawn whole and sized
     # from n_replicas, so a replica sees the same draws in any slice
-    data_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0])))
-    noise_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 1, 0])))
+    data_rng, noise_rng = _streams(seed, ALGO_IDS["tusla"])
     thetas = np.full(cols.stop - cols.start, theta0)
     scale = math.sqrt(2.0 * lam / beta)
     block = _block_size(n_steps, n_replicas)

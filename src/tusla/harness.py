@@ -235,14 +235,14 @@ class _ProblemSetup:
             )
             teacher = arch.init_params(teacher_rng)
             self.oracle = MlpOracle(arch)
-            self.stream = TeacherStream(teacher)
+            self.stream = TeacherStream(arch, teacher)
             probe_rng = np.random.Generator(
                 np.random.PCG64(np.random.SeedSequence([4242]))
             )
             probe = self.stream.sample_batch(probe_rng, 32)
 
             def objective(v, _arch=arch, _probe=probe):
-                return float(np.mean(risk(_arch.unflatten(v), _probe, 0.0, 1.0)))
+                return float(np.mean(risk(_arch, v, _probe, 0.0, 1.0)))
 
             self.objective = objective
         star = getattr(self.oracle, "theta_star", None)
@@ -253,10 +253,11 @@ class _ProblemSetup:
         if self.arch is None:
             return self.fixed_theta0
         init_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 2])))
-        return self.arch.init_params(init_rng).flatten()
+        return self.arch.init_params(init_rng)
 
     def algo_config(self, cfg: ExperimentConfig, algo: str):
         if algo == "tusla":
+            self.reg.require_order(self.oracle.meta().q)
             return TuslaConfig(lam=cfg.lam, beta=cfg.beta, reg=self.reg)
         if algo == "sgld":
             return SgldConfig(lam=cfg.lam, beta=cfg.beta)

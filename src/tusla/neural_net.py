@@ -43,7 +43,6 @@ __all__ = [
     "TANH",
     "ARCTAN",
     "Architecture",
-    "MlpParams",
     "risk",
     "lipschitz_constants",
     "MlpOracle",
@@ -103,7 +102,12 @@ def activation_by_name(name: str) -> ActivationSpec:
 
 @dataclass(frozen=True)
 class Architecture:
-    """dims = (d_0, ..., d_n): input width then the n hidden/output widths."""
+    """dims = (d_0, ..., d_n): input width then the n hidden/output widths.
+
+    theta is one flat vector, [phi, W_1 row-major, ..., W_n row-major], the
+    layout every oracle and optimizer sees; _views reads phi and the W_i
+    from it.
+    """
 
     dims: tuple[int, ...]
     activation: ActivationSpec = TANH
@@ -137,8 +141,8 @@ class Architecture:
     def param_dim(self) -> int:
         return self._layout[-1][1]
 
-    def init_params(self, rng: np.random.Generator) -> "MlpParams":
-        return self.unflatten(rng.uniform(-0.5, 0.5, size=self.param_dim))
+    def init_params(self, rng: np.random.Generator) -> np.ndarray:
+        return rng.uniform(-0.5, 0.5, size=self.param_dim)
 
     def _views(self, vec: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """phi and W_1..W_n as views of a flat vector, without a copy; for a
@@ -149,38 +153,6 @@ class Architecture:
         return vec[..., : self.dims[-1]], [
             vec[..., a:b].reshape(lead + shape) for a, b, shape in self._layout
         ]
-
-    def unflatten(self, vec: np.ndarray) -> "MlpParams":
-        phi, weights = self._views(np.asarray(vec, dtype=np.float64))
-        return MlpParams(self, phi.copy(), tuple(w.copy() for w in weights))
-
-
-@dataclass(frozen=True)
-class MlpParams:
-    """Readout phi plus weight matrices; flatten() is the optimizer's view.
-
-    Flat layout: [phi, W_1 row-major, ..., W_n row-major]."""
-
-    arch: Architecture
-    phi: np.ndarray
-    weights: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        n = self.arch.n
-        if self.phi.shape != (self.arch.dims[n],):
-            raise ValueError("phi shape does not match architecture")
-        if len(self.weights) != n:
-            raise ValueError(f"expected {n} weight matrices, got {len(self.weights)}")
-        for i, w in enumerate(self.weights, start=1):
-            want = (self.arch.dims[i], self.arch.dims[i - 1])
-            if w.shape != want:
-                raise ValueError(f"W_{i} shape {w.shape} != {want}")
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([self.phi] + [w.ravel() for w in self.weights])
-
-    def norm(self) -> float:
-        return safe_norm(self.flatten())
 
 
 def _forward(arch: Architecture, phi: np.ndarray, weights, zs: np.ndarray):
@@ -207,8 +179,7 @@ def _forward_backward(arch: Architecture, thetas: np.ndarray, zs: np.ndarray):
 
     thetas holds one flat theta per row, shape (R, param_dim), and zs one
     input per row, shape (R, d_0). Returns f, shape (R,), and the gradients,
-    shape (R, param_dim), in the flatten() layout
-    [d f/d phi, d f/d W_1, ..., d f/d W_n].
+    shape (R, param_dim), in the flat layout of theta.
     """
     phi, weights = arch._views(thetas)
     f, pre, hs = _forward(arch, phi, weights, zs)
@@ -231,19 +202,22 @@ def _split_rows(xs, d0: int) -> tuple[np.ndarray, np.ndarray]:
     return xs[:, :d0], xs[:, d0]
 
 
-def risk(params: MlpParams, x, eta: float, r: float):
-    """(y - f(z))^2 + eta/(2(r+1)) |theta|^(2(r+1)).
+def risk(arch: Architecture, theta, x, eta: float, r: float):
+    """(y - f(z))^2 + eta/(2(r+1)) |theta|^(2(r+1)) at the flat theta.
 
     x packs one sample (z, y), and the risk is a float; or x is a stack of
     packed samples, one per row, and the per-row risks come back as an array
     from one stacked forward pass.
     """
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.ndim != 1:
+        raise ValueError(f"theta must be one flat vector, got shape {theta.shape}")
     xs = np.asarray(x, dtype=np.float64)
-    zs, ys = _split_rows(xs if xs.ndim == 2 else xs.reshape(1, -1), params.arch.dims[0])
-    resid = ys - _forward(params.arch, params.phi, params.weights, zs)[0]
+    zs, ys = _split_rows(xs if xs.ndim == 2 else xs.reshape(1, -1), arch.dims[0])
+    resid = ys - _forward(arch, *arch._views(theta), zs)[0]
     out = resid * resid
     if eta != 0.0:
-        t = params.norm()
+        t = safe_norm(theta)
         out = out + eta / (2.0 * (r + 1.0)) * t ** (2.0 * (r + 1.0))
     return float(out[0]) if xs.ndim < 2 else out
 
@@ -288,9 +262,11 @@ class MlpOracle(GradientOracle):
 
 @dataclass(frozen=True)
 class TeacherStream:
-    """(z, y) samples with y from a fixed teacher network, z ~ U[-1,1]^d0."""
+    """(z, y) samples with y from a fixed teacher network, z ~ U[-1,1]^d0;
+    teacher is the teacher's flat theta."""
 
-    teacher: MlpParams
+    arch: Architecture
+    teacher: np.ndarray
     half_width: float = 1.0
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
@@ -298,7 +274,7 @@ class TeacherStream:
 
     def sample_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n packed samples (z, y) as rows: the same draws as n sample calls."""
-        t = self.teacher
-        zs = rng.uniform(-self.half_width, self.half_width, size=(n, t.arch.dims[0]))
-        f = _forward(t.arch, t.phi, t.weights, zs)[0]
+        arch = self.arch
+        zs = rng.uniform(-self.half_width, self.half_width, size=(n, arch.dims[0]))
+        f = _forward(arch, *arch._views(self.teacher), zs)[0]
         return np.concatenate([zs, f[:, None]], axis=1)

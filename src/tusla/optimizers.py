@@ -96,22 +96,23 @@ class TuslaConfig:
     beta: inverse temperature; update noise has std sqrt(2 * lam / beta).
     reg: superlinear penalty (eta, r); eta = 0 runs the untamed-objective
         variant (the taming denominator still applies).
-    p_check: moment order used for the advisory step-size ceiling.
+
+    A step size above lambda_max(eta, p) at moment order p = 2 warns that
+    the moment bounds are not guaranteed; it still runs.
     """
 
     lam: float
     beta: float
     reg: RegularizationParams
-    p_check: int = 2
 
     def __post_init__(self) -> None:
         _check_step_size(self.lam)
         _check_beta(self.beta)
-        cap = lambda_max(self.reg.eta, self.p_check)
+        cap = lambda_max(self.reg.eta, 2)
         if self.lam > cap:
             warnings.warn(
                 f"step size {self.lam} exceeds lambda_max({self.reg.eta}, "
-                f"p={self.p_check}) = {cap:.3g}; moment bounds are not guaranteed",
+                f"p=2) = {cap:.3g}; moment bounds are not guaranteed",
                 RuntimeWarning,
                 stacklevel=2,
             )

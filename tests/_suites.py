@@ -26,7 +26,7 @@ from tusla.gradient_oracle import (
     overflow_safe_drift,
     safe_norm,
 )
-from tusla.neural_net import Architecture, MlpParams, lipschitz_constants
+from tusla.neural_net import Architecture, lipschitz_constants
 
 SLACK = 1e-9  # relative slack for float evaluation of analytically-true bounds
 
@@ -162,7 +162,7 @@ def drift_lipschitz_constants(arch: Architecture, eta: float, r: float) -> Drift
     return DriftLipschitz(L1=l1, rho=3.0, envelope_power=float(max(2 * n + 1, 2.0 * r)))
 
 
-def gradient_norm_bound(params: MlpParams, x) -> float:
+def gradient_norm_bound(params: ref.Params, x) -> float:
     """Bound on |G(theta, x)|: 4 D sqrt(n+1) (1+|x|)^2 (1+s)^(n+2) (1+|theta|^(n+1))."""
     arch = params.arch
     n, D = arch.n, arch.D
@@ -172,7 +172,7 @@ def gradient_norm_bound(params: MlpParams, x) -> float:
     return 4.0 * D * math.sqrt(n + 1.0) * (1.0 + xn) ** 2 * (1.0 + s) ** (n + 2) * (1.0 + t ** (n + 1))
 
 
-def df_norm_bound(params: MlpParams, x) -> float:
+def df_norm_bound(params: ref.Params, x) -> float:
     """Bound on |grad_theta f|: sqrt(D (n+1)) (1+|x|) (1+s)^(n+1) (1+|theta|^n)."""
     arch = params.arch
     n, D = arch.n, arch.D
@@ -182,7 +182,7 @@ def df_norm_bound(params: MlpParams, x) -> float:
     return math.sqrt(D * (n + 1.0)) * (1.0 + xn) * (1.0 + s) ** (n + 1) * (1.0 + t ** n)
 
 
-def layer_jacobian_bound(params: MlpParams, x, i: int) -> float:
+def layer_jacobian_bound(params: ref.Params, x, i: int) -> float:
     """Bound on the W_i -> h_n Jacobian operator norm:
     sqrt(D) (1+|x|) (1+s)^(n-i+2) |theta|^(n-i), for i in 1..n."""
     arch = params.arch
@@ -226,7 +226,7 @@ class BoundCheckReport:
     passed: bool
 
 
-def partial_deriv_bound_check(params: MlpParams, x, slack: float = 1e-9) -> BoundCheckReport:
+def partial_deriv_bound_check(params: ref.Params, x, slack: float = 1e-9) -> BoundCheckReport:
     """Verify the gradient-norm and layer-Jacobian bounds at (params, x),
     measuring the left sides exactly (power iteration for operator norms)."""
     arch = params.arch
@@ -279,7 +279,7 @@ def _rand_mlp_point(rng: np.random.Generator, activation):
     dims = _ARCH_POOL[int(rng.integers(len(_ARCH_POOL)))]
     arch = Architecture(dims, activation)
     vec = rng.normal(size=arch.param_dim) * 10.0 ** rng.uniform(-1.0, 1.0)
-    params = arch.unflatten(vec)
+    params = ref.split(arch, vec)
     z = rng.uniform(-2.0, 2.0, size=dims[0])
     y = float(rng.normal() * 2.0)
     x = np.concatenate([z, [y]])
@@ -325,8 +325,9 @@ def mlp_gradient_lipschitz_violations(draws: int, rng: np.random.Generator, acti
     for _ in range(draws):
         arch, params, x = _rand_mlp_point(rng, activation)
         meta = lipschitz_constants(arch)
-        other = arch.unflatten(
-            params.flatten() + rng.normal(size=arch.param_dim) * 10.0 ** rng.uniform(-3.0, 0.0)
+        other = ref.split(
+            arch,
+            params.flatten() + rng.normal(size=arch.param_dim) * 10.0 ** rng.uniform(-3.0, 0.0),
         )
         g1 = ref.gradient_g(params, x).flatten()
         g2 = ref.gradient_g(other, x).flatten()

@@ -215,14 +215,13 @@ def test_criterion_4_mlp_gradient_exactness():
         dims = tuple(int(rng.integers(1, 9)) for _ in range(n + 1))
         act = activation_by_name("tanh" if rng.random() < 0.5 else "arctan")
         arch = Architecture(dims, act)
-        params = arch.init_params(rng)
+        flat = arch.init_params(rng)
         x = np.append(rng.uniform(-1.0, 1.0, size=dims[0]), rng.normal())
         eta, r = 0.1, float(n + 2)
-        flat = params.flatten()
         ga = MlpOracle(arch).evaluate(flat, x)
-        ha = ref.gradient_h(params, x, eta, r).flatten()
-        gf = _fd_gradient(lambda v: risk(arch.unflatten(v), x, 0.0, r), flat)
-        hf = _fd_gradient(lambda v: risk(arch.unflatten(v), x, eta, r), flat)
+        ha = ref.gradient_h(ref.split(arch, flat), x, eta, r).flatten()
+        gf = _fd_gradient(lambda v: risk(arch, v, x, 0.0, r), flat)
+        hf = _fd_gradient(lambda v: risk(arch, v, x, eta, r), flat)
         worst_g = max(worst_g, _rel_err(ga, gf))
         worst_h = max(worst_h, _rel_err(ha, hf))
     elapsed = time.perf_counter() - t0

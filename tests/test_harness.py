@@ -447,13 +447,22 @@ def test_divergent_seeds_are_excluded_from_aggregates():
 # ---------------------------------------------------------------------------
 # the worker pool
 
-# (preset, --set overrides, the chain function its tasks call): paper-s2 is
-# the scalar route with one task per chain, and its SGLD chains diverge at
-# step 2; nn-demo is the stacked route with one task per algorithm
+# (preset, --set overrides, the chain function its tasks call): the scalar
+# route runs one task per chain, paper-s2 with its SGLD chains diverging at
+# step 2 and gibbs-quadratic with TUSLA alone; the stacked route runs one task
+# per algorithm, nn-demo on the MLP and its one_neuron variant on a constant
+# 2-vector sample
 _POOL_CASES = [
     pytest.param("paper-s2", ("seeds=0,1,2", "n_steps=300"), "run", id="scalar"),
+    pytest.param("gibbs-quadratic", ("seeds=0,1,2", "n_steps=300"), "run", id="scalar-tusla"),
     pytest.param("nn-demo", ("seeds=0,1,2", "n_steps=100"), "run_seeds", id="stacked"),
+    pytest.param("nn-demo", ("problem=one_neuron", "seeds=0,1,2", "n_steps=100"), "run_seeds",
+                 id="stacked-neuron"),
 ]
+
+
+def _pool_cfg(preset, overrides) -> ExperimentConfig:
+    return harness._apply_overrides(PRESETS[preset], dict(map(harness._parse_override, overrides)))
 
 
 def _pool_argv(preset, overrides, fmt, out):
@@ -485,6 +494,8 @@ def _raiser(exc_type, *args):
 def test_pool_artifacts_match_an_in_process_run(
     tmp_path, monkeypatch, capsys, preset, overrides, chain, fmt
 ):
+    cfg = _pool_cfg(preset, overrides)
+    n_chains = len(cfg.algorithms()) * len(cfg.seeds)
     calls = _count_calls(monkeypatch, chain)
     monkeypatch.setattr(optimizers, "_usable_cpus", lambda: 2)
     assert main(_pool_argv(preset, overrides, fmt, tmp_path / "pool")) == 0
@@ -493,9 +504,10 @@ def test_pool_artifacts_match_an_in_process_run(
     monkeypatch.setattr(optimizers, "_usable_cpus", lambda: 1)
     assert main(_pool_argv(preset, overrides, fmt, tmp_path / "serial")) == 0
     assert "(1 worker)" in capsys.readouterr().out
-    assert len(calls) == (9 if chain == "run" else 3)
+    # one task per chain on the scalar route, one per algorithm when stacked
+    assert len(calls) == (n_chains if chain == "run" else len(cfg.algorithms()))
     names = sorted(os.listdir(tmp_path / "pool"))
-    assert names == sorted(os.listdir(tmp_path / "serial")) and len(names) == 10
+    assert names == sorted(os.listdir(tmp_path / "serial")) and len(names) == n_chains + 1
     for fname in names:
         pooled, serial = tmp_path / "pool" / fname, tmp_path / "serial" / fname
         assert pooled.read_bytes() == serial.read_bytes(), fname
@@ -622,6 +634,15 @@ def test_cli_usage_errors(tmp_path, monkeypatch):
         assert main(["run", "--preset", "paper-s2", "--set", bad, "--set", "seeds=0,1",
                      "--set", "n_steps=5", "--out", str(out)]) == 64, bad
         assert not out.exists() or not any(out.iterdir()), bad
+    # TUSLA's order check r >= q/2 + 1 fails before any chain runs, also when
+    # the SGLD and ADAM chains would run in workers of their own
+    for cpus in (2, 1):
+        monkeypatch.setattr(optimizers, "_usable_cpus", lambda: cpus)
+        for preset, extra in (("nn-demo", ()), ("paper-s2", ("--set", "seeds=0,1,2,3"))):
+            out = tmp_path / f"r2-{preset}-{cpus}"
+            assert main(["run", "--preset", preset, "--set", "r=2", "--set", "n_steps=50",
+                         *extra, "--out", str(out)]) == 64, (preset, cpus)
+            assert not out.exists() or not any(out.iterdir()), (preset, cpus)
     # a negative base seed is rejected before the first chain runs
     out = tmp_path / "negative-seed"
     assert main(["run", "--preset", "paper-s2", "--seed", "-1", "--out", str(out)]) == 64
@@ -816,11 +837,26 @@ def test_readme_quick_start_uses_exactly_the_public_api():
     assert sorted(tusla.__all__) == sorted(imported)
 
 
-def _assert_import_skips(module: str) -> None:
+def _python(*args: str, check: bool = True) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this checkout's package."""
     src = os.path.dirname(os.path.dirname(tusla.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], env=env, check=check, timeout=120,
+                          capture_output=True, text=True)
+
+
+def _assert_import_skips(module: str) -> None:
     code = f"import sys, tusla.harness; assert {module!r} not in sys.modules, '{module} imported'"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+    _python("-c", code)
+
+
+def test_python_m_tusla_runs_the_cli(tmp_path):
+    # __main__ -> main_entry -> sys.exit carries main's exit code
+    out = tmp_path / "out"
+    _python("-m", "tusla", "run", "--preset", "nn-demo", "--set", "seeds=0", "--set", "n_steps=5",
+            "--out", str(out))
+    assert len(list(out.iterdir())) == 4  # three chains and the summary
+    assert _python("-m", "tusla", "frobnicate", check=False).returncode == 64
 
 
 def test_import_does_not_load_multiprocessing():

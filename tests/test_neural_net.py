@@ -28,7 +28,6 @@ from tusla.neural_net import (
     ActivationSpec,
     Architecture,
     MlpOracle,
-    MlpParams,
     TeacherStream,
     activation_by_name,
     lipschitz_constants,
@@ -39,8 +38,7 @@ EPS = np.finfo(np.float64).eps
 
 
 def _tiny_net(phi=3.0, w=2.0):
-    arch = Architecture(dims=(1, 1))
-    return arch, arch.unflatten(np.array([phi, w]))
+    return Architecture(dims=(1, 1)), np.array([phi, w])
 
 
 # ---------------------------------------------------------------------------
@@ -48,22 +46,22 @@ def _tiny_net(phi=3.0, w=2.0):
 
 
 def test_forward_hand_value():
-    _, params = _tiny_net()
+    params = ref.split(*_tiny_net())
     assert ref.forward(params, [0.5]) == 3.0 * math.tanh(1.0)
     assert ref.forward(params, [0.5]) == 2.2847824678672946
 
 
 def test_forward_zero_params_is_zero():
     arch = Architecture(dims=(2, 3, 4))
-    assert ref.forward(arch.unflatten(np.zeros(arch.param_dim)), [0.7, -0.2]) == 0.0
+    assert ref.forward(ref.split(arch, np.zeros(arch.param_dim)), [0.7, -0.2]) == 0.0
     # zero weights kill the signal even under a nonzero readout
     vec = np.zeros(arch.param_dim)
     vec[: arch.dims[2]] = 5.0
-    assert ref.forward(arch.unflatten(vec), [0.7, -0.2]) == 0.0
+    assert ref.forward(ref.split(arch, vec), [0.7, -0.2]) == 0.0
 
 
 def test_grad_f_hand_values():
-    _, params = _tiny_net()
+    params = ref.split(*_tiny_net())
     g = ref.grad_f(params, [0.5])
     t = math.tanh(1.0)
     assert g.phi[0] == t
@@ -71,16 +69,14 @@ def test_grad_f_hand_values():
 
 
 def test_risk_hand_values():
-    arch, params = _tiny_net()
-    x = np.array([0.5, ref.forward(params, [0.5])])
-    assert risk(params, x, 0.0, 1.0) == 0.0
-    zero = arch.unflatten(np.zeros(arch.param_dim))
-    assert risk(zero, np.array([0.4, 3.0]), 0.0, 1.0) == 9.0
+    arch, theta = _tiny_net()
+    x = np.array([0.5, ref.forward(ref.split(arch, theta), [0.5])])
+    assert risk(arch, theta, x, 0.0, 1.0) == 0.0
+    assert risk(arch, np.zeros(arch.param_dim), np.array([0.4, 3.0]), 0.0, 1.0) == 9.0
     # unit-norm parameters isolate the penalty term
-    unit = arch.unflatten(np.array([1.0, 0.0]))
     x2 = np.array([0.7, 0.0])  # f = tanh(0) = 0 = y
     eta, r = 0.3, 2.0
-    assert risk(unit, x2, eta, r) == eta / (2.0 * (r + 1.0))
+    assert risk(arch, np.array([1.0, 0.0]), x2, eta, r) == eta / (2.0 * (r + 1.0))
 
 
 def test_gradient_g_matches_finite_difference():
@@ -98,8 +94,7 @@ def test_gradient_g_matches_finite_difference():
                 e = np.zeros_like(theta)
                 e[j] = h
                 fd[j] = (
-                    risk(arch.unflatten(theta + e), x, 0.0, 1.0)
-                    - risk(arch.unflatten(theta - e), x, 0.0, 1.0)
+                    risk(arch, theta + e, x, 0.0, 1.0) - risk(arch, theta - e, x, 0.0, 1.0)
                 ) / (2.0 * h)
             assert np.allclose(g, fd, rtol=1e-5, atol=1e-7)
 
@@ -111,15 +106,14 @@ def test_gradient_h_matches_finite_difference_of_penalized_risk():
     for _ in range(5):
         theta = rng.uniform(-1.0, 1.0, arch.param_dim)
         x = np.concatenate([rng.uniform(-2.0, 2.0, 2), [rng.normal()]])
-        hvec = ref.gradient_h(arch.unflatten(theta), x, eta, r).flatten()
+        hvec = ref.gradient_h(ref.split(arch, theta), x, eta, r).flatten()
         step = 1e-5 * (1.0 + float(np.linalg.norm(theta)))
         fd = np.empty_like(theta)
         for j in range(theta.size):
             e = np.zeros_like(theta)
             e[j] = step
             fd[j] = (
-                risk(arch.unflatten(theta + e), x, eta, r)
-                - risk(arch.unflatten(theta - e), x, eta, r)
+                risk(arch, theta + e, x, eta, r) - risk(arch, theta - e, x, eta, r)
             ) / (2.0 * step)
         assert np.allclose(hvec, fd, rtol=1e-5, atol=1e-7)
 
@@ -129,7 +123,7 @@ def test_gradient_h_reduces_to_g_without_penalty():
     arch = Architecture(dims=(2, 3))
     theta = rng.uniform(-1.0, 1.0, arch.param_dim)
     x = np.array([0.3, -0.4, 1.0])
-    params = arch.unflatten(theta)
+    params = ref.split(arch, theta)
     assert np.array_equal(
         ref.gradient_h(params, x, 0.0, 2.0).flatten(), ref.gradient_g(params, x).flatten()
     )
@@ -139,49 +133,40 @@ def test_gradient_g_zero_readout_kills_weight_gradients():
     arch = Architecture(dims=(2, 3, 2))
     vec = np.zeros(arch.param_dim)
     vec[arch.dims[2]:] = 0.7  # nonzero weights, zero phi
-    g = arch.unflatten(MlpOracle(arch).evaluate(vec, np.array([0.5, -0.25, 2.0])))
+    g = ref.split(arch, MlpOracle(arch).evaluate(vec, np.array([0.5, -0.25, 2.0])))
     for w in g.weights:
         assert np.all(w == 0.0)
     assert np.any(g.phi != 0.0)
 
 
 # ---------------------------------------------------------------------------
-# parameter container
+# the flat parameter layout
 
 
-def test_flatten_unflatten_roundtrip():
-    rng = np.random.default_rng(43)
-    for dims in [(1, 1), (3, 4, 2), (2, 5, 4, 3)]:
-        arch = Architecture(dims=dims)
-        vec = rng.normal(size=arch.param_dim)
-        assert np.array_equal(arch.unflatten(vec).flatten(), vec)
-
-
-def test_unflatten_layout_is_phi_then_row_major_weights():
-    arch = Architecture(dims=(2, 2))
-    params = arch.unflatten(np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]))
-    assert np.array_equal(params.phi, [1.0, 2.0])
-    assert np.array_equal(params.weights[0], [[3.0, 4.0], [5.0, 6.0]])
-
-
-def test_params_norm_matches_flat_norm():
-    rng = np.random.default_rng(47)
-    arch = Architecture(dims=(3, 4, 2))
-    vec = rng.normal(size=arch.param_dim)
-    params = arch.unflatten(vec)
-    assert math.isclose(params.norm(), float(np.linalg.norm(vec)), rel_tol=1e-15)
+def test_views_layout_is_phi_then_row_major_weights():
+    arch = Architecture(dims=(2, 3, 1))
+    vec = np.arange(1.0, 1.0 + arch.param_dim)
+    phi, weights = arch._views(vec)
+    assert np.array_equal(phi, [1.0])
+    assert np.array_equal(weights[0], [[2.0, 3.0], [4.0, 5.0], [6.0, 7.0]])
+    assert np.array_equal(weights[1], [[8.0, 9.0, 10.0]])
+    assert all(np.shares_memory(w, vec) for w in weights)
+    # a stack of flat vectors gives stacks of the same views, row by row
+    stack = np.stack([vec, -vec])
+    phis, stacked = arch._views(stack)
+    assert np.array_equal(phis, [[1.0], [-1.0]])
+    assert np.array_equal(stacked[0][1], -weights[0])
 
 
 def test_container_validation():
     arch = Architecture(dims=(2, 3))
+    for bad in (np.zeros(arch.param_dim + 1), np.zeros((2, 2, arch.param_dim))):
+        with pytest.raises(ValueError):
+            arch._views(bad)
+        with pytest.raises(ValueError):
+            risk(arch, bad, np.zeros(3), 0.0, 1.0)
     with pytest.raises(ValueError):
-        arch.unflatten(np.zeros(arch.param_dim + 1))
-    with pytest.raises(ValueError):
-        MlpParams(arch, np.zeros(2), (np.zeros((3, 2)),))  # phi wrong width
-    with pytest.raises(ValueError):
-        MlpParams(arch, np.zeros(3), ())  # missing weights
-    with pytest.raises(ValueError):
-        MlpParams(arch, np.zeros(3), (np.zeros((2, 3)),))  # transposed shape
+        risk(arch, np.zeros((2, arch.param_dim)), np.zeros((2, 3)), 0.0, 1.0)  # one theta only
     with pytest.raises(ValueError):
         Architecture(dims=(4,))
     with pytest.raises(ValueError):
@@ -192,9 +177,9 @@ def test_container_validation():
 
 def test_init_params_range():
     arch = Architecture(dims=(3, 8, 4))
-    params = arch.init_params(np.random.default_rng(0))
-    flat = params.flatten()
+    flat = arch.init_params(np.random.default_rng(0))
     assert flat.shape == (arch.param_dim,)
+    assert flat.tobytes() == np.random.default_rng(0).uniform(-0.5, 0.5, arch.param_dim).tobytes()
     assert np.all(np.abs(flat) <= 0.5)
     assert np.std(flat) > 0.1
 
@@ -293,9 +278,9 @@ def test_bound_check_at_origin_and_random_points():
     rng = np.random.default_rng(71)
     arch = Architecture(dims=(2, 4, 3))
     x = np.array([0.4, -0.9, 1.2])
-    assert partial_deriv_bound_check(arch.unflatten(np.zeros(arch.param_dim)), x).passed
+    assert partial_deriv_bound_check(ref.split(arch, np.zeros(arch.param_dim)), x).passed
     for _ in range(10):
-        params = arch.unflatten(rng.normal(size=arch.param_dim))
+        params = ref.split(arch, rng.normal(size=arch.param_dim))
         report = partial_deriv_bound_check(params, x)
         assert report.passed
         assert len(report.layer_measured) == arch.n
@@ -344,21 +329,21 @@ def test_mlp_oracle_delegation():
     rng = np.random.default_rng(83)
     theta = rng.normal(size=arch.param_dim)
     x = np.array([0.1, -0.3, 0.8])
-    want = ref.gradient_g(arch.unflatten(theta), x).flatten()
+    want = ref.gradient_g(ref.split(arch, theta), x).flatten()
     assert np.array_equal(oracle.evaluate(theta, x), want)
 
 
 def test_teacher_stream():
     arch = Architecture(dims=(3, 4, 2))
-    teacher = arch.unflatten(np.random.default_rng(89).normal(size=arch.param_dim))
-    stream = TeacherStream(teacher=teacher, half_width=1.5)
+    teacher = np.random.default_rng(89).normal(size=arch.param_dim)
+    stream = TeacherStream(arch, teacher, half_width=1.5)
     rng = np.random.default_rng(97)
     for _ in range(20):
         sample = stream.sample(rng)
         assert sample.shape == (4,)
         z, y = sample[:3], sample[3]
         assert np.all(np.abs(z) <= 1.5)
-        assert y == ref.forward(teacher, z)
+        assert y == ref.forward(ref.split(arch, teacher), z)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +362,7 @@ def test_kernels_match_per_sample_reference_bitwise(dims, act, log_scale, m, see
     arch = Architecture(dims, act)
     rng = np.random.default_rng(seed)
     theta = rng.normal(size=arch.param_dim) * 10.0 ** log_scale
-    params = arch.unflatten(theta)
+    params = ref.split(arch, theta)
     xs = np.column_stack([rng.uniform(-2.0, 2.0, size=(m, dims[0])), rng.normal(size=m)])
     x = xs[0]
 
@@ -386,10 +371,10 @@ def test_kernels_match_per_sample_reference_bitwise(dims, act, log_scale, m, see
 
     for eta, r in ((0.0, 1.0), (0.01, 2.5)):
         per_probe = np.array([ref.risk(params, row, eta, r) for row in xs])
-        assert risk(params, xs, eta, r).tobytes() == per_probe.tobytes()
-        assert risk(params, x, eta, r) == per_probe[0]
+        assert risk(arch, theta, xs, eta, r).tobytes() == per_probe.tobytes()
+        assert risk(arch, theta, x, eta, r) == per_probe[0]
 
-    stream = TeacherStream(params, half_width=1.5)
+    stream = TeacherStream(arch, theta, half_width=1.5)
     batch = stream.sample_batch(np.random.default_rng(seed), m)
     rng_ref, rng_one = np.random.default_rng(seed), np.random.default_rng(seed)
     per_call = np.array([ref.teacher_sample(params, rng_ref, 1.5) for _ in range(m)])
@@ -417,7 +402,7 @@ def test_evaluate_rows_match_per_sample_reference_bitwise(dims, act, log_scale, 
     assert got.shape == (rows, arch.param_dim)
     for theta, x, g in zip(thetas, xs, got):
         assert g.tobytes() == oracle.evaluate(theta, x).tobytes()
-        assert g.tobytes() == ref.gradient_g(arch.unflatten(theta), x).flatten().tobytes()
+        assert g.tobytes() == ref.gradient_g(ref.split(arch, theta), x).flatten().tobytes()
 
 
 def test_evaluate_rows_rejects_misshapen_rows():
@@ -433,10 +418,10 @@ def test_evaluate_rows_rejects_misshapen_rows():
 
 
 def test_risk_rejects_misshapen_samples():
-    arch, params = _tiny_net()
+    arch, theta = _tiny_net()
     with pytest.raises(ValueError):
-        risk(params, np.zeros(3), 0.0, 1.0)
+        risk(arch, theta, np.zeros(3), 0.0, 1.0)
     with pytest.raises(ValueError):
-        risk(params, np.zeros((4, 3)), 0.0, 1.0)
+        risk(arch, theta, np.zeros((4, 3)), 0.0, 1.0)
     with pytest.raises(ValueError):
         MlpOracle(arch).evaluate(np.zeros(3), np.zeros(2))

@@ -372,9 +372,9 @@ _MLP = Architecture((3, 4, 4))
 _STACKED_ROUTES = {
     "mlp": (
         lambda: MlpOracle(_MLP),
-        lambda: TeacherStream(_MLP.init_params(np.random.default_rng(5))),
+        lambda: TeacherStream(_MLP, _MLP.init_params(np.random.default_rng(5))),
         RegularizationParams(eta=0.01, r=4.0),
-        _MLP.init_params(np.random.default_rng(6)).flatten(),  # |theta| = 1.65
+        _MLP.init_params(np.random.default_rng(6)),  # |theta| = 1.65
     ),
     "neuron": (OneNeuronProblem, PairStream, _REG_NEURON, np.array([1.0, -1.0])),
     "vector": (lambda: VectorOnlyUs(s=2), UniformDataSource, _REG_S2, np.array([1.0])),

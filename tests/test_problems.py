@@ -295,6 +295,27 @@ def test_us_meta_and_validation():
         UsProblem(s=2.0)  # type: ignore[arg-type]
 
 
+def _us_l1_whole_grid(s: int, unbiased: bool) -> float:
+    # the L1 grid maximization over all 400001 points in one pass
+    q = max(2 * s, 1)
+    xs = np.linspace(-8.0, 8.2, 400001)
+    d = xs - CENTER
+    with np.errstate(over="ignore"):
+        pen_d = np.zeros_like(d) if s == 0 else 2.0 * s * (2 * s - 1) * d ** (2 * s - 2)
+    inner = np.abs(d) <= 1.0
+    if unbiased:
+        deriv = 11.0 * inner.astype(float) + np.abs(pen_d)
+    else:
+        deriv = 11.0 * (np.where(inner, 2.0 * np.abs(d), 1.0) + np.abs(pen_d))
+    return 1.1 * float(np.max(deriv / (1.0 + np.abs(xs)) ** (q - 1)))
+
+
+@pytest.mark.parametrize("s", [0, 1, 2, 26])
+@pytest.mark.parametrize("unbiased", [False, True])
+def test_us_l1_grid_chunks_match_the_whole_grid(s, unbiased):
+    assert UsProblem(s=s, unbiased=unbiased).meta().L1 == _us_l1_whole_grid(s, unbiased)
+
+
 def test_us_g0_norm_matches_evaluate():
     for unbiased in (False, True):
         prob = UsProblem(s=2, unbiased=unbiased)
