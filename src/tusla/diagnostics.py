@@ -341,11 +341,12 @@ def tusla_terminal_law(
     sample_batch(k * n_replicas) and one standard_normal((k, n_replicas))
     call give the values of k per-step calls, so the stream layout does not
     depend on the block size. Each replica runs the TUSLA update of
-    ``optimizers.run`` with the replica drift overflow_safe_drift_batch,
-    whose numpy pow agrees with run's libm pow to an ulp or two, not
-    bitwise; the stream layout differs too, so seeds are not interchangeable
-    between the two. lam and beta must be positive and finite, n_steps >= 0
-    and n_replicas >= 1. Non-finite replicas are dropped with one warning.
+    ``optimizers.run`` with the oracle's evaluate_batch and the replica drift
+    overflow_safe_drift_batch. Their numpy pows (u_s signs its odd power of
+    |d| by copysign) agree with run's libm pow to an ulp or two, not bitwise;
+    the stream layout differs too, so seeds are not interchangeable between
+    the two. lam and beta must be positive and finite, n_steps >= 0 and
+    n_replicas >= 1. Non-finite replicas are dropped with one warning.
 
     The replicas run as contiguous slices, one per worker of
     ``optimizers.fork_map`` (min(usable CPUs, n_replicas) processes). Every

@@ -118,6 +118,12 @@ class ExperimentConfig:
             raise ValueError(f"s must be a non-negative integer, got {self.s}")
         if self.n_steps < 0:
             raise ValueError("n_steps must be non-negative")
+        if self.record_every < 1:
+            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
+        if not (self.divergence_threshold > 0.0):
+            raise ValueError(
+                f"divergence threshold must be positive, got {self.divergence_threshold}"
+            )
         if len(self.seeds) == 0:
             raise ValueError("need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):

@@ -26,8 +26,6 @@ __all__ = [
     "ConstantDataSource",
     "u_s_value",
     "u_s_value_batch",
-    "g_s_sample",
-    "g_s_unbiased",
     "UsProblem",
     "QuadraticProblem",
     "one_neuron_parameters",
@@ -102,42 +100,6 @@ def u_s_value_batch(theta: np.ndarray, s: int) -> np.ndarray:
     return np.where(np.abs(d) <= 1.0, inner, outer)
 
 
-def _multiplier(x: float) -> float:
-    # 12 * 1_{x in [0,1]} - 1: mean 1/11 under U[0, 11].
-    return 11.0 if 0.0 <= x <= 1.0 else -1.0
-
-
-def g_s_sample(theta: float, x: float, s: int) -> float:
-    """Benchmark gradient estimator: the multiplier scales the whole bracket.
-
-    Mean over x ~ U[0,11] is (1/11) * bracket, which is NOT u_s'(theta): the
-    basin term enters squared and the wall term is scaled down elevenfold.
-    The bracket also steps from 1 to 1/2 across |theta - 0.1| = 1, so the
-    estimator is discontinuous there. Kept exactly in this form because it is
-    what the optimizer comparisons are defined on; see g_s_unbiased for a
-    consistent estimator.
-    """
-    d = theta - _CENTER
-    pen = 0.0 if s == 0 else 2.0 * s * _guard_pow(d, 2 * s - 1)
-    if abs(d) <= 1.0:
-        bracket = d * d + pen
-    else:
-        bracket = (abs(d) - 0.5) + pen
-    return _multiplier(x) * bracket
-
-
-def g_s_unbiased(theta: float, x: float, s: int) -> float:
-    """Estimator with the multiplier on the basin slope only.
-
-    E[multiplier] = 1/11, so the mean over x ~ U[0,11] equals u_s'(theta)
-    exactly on both branches, and the sample path is continuous in theta.
-    """
-    d = theta - _CENTER
-    pen = 0.0 if s == 0 else 2.0 * s * _guard_pow(d, 2 * s - 1)
-    lin = d if abs(d) <= 1.0 else math.copysign(1.0, d)
-    return _multiplier(x) * lin + pen
-
-
 def _us_ratio_sup(s: int, unbiased: bool) -> float:
     # sup over xi of |d/dtheta estimator(xi)| / (1 + |xi|)^(q-1), maximized
     # over the multiplier value (|mult| <= 11). Dense grid; the sup is
@@ -175,7 +137,19 @@ def _us_l1(s: int, unbiased: bool) -> float:
 
 @dataclass(frozen=True)
 class UsProblem(GradientOracle):
-    """Oracle for u_s. ``unbiased`` selects the consistent estimator.
+    """Oracle for u_s with the multiplier-noise gradient estimators.
+
+    Both estimators scale by the multiplier 12 * 1_{x in [0,1]} - 1, whose
+    mean under x ~ U[0, 11] is 1/11. The default (benchmark) estimator
+    multiplies the whole bracket, d^2 + 2s d^(2s-1) inside |d| <= 1 and
+    |d| - 1/2 + 2s d^(2s-1) outside (d = theta - 0.1). Its mean is
+    bracket/11, which is NOT u_s'(theta): the basin term enters squared, the
+    wall term is scaled down elevenfold, and the bracket steps from 1 to 1/2
+    across |d| = 1. It is kept in this form because the optimizer
+    comparisons are defined on it. ``unbiased`` selects the consistent
+    estimator, multiplier * lin + 2s d^(2s-1) with lin = d inside and
+    sign(d) outside: its mean is u_s'(theta) exactly and its sample path is
+    continuous in theta.
 
     Declared growth constants: q = max(2s, 1), rho = 1, and L1 from a dense
     grid maximization of the branchwise derivative ratio (with 10% headroom).
@@ -199,23 +173,40 @@ class UsProblem(GradientOracle):
         return 1
 
     def evaluate_scalar(self, theta: float, x: float) -> float:
+        # one frame for the hot scalar route; a float ** int that overflows
+        # raises rather than returning inf, and the odd power saturates to
+        # inf with the sign of d, so that run sees the divergence
+        d = theta - _CENTER
+        s = self.s
+        if s == 0:
+            pen = 0.0
+        else:
+            try:
+                pen = 2.0 * s * d ** (2 * s - 1)
+            except OverflowError:
+                pen = math.copysign(math.inf, d)
+        mult = 11.0 if 0.0 <= x <= 1.0 else -1.0
         if self.unbiased:
-            return g_s_unbiased(theta, x, self.s)
-        return g_s_sample(theta, x, self.s)
+            return mult * (d if abs(d) <= 1.0 else math.copysign(1.0, d)) + pen
+        if abs(d) <= 1.0:
+            return mult * (d * d + pen)
+        return mult * (abs(d) - 0.5 + pen)
 
     def evaluate(self, theta: ParameterVector, x: float) -> ParameterVector:
         return np.array([self.evaluate_scalar(float(theta[0]), x)])
 
     def evaluate_batch(self, thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        # a product rounds the same in either order, so the last add and
-        # multiply run in place with the bits of mult * (bracket + pen) and
-        # mult * lin + pen
+        # the odd power is taken on |d| and signed by copysign: numpy's pow
+        # takes a slow path for negative bases, and the two forms differ by
+        # at most an ulp, on a few percent of the negative lanes. A product
+        # rounds the same in either order, so the last add and multiply run
+        # in place with the bits of mult * (bracket + pen) and mult * lin + pen
         d = thetas - _CENTER
         ad = np.abs(d)
         s = self.s
         mult = np.where((xs >= 0.0) & (xs <= 1.0), 11.0, -1.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            pen = 0.0 if s == 0 else 2.0 * s * d ** (2 * s - 1)
+            pen = 0.0 if s == 0 else 2.0 * s * np.copysign(ad ** (2 * s - 1), d)
             inner = ad <= 1.0
             if self.unbiased:
                 out = np.where(inner, d, np.sign(d))

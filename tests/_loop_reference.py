@@ -16,7 +16,12 @@ through them.
 The replica law ``reference_terminal_law`` is ``tusla_terminal_law`` as a
 per-step loop, one data draw and one noise draw per step, with the drift
 ``overflow_safe_drift_batch_two_power`` (one clamped power per branch) and,
-for u_s, the gradient ``us_evaluate_batch``.
+for u_s, the gradient ``us_evaluate_batch``. ``us_evaluate_batch_signed_pow``
+is that gradient as it was before its odd power was taken on |d| and signed
+by copysign.
+
+The u_s estimators ``g_s_sample`` and ``g_s_unbiased`` are the nested forms
+that ``UsProblem.evaluate_scalar`` computes in one frame, bit for bit.
 """
 from __future__ import annotations
 
@@ -44,7 +49,7 @@ from tusla.optimizers import (
     TuslaConfig,
     _Recorder,
 )
-from tusla.problems import UsProblem
+from tusla.problems import UsProblem, _guard_pow
 
 
 # ------------------------------------------------------------ one-step forms
@@ -177,6 +182,43 @@ def records_equal(a: RunRecord, b: RunRecord) -> bool:
         and a.diverged == b.diverged
         and a.divergence_step == b.divergence_step
     )
+
+
+# ------------------------------------------------------------ u_s estimators
+
+
+def _multiplier(x: float) -> float:
+    # 12 * 1_{x in [0,1]} - 1: mean 1/11 under U[0, 11].
+    return 11.0 if 0.0 <= x <= 1.0 else -1.0
+
+
+def g_s_sample(theta: float, x: float, s: int) -> float:
+    """Benchmark gradient estimator: the multiplier scales the whole bracket.
+
+    Mean over x ~ U[0,11] is (1/11) * bracket, which is NOT u_s'(theta): the
+    basin term enters squared and the wall term is scaled down elevenfold.
+    The bracket also steps from 1 to 1/2 across |theta - 0.1| = 1, so the
+    estimator is discontinuous there.
+    """
+    d = theta - 0.1
+    pen = 0.0 if s == 0 else 2.0 * s * _guard_pow(d, 2 * s - 1)
+    if abs(d) <= 1.0:
+        bracket = d * d + pen
+    else:
+        bracket = (abs(d) - 0.5) + pen
+    return _multiplier(x) * bracket
+
+
+def g_s_unbiased(theta: float, x: float, s: int) -> float:
+    """Estimator with the multiplier on the basin slope only.
+
+    E[multiplier] = 1/11, so the mean over x ~ U[0,11] equals u_s'(theta)
+    exactly on both branches, and the sample path is continuous in theta.
+    """
+    d = theta - 0.1
+    pen = 0.0 if s == 0 else 2.0 * s * _guard_pow(d, 2 * s - 1)
+    lin = d if abs(d) <= 1.0 else math.copysign(1.0, d)
+    return _multiplier(x) * lin + pen
 
 
 # ------------------------------------------------------------ per-step loops
@@ -393,19 +435,35 @@ def overflow_safe_drift_batch_two_power(
     return np.where(small, low, high)
 
 
-def us_evaluate_batch(oracle: UsProblem, thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def us_odd_power(d: np.ndarray, e: int) -> np.ndarray:
+    """d ** e for odd e as ``UsProblem.evaluate_batch`` takes it: on |d|,
+    signed by copysign."""
+    return np.copysign(np.abs(d) ** e, d)
+
+
+def us_evaluate_batch(
+    oracle: UsProblem, thetas: np.ndarray, xs: np.ndarray, odd_power=us_odd_power
+) -> np.ndarray:
     """``UsProblem.evaluate_batch`` before it ran its last add and multiply in place."""
     d = thetas - 0.1
     s = oracle.s
     mult = np.where((xs >= 0.0) & (xs <= 1.0), 11.0, -1.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        pen = np.zeros_like(d) if s == 0 else 2.0 * s * d ** (2 * s - 1)
+        pen = np.zeros_like(d) if s == 0 else 2.0 * s * odd_power(d, 2 * s - 1)
         inner = np.abs(d) <= 1.0
         if oracle.unbiased:
             lin = np.where(inner, d, np.sign(d))
             return mult * lin + pen
         bracket = np.where(inner, d * d, np.abs(d) - 0.5) + pen
         return mult * bracket
+
+
+def us_evaluate_batch_signed_pow(
+    oracle: UsProblem, thetas: np.ndarray, xs: np.ndarray
+) -> np.ndarray:
+    """``us_evaluate_batch`` with the odd power on the signed d, as it was
+    before the copysign form."""
+    return us_evaluate_batch(oracle, thetas, xs, lambda d, e: d ** e)
 
 
 def reference_terminal_law(

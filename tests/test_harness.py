@@ -643,6 +643,13 @@ def test_cli_usage_errors(tmp_path, monkeypatch):
             assert main(["run", "--preset", preset, "--set", "r=2", "--set", "n_steps=50",
                          *extra, "--out", str(out)]) == 64, (preset, cpus)
             assert not out.exists() or not any(out.iterdir()), (preset, cpus)
+        # the recording and divergence settings are checked before --out is
+        # made or a worker forks
+        for bad in ("record_every=0", "divergence_threshold=0", "divergence_threshold=nan"):
+            out = tmp_path / f"{bad}-{cpus}"
+            assert main(["run", "--preset", "paper-s2", "--set", bad,
+                         "--out", str(out)]) == 64, (bad, cpus)
+            assert not out.exists(), (bad, cpus)
     # a negative base seed is rejected before the first chain runs
     out = tmp_path / "negative-seed"
     assert main(["run", "--preset", "paper-s2", "--seed", "-1", "--out", str(out)]) == 64

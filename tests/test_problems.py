@@ -1,11 +1,21 @@
 """Benchmark-problem tests: hand-computed values, estimator identities,
 finite-difference checks, and the scalar/batch agreement contract."""
 import math
+import struct
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _loop_reference import us_evaluate_batch
+from _loop_reference import (
+    g_s_sample,
+    g_s_unbiased,
+    us_evaluate_batch,
+    us_evaluate_batch_signed_pow,
+    us_odd_power,
+)
 from tusla.diagnostics import estimate_k_mean, estimate_x_rho_mean
 from tusla.problems import (
     ConstantDataSource,
@@ -13,8 +23,6 @@ from tusla.problems import (
     QuadraticProblem,
     UniformDataSource,
     UsProblem,
-    g_s_sample,
-    g_s_unbiased,
     one_neuron_gradient,
     one_neuron_parameters,
     one_neuron_value,
@@ -120,15 +128,17 @@ def test_u_s_overflow_saturates_to_inf():
 
 
 def test_g_s_hand_values():
-    assert g_s_sample(1.1, 0.5, 2) == 55.0
-    assert g_s_sample(1.1, 5.0, 2) == -5.0
+    prob = UsProblem(s=2)
+    assert prob.evaluate_scalar(1.1, 0.5) == 55.0
+    assert prob.evaluate_scalar(1.1, 5.0) == -5.0
 
 
 def test_estimators_vanish_at_minimizer():
     for s in (0, 1, 2, 26):
-        for x in (0.0, 0.5, 1.0, 4.2, 11.0):
-            assert g_s_sample(CENTER, x, s) == 0.0
-            assert g_s_unbiased(CENTER, x, s) == 0.0
+        for unbiased in (False, True):
+            prob = UsProblem(s=s, unbiased=unbiased)
+            for x in (0.0, 0.5, 1.0, 4.2, 11.0):
+                assert prob.evaluate_scalar(CENTER, x) == 0.0
 
 
 def test_unbiased_estimator_mean_is_exact_derivative():
@@ -147,7 +157,8 @@ def test_unbiased_estimator_monte_carlo_mean():
     rng = np.random.default_rng(11)
     xs = rng.uniform(0.0, 11.0, 400_000)
     theta, s = 1.7, 2
-    samples = np.array([g_s_unbiased(theta, float(x), s) for x in xs[:50_000]])
+    prob = UsProblem(s=s, unbiased=True)
+    samples = np.array([prob.evaluate_scalar(theta, float(x)) for x in xs[:50_000]])
     sem = samples.std(ddof=1) / math.sqrt(samples.size)
     assert abs(samples.mean() - u_s_derivative(theta, s)) <= 4.0 * sem
 
@@ -157,7 +168,8 @@ def test_printed_estimator_is_biased():
     rng = np.random.default_rng(13)
     xs = rng.uniform(0.0, 11.0, 50_000)
     theta, s = 1.7, 2
-    samples = np.array([g_s_sample(theta, float(x), s) for x in xs])
+    prob = UsProblem(s=s)
+    samples = np.array([prob.evaluate_scalar(theta, float(x)) for x in xs])
     sem = samples.std(ddof=1) / math.sqrt(samples.size)
     d = theta - CENTER
     bracket = (abs(d) - 0.5) + 2.0 * s * d ** (2 * s - 1)
@@ -166,10 +178,11 @@ def test_printed_estimator_is_biased():
 
 
 def _printed_mean_field(theta: float, s: int) -> float:
-    # mean of g_s_sample over x ~ U[0, 11]: a midpoint grid of 1000 cells per
-    # unit weights the multiplier's [0, 1] branch by exactly 1/11
+    # mean of the default estimator over x ~ U[0, 11]: a midpoint grid of 1000
+    # cells per unit weights the multiplier's [0, 1] branch by exactly 1/11
     xs = (np.arange(11_000) + 0.5) / 1000.0
-    return float(np.mean([g_s_sample(theta, float(x), s) for x in xs]))
+    prob = UsProblem(s=s)
+    return float(np.mean([prob.evaluate_scalar(theta, float(x)) for x in xs]))
 
 
 @pytest.mark.parametrize("s", [2, 3])
@@ -200,8 +213,9 @@ def test_printed_estimator_mean_field_has_two_basin_zeros(s):
 
 
 def test_printed_estimator_jumps_at_branch_switch():
-    lo = g_s_sample(math.nextafter(1.1, 0.0), 0.5, 0)
-    hi = g_s_sample(math.nextafter(1.1, 2.0), 0.5, 0)
+    prob = UsProblem(s=0)
+    lo = prob.evaluate_scalar(math.nextafter(1.1, 0.0), 0.5)
+    hi = prob.evaluate_scalar(math.nextafter(1.1, 2.0), 0.5)
     assert abs(lo - hi) > 5.0  # bracket steps from d^2 = 1 to |d| - 0.5 = 1/2
 
 
@@ -244,11 +258,135 @@ def test_evaluate_batch_is_the_out_of_place_form_bitwise():
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), (s, unbiased)
 
 
+DBL_MAX = sys.float_info.max
+_PEN_BASES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, DBL_MAX, -DBL_MAX,
+                     5e-324, -5e-324, 2.2e-308, -2.2e-308]),
+    st.floats(-8.0, 8.0, exclude_min=True, exclude_max=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([1, 2, 3, 26]), st.lists(_PEN_BASES, min_size=1, max_size=64))
+def test_copysign_odd_power_is_the_signed_power_within_an_ulp(s, ds):
+    # evaluate_batch takes the odd power on |d| and signs it; the signed-base
+    # pow it replaced can differ in the last bit, for negative d only. The
+    # scale by 2s rounds once more, so the whole pens may differ by 2 ulps
+    d = np.array(ds)
+    e = 2 * s - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        old, new = d ** e, us_odd_power(d, e)
+        old_pen, new_pen = 2.0 * s * old, 2.0 * s * new
+    for a, b, limit in ((old, new, 1), (old_pen, new_pen, 2)):
+        ia, ib = a.view(np.int64), b.view(np.int64)
+        exact = (d >= 0.0) | np.isnan(d) | ~(np.isfinite(a) & np.isfinite(b))
+        exact |= (a == 0.0) | (b == 0.0)
+        assert np.array_equal(ia[exact], ib[exact])
+        assert np.all(np.sign(a[~exact]) == np.sign(b[~exact]))
+        assert np.all(np.abs(ia[~exact] - ib[~exact]) <= limit)
+
+
+def test_law_gradient_keeps_its_bits_where_d_is_not_negative():
+    # the copysign form can move only lanes with d < 0, and none at s <= 1
+    rng = np.random.default_rng(8)
+    thetas = np.concatenate([rng.uniform(CENTER, 8.0, 400), rng.uniform(-8.0, 8.0, 400)])
+    xs = rng.uniform(0.0, 11.0, thetas.size)
+    for s in (0, 1, 2, 26):
+        for unbiased in (False, True):
+            prob = UsProblem(s=s, unbiased=unbiased)
+            new = us_evaluate_batch(prob, thetas, xs).view(np.int64)
+            old = us_evaluate_batch_signed_pow(prob, thetas, xs).view(np.int64)
+            kept = slice(None) if s <= 1 else slice(0, 400)
+            assert np.array_equal(new[kept], old[kept]), (s, unbiased)
+
+
+def _bits(v: float) -> bytes:
+    return struct.pack("<d", v)
+
+
+def _pow_overflow_edge(e: int) -> float:
+    # the largest float d for which the float power d ** e does not raise
+    d = math.exp(math.log(DBL_MAX) / e)
+    while True:
+        try:
+            d ** e
+            break
+        except OverflowError:
+            d = math.nextafter(d, 0.0)
+    while True:
+        up = math.nextafter(d, math.inf)
+        try:
+            up ** e
+        except OverflowError:
+            return d
+        d = up
+
+
+def _around(v: float, k: int = 3) -> list[float]:
+    out = [v]
+    lo = hi = v
+    for _ in range(k):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+_EDGE = _pow_overflow_edge(51)
+_SCALAR_THETAS = sorted(
+    set(_around(CENTER + 1.0) + _around(CENTER - 1.0) + _around(CENTER)
+        + [t for a in (_EDGE, 9.78e5) for t in _around(CENTER + a) + _around(CENTER - a)]
+        + [0.0, -0.0, 2.5, -2.5, 1e300, -1e300, math.inf, -math.inf])
+) + [math.nan]
+_SCALAR_XS = [0.0, math.nextafter(0.0, -1.0), math.nextafter(0.0, 1.0),
+              1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), 5.0, math.nan]
+
+
+@pytest.mark.parametrize("s", [0, 1, 2, 26])
+@pytest.mark.parametrize("unbiased", [False, True])
+def test_evaluate_scalar_is_the_nested_estimator_bitwise(s, unbiased):
+    # one frame, the same bits as g_s_sample/g_s_unbiased over _multiplier
+    # and _guard_pow: at the branch edges, the multiplier's edges, nan, and
+    # the s = 26 overflow edge, where d ** 51 raises and saturates to inf
+    prob = UsProblem(s=s, unbiased=unbiased)
+    ref = g_s_unbiased if unbiased else g_s_sample
+    for theta in _SCALAR_THETAS:
+        for x in _SCALAR_XS:
+            got = prob.evaluate_scalar(theta, x)
+            assert _bits(got) == _bits(ref(theta, x, s)), (theta, x)
+    if s == 26:
+        raised = 0
+        for theta in _SCALAR_THETAS:
+            d = theta - CENTER
+            try:
+                d ** 51
+            except OverflowError:
+                raised += 1
+                for x in (0.5, 5.0):
+                    got = prob.evaluate_scalar(theta, x)
+                    sign = math.copysign(1.0, d) * (1.0 if unbiased or x <= 1.0 else -1.0)
+                    assert got == sign * math.inf, (theta, x)
+        assert raised >= 4  # both signs, past the edge
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([0, 1, 2, 26]),
+    st.booleans(),
+    st.one_of(st.floats(-8.0, 8.0), st.floats(-2e6, 2e6), st.floats()),
+    st.one_of(st.floats(0.0, 11.0), st.floats()),
+)
+def test_evaluate_scalar_matches_the_nested_estimator_anywhere(s, unbiased, theta, x):
+    ref = g_s_unbiased if unbiased else g_s_sample
+    assert _bits(UsProblem(s=s, unbiased=unbiased).evaluate_scalar(theta, x)) == _bits(
+        ref(theta, x, s)
+    )
+
+
 def test_evaluate_wraps_scalar():
     prob = UsProblem(s=2)
     out = prob.evaluate(np.array([1.7]), 0.3)
     assert out.shape == (1,)
-    assert out[0] == g_s_sample(1.7, 0.3, 2)
+    assert out[0] == prob.evaluate_scalar(1.7, 0.3) == g_s_sample(1.7, 0.3, 2)
 
 
 # ---------------------------------------------------------------------------
