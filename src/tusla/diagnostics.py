@@ -15,7 +15,6 @@ Two groups:
 """
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -37,8 +36,6 @@ from .optimizers import (
     _check_beta,
     _check_step_size,
     _streams,
-    fork_map,
-    fork_workers,
 )
 
 __all__ = [
@@ -346,13 +343,8 @@ def tusla_terminal_law(
     |d| by copysign) agree with run's libm pow to an ulp or two, not bitwise;
     the stream layout differs too, so seeds are not interchangeable between
     the two. lam and beta must be positive and finite, n_steps >= 0 and
-    n_replicas >= 1. Non-finite replicas are dropped with one warning.
-
-    The replicas run as contiguous slices, one per worker of
-    ``optimizers.fork_map`` (min(usable CPUs, n_replicas) processes). Every
-    slice draws the full blocks and steps only its own columns, and every
-    operation on a replica is elementwise, so the result is bitwise the same
-    whatever the worker count or slicing.
+    n_replicas >= 1, theta0 finite. Non-finite replicas are dropped with one
+    warning. The law runs in process.
     """
     if oracle.dim() != 1:
         raise ValueError("replica integrator handles 1-D parameters only")
@@ -362,14 +354,27 @@ def tusla_terminal_law(
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     if n_replicas < 1:
         raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
+    if not math.isfinite(theta0):
+        raise ValueError(f"theta0 must be finite, got {theta0}")
     reg.require_order(oracle.meta().q)
-    workers = fork_workers(n_replicas)
-    cuts = [n_replicas * i // workers for i in range(workers + 1)]
-    columns = functools.partial(
-        _law_columns, oracle, stream, lam, beta, reg, float(theta0), n_steps, n_replicas, seed
-    )
-    slices, _ = fork_map(columns, [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])])
-    thetas = np.concatenate(slices)
+    data_rng, noise_rng = _streams(seed, ALGO_IDS["tusla"])
+    thetas = np.full(n_replicas, float(theta0))
+    scale = math.sqrt(2.0 * lam / beta)
+    block = _block_size(n_steps, n_replicas)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n_steps, block):
+            k = min(block, n_steps - start)
+            xs = stream.sample_batch(data_rng, k * n_replicas)
+            xs = xs.reshape((k, n_replicas) + xs.shape[1:])
+            # scale * xi rounds elementwise as it would at the step
+            xis = noise_rng.standard_normal((k, n_replicas))
+            xis *= scale
+            for x, xi in zip(xs, xis):
+                g = oracle.evaluate_batch(thetas, x)
+                drift = overflow_safe_drift_batch(g, thetas, lam, reg)
+                drift *= lam
+                thetas -= drift
+                thetas += xi
     finite = np.isfinite(thetas)
     if not np.all(finite):
         warnings.warn(
@@ -381,29 +386,3 @@ def tusla_terminal_law(
     if thetas.size == 0:
         raise ValueError("all replicas diverged")
     return EmpiricalDistribution1D.from_samples(thetas)
-
-
-def _law_columns(
-    oracle, stream, lam, beta, reg, theta0, n_steps, n_replicas, seed, cols: slice
-) -> np.ndarray:
-    # terminal states of replicas cols; the blocks are drawn whole and sized
-    # from n_replicas, so a replica sees the same draws in any slice
-    data_rng, noise_rng = _streams(seed, ALGO_IDS["tusla"])
-    thetas = np.full(cols.stop - cols.start, theta0)
-    scale = math.sqrt(2.0 * lam / beta)
-    block = _block_size(n_steps, n_replicas)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n_steps, block):
-            k = min(block, n_steps - start)
-            xs = stream.sample_batch(data_rng, k * n_replicas)
-            xs = xs.reshape((k, n_replicas) + xs.shape[1:])[:, cols]
-            # scale * xi rounds elementwise as it would at the step
-            xis = noise_rng.standard_normal((k, n_replicas))[:, cols]
-            xis *= scale
-            for x, xi in zip(xs, xis):
-                g = oracle.evaluate_batch(thetas, x)
-                drift = overflow_safe_drift_batch(g, thetas, lam, reg)
-                drift *= lam
-                thetas -= drift
-                thetas += xi
-    return thetas

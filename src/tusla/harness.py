@@ -728,14 +728,12 @@ def _cmd_gibbs(args) -> int:
     # checked before the law, which takes seconds at the defaults
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
-    if not math.isfinite(args.theta0):
-        raise ValueError(f"--theta0 must be finite, got {args.theta0}")
     if not args.eta >= 0.0:
         raise ValueError(f"--eta must be >= 0, got {args.eta}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([args.seed, 9])))
     eta = 0.01 if args.problem == "us" and args.eta == 0.0 else args.eta
     setup = _ProblemSetup(ExperimentConfig(problem=args.problem, s=args.s, eta=eta))
-    # the law checks lam, beta, steps and replicas before anything divides by them
+    # the law checks lam, beta, steps, replicas and theta0 before it draws anything
     law = tusla_terminal_law(
         setup.oracle, setup.stream, args.lam, args.beta, setup.reg,
         theta0=args.theta0, n_steps=args.steps, n_replicas=args.replicas, seed=args.seed,

@@ -40,8 +40,8 @@ with algo_id 0/1/2 for TUSLA/SGLD/ADAM. Two algorithms given the same seed
 therefore see the same data sequence but independent noise. Gaussians come
 from numpy Generator.standard_normal (PCG64 + ziggurat).
 
-``fork_map`` is the one worker pool: ``harness.run_config`` runs its chains
-through it and ``diagnostics.tusla_terminal_law`` its replica slices.
+``fork_map`` is the worker pool ``harness.run_config`` runs its chains
+through; the replica law ``diagnostics.tusla_terminal_law`` runs in process.
 """
 from __future__ import annotations
 
@@ -487,7 +487,7 @@ def _run_rows(
 
 
 # ---------------------------------------------------------------------------
-# worker pool, shared by run_config's chains and the replica law's slices
+# worker pool, for run_config's chains
 
 
 def _usable_cpus() -> int:
@@ -497,30 +497,14 @@ def _usable_cpus() -> int:
         return 1
 
 
-def fork_workers(n_tasks: int) -> int:
-    """Processes ``fork_map`` uses for n_tasks tasks; 1 means in process.
-
-    min(usable CPUs, n_tasks), where the usable CPUs are this process's
-    affinity mask (``taskset -c 0`` gives 1), and 1 where the platform
-    cannot fork or this process is daemonic (a ``multiprocessing.Pool``
-    worker may not have children).
-    """
-    workers = min(_usable_cpus(), n_tasks)
-    if workers > 1:
-        # imported here, so that import tusla does not pay for it
-        import multiprocessing
-
-        if ("fork" not in multiprocessing.get_all_start_methods()
-                or multiprocessing.current_process().daemon):
-            return 1
-    return workers
-
-
 def fork_map(fn: Callable, tasks: list) -> tuple[list, int]:
     """[fn(task) for task in tasks], in task order, and the processes used.
 
-    The tasks go to ``fork_workers(len(tasks))`` forked workers, or run here
-    one after another when that is 1. A fork start method lets each worker
+    The tasks go to min(usable CPUs, tasks) forked workers, where the usable
+    CPUs are this process's affinity mask (``taskset -c 0`` gives 1). They
+    run here one after another when that is 1, when the platform cannot
+    fork, or when this process is daemonic (a ``multiprocessing.Pool``
+    worker may not have children). A fork start method lets each worker
     inherit fn (which may close over lambdas, oracles and streams) and the
     warning filters without pickling; only the tasks and their outcomes
     cross a pipe. A task's exception is raised here once the other tasks
@@ -530,19 +514,22 @@ def fork_map(fn: Callable, tasks: list) -> tuple[list, int]:
     (``DeprecationWarning``) when they fork one, as they may when a
     threaded BLAS runs.
     """
-    workers = fork_workers(len(tasks))
-    if workers == 1:
-        return [fn(task) for task in tasks], 1
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    workers = min(_usable_cpus(), len(tasks))
+    if workers > 1:
+        # imported here, so that import tusla does not pay for them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    # unlike multiprocessing.Pool, the executor raises BrokenProcessPool
-    # when a worker dies (a signal, the OOM killer) instead of hanging
-    with ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork"),
-        initializer=_bind, initargs=(fn,),
-    ) as pool:
-        return list(pool.map(_call_bound, tasks)), workers
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and not multiprocessing.current_process().daemon):
+            # unlike multiprocessing.Pool, the executor raises BrokenProcessPool
+            # when a worker dies (a signal, the OOM killer) instead of hanging
+            with ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_bind, initargs=(fn,),
+            ) as pool:
+                return list(pool.map(_call_bound, tasks)), workers
+    return [fn(task) for task in tasks], 1
 
 
 _bound_fn: Optional[Callable] = None  # set in pool workers only, by _bind

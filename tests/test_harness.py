@@ -669,13 +669,19 @@ def test_cli_usage_errors(tmp_path, monkeypatch):
         out = tmp_path / "constants.json"
         assert main(["constants", *bad, "--out", str(out)]) == 64, bad
         assert not out.exists(), bad
-    # tusla gibbs checks --samples and --theta0 before the law runs at all
+    # the law itself rejects a non-finite --theta0, before its first step
+    for bad in ("nan", "inf", "-inf"):
+        for problem in ("quadratic", "us"):
+            out = tmp_path / "gibbs.json"
+            assert main(["gibbs", "--problem", problem, "--theta0", bad,
+                         "--out", str(out)]) == 64, (problem, bad)
+            assert not out.exists(), (problem, bad)
+    # tusla gibbs checks --samples and --eta before the law runs at all
     def no_law(*args, **kwargs):
         raise AssertionError("tusla_terminal_law ran")
 
     monkeypatch.setattr(harness, "tusla_terminal_law", no_law)
-    for bad in (["--samples", "0"], ["--samples", "-5"], ["--theta0", "nan"],
-                ["--theta0", "inf"], ["--theta0", "-inf"], ["--eta", "-0.5"], ["--eta", "nan"]):
+    for bad in (["--samples", "0"], ["--samples", "-5"], ["--eta", "-0.5"], ["--eta", "nan"]):
         for problem in ("quadratic", "us"):
             out = tmp_path / "gibbs.json"
             assert main(["gibbs", "--problem", problem, *bad, "--out", str(out)]) == 64, bad

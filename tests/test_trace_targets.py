@@ -50,3 +50,38 @@ def test_traced_leaf_and_span_paths_resolve():
         assert callable(fn), f"{name}: {path} does not resolve"
         params = set(inspect.signature(fn).parameters)
         assert SPAN_ARGS.get(name, set()) <= params, f"{name}: {path} lacks {SPAN_ARGS[name]}"
+
+
+def test_traced_gibbs_leaves_are_called_in_this_process(tmp_path, monkeypatch):
+    # the child wraps the replica law's leaves in its own process, so the law
+    # must call them there, through the same lookups, whatever the CPU count
+    from tusla import diagnostics, optimizers
+    from tusla.problems import UniformDataSource, UsProblem
+
+    calls = {}
+
+    def count(owner, attr):
+        fn = getattr(owner, attr)
+        calls[attr] = 0
+
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    count(diagnostics, "overflow_safe_drift_batch")
+    count(UsProblem, "evaluate_batch")
+    count(UniformDataSource, "sample_batch")
+    monkeypatch.setattr(optimizers, "_usable_cpus", lambda: 2)
+    steps, replicas = 10, 4
+    assert tusla.harness.main([
+        "gibbs", "--problem", "us", "--steps", str(steps), "--replicas", str(replicas),
+        "--samples", "2000", "--out", str(tmp_path / "gibbs.json"),
+    ]) == 0
+    block = optimizers._block_size(steps, replicas)
+    assert calls == {
+        "overflow_safe_drift_batch": steps,
+        "evaluate_batch": steps,
+        "sample_batch": -(-steps // block),
+    }
