@@ -47,7 +47,7 @@ def main() -> None:
     reg = RegularizationParams(eta=0.0, r=1.5)
     gibbs = gibbs_sampler_1d(
         lambda x: 0.5 * x * x, args.beta, (-12.0 * sigma, 12.0 * sigma),
-        np.random.default_rng(args.seed), n_samples=200_000,
+        np.random.default_rng(args.seed), n_draws=200_000,
     )
 
     rows = []

@@ -41,8 +41,6 @@ from .optimizers import (
 __all__ = [
     "TheoryConstants",
     "theory_constants",
-    "estimate_k_mean",
-    "estimate_x_rho_mean",
     "EmpiricalDistribution1D",
     "gibbs_sampler_1d",
     "wasserstein_p_1d",
@@ -96,7 +94,7 @@ def theory_constants(
 ) -> TheoryConstants:
     """Assemble TheoryConstants from declared metadata and data moments.
 
-    k_mean: E[K(X)] (use estimate_k_mean or a closed form).
+    k_mean: E[K(X)], e.g. the oracle's closed-form k_mean_exact().
     x_rho_mean: E[(1 + |X|)^rho] (enters L2).
     Requires eta > 0: without the superlinear penalty there is no
     dissipativity envelope to certify.
@@ -133,27 +131,6 @@ def theory_constants(
         log10_B=log10_B,
         log10_a=log10_a,
     )
-
-
-def estimate_k_mean(
-    oracle: GradientOracle, stream, n: int, seed: int
-) -> tuple[float, float]:
-    """(Monte-Carlo mean of K(X), standard error) over n stream draws."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 3])))
-    vals = np.array([oracle.k_of(stream.sample(rng)) for _ in range(n)])
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n))
-
-
-def estimate_x_rho_mean(
-    oracle: GradientOracle, stream, n: int, seed: int
-) -> tuple[float, float]:
-    """(Monte-Carlo mean of (1+|X|)^rho, standard error)."""
-    rho = oracle.meta().rho
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 4])))
-    vals = np.array(
-        [(1.0 + oracle.x_norm(stream.sample(rng))) ** rho for _ in range(n)]
-    )
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n))
 
 
 @dataclass(frozen=True)
@@ -199,10 +176,10 @@ def gibbs_sampler_1d(
     beta: float,
     support: Optional[tuple[float, float]],
     rng: np.random.Generator,
-    n_samples: int,
+    n_draws: int,
     n_cells: int = 1 << 14,
 ) -> EmpiricalDistribution1D:
-    """Draw n_samples from the density proportional to exp(-beta u(x)).
+    """Draw n_draws samples from the density proportional to exp(-beta u(x)).
 
     u must accept a float64 array and return elementwise values. support
     None starts from [-20, 20] and doubles the span until the boundary
@@ -213,8 +190,8 @@ def gibbs_sampler_1d(
     """
     if not (math.isfinite(beta) and beta > 0.0):
         raise ValueError(f"beta must be positive and finite, got {beta}")
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
+    if n_draws < 1:
+        raise ValueError("n_draws must be positive")
     if n_cells < (1 << 14):
         raise ValueError(f"need at least {1 << 14} cells, got {n_cells}")
 
@@ -260,7 +237,7 @@ def gibbs_sampler_1d(
         raise ValueError("density mass is zero or non-finite on the support")
     cdf = np.concatenate([[0.0], np.cumsum(masses)]) / total
     cdf[-1] = 1.0
-    us = rng.random(n_samples)
+    us = rng.random(n_draws)
     return EmpiricalDistribution1D.from_samples(np.interp(us, cdf, nodes))
 
 
@@ -348,6 +325,10 @@ def tusla_terminal_law(
     """
     if oracle.dim() != 1:
         raise ValueError("replica integrator handles 1-D parameters only")
+    if type(oracle).evaluate_batch is GradientOracle.evaluate_batch:
+        raise ValueError(
+            f"replica integrator needs evaluate_batch, which {type(oracle).__name__} lacks"
+        )
     _check_step_size(lam)
     _check_beta(beta)
     if n_steps < 0:

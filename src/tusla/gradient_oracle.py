@@ -35,7 +35,6 @@ __all__ = [
     "OracleMeta",
     "RegularizationParams",
     "GradientOracle",
-    "growth_envelope",
     "overflow_safe_drift",
     "overflow_safe_drift_batch",
     "lambda_max",
@@ -154,26 +153,13 @@ class GradientOracle(ABC):
     def meta(self) -> OracleMeta:
         """Growth constants (q, rho, L1) declared for this oracle."""
 
-    def k_of(self, x: DataSample) -> float:
-        """Per-sample growth envelope K(x) with |G| <= K(x)(1 + |theta|^q)."""
-        return growth_envelope(self.meta(), self.g0_norm(x), self.x_norm(x))
-
-    def g0_norm(self, x: DataSample) -> float:
-        """|G(0, x)|; override when a closed form is cheaper than evaluate."""
-        d = self.dim()
-        return safe_norm(self.evaluate(np.zeros(d), x))
-
-    def x_norm(self, x: DataSample) -> float:
-        """Norm of the data sample as it enters the growth bounds."""
-        if np.isscalar(x):
-            return abs(float(x))
-        return safe_norm(np.asarray(x, dtype=np.float64).ravel())
-
     def dim(self) -> int:
         """Parameter dimension (1 unless overridden)."""
         return 1
 
-    # Optional fast paths; optimizers and diagnostics fall back when absent.
+    # Optional fast paths. The optimizers take evaluate_scalar when it is
+    # there and evaluate_rows otherwise; the replica law needs evaluate_batch
+    # and has no fallback (tusla_terminal_law checks for it).
 
     def evaluate_scalar(self, theta: float, x: DataSample) -> float:
         """Scalar gradient for d == 1 problems; hot-loop fast path."""
@@ -187,11 +173,6 @@ class GradientOracle(ABC):
         """G at R (theta, x) pairs: row i of the (R, d) result is
         evaluate(thetas[i], xs[i]). The default stacks per-row calls."""
         return np.array([self.evaluate(theta, x) for theta, x in zip(thetas, xs)])
-
-
-def growth_envelope(meta: OracleMeta, g0_norm: float, x_norm: float) -> float:
-    """K(x) = 2^q (L1 (1+|x|)^rho + |G(0,x)|)."""
-    return 2.0 ** meta.q * (meta.L1 * (1.0 + x_norm) ** meta.rho + g0_norm)
 
 
 def overflow_safe_drift(

@@ -36,8 +36,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .diagnostics import (
-    estimate_k_mean,
-    estimate_x_rho_mean,
     gibbs_sampler_1d,
     ks_vs_gaussian,
     theory_constants,
@@ -641,9 +639,6 @@ def _build_parser() -> _Parser:
     pc.add_argument("--eta", type=float, default=0.01)
     pc.add_argument("--r", type=float, default=None)
     pc.add_argument("--p", type=int, default=2, help="moment order for lambda_max")
-    pc.add_argument("--n-samples", type=int, default=None,
-                    help="Monte-Carlo draws for data moments (us only; default 20000)")
-    pc.add_argument("--seed", type=int, default=0)
     pc.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
     pg = sub.add_parser("gibbs", help="compare a tamed-chain terminal law to its Gibbs target")
@@ -689,18 +684,9 @@ def _cmd_constants(args) -> int:
     setup = _ProblemSetup(
         ExperimentConfig(problem=args.problem, s=args.s, eta=args.eta, r=args.r)
     )
-    oracle, stream = setup.oracle, setup.stream
-    exact = {}
-    n = 64  # the quadratic's data are a constant
-    if args.problem == "us":
-        n = 20000 if args.n_samples is None else args.n_samples
-        if n < 2:  # the standard errors divide by n - 1
-            raise ValueError(f"--n-samples must be at least 2, got {n}")
-        exact = {"k_mean_exact": oracle.k_mean_exact(), "x_rho_mean_exact": oracle.x_rho_mean_exact()}
-    elif args.n_samples is not None:
-        raise ValueError("--n-samples applies to --problem us only: the quadratic's data are a constant")
-    k_mean, k_se = estimate_k_mean(oracle, stream, n, args.seed)
-    x_mean, x_se = estimate_x_rho_mean(oracle, stream, n, args.seed)
+    oracle = setup.oracle
+    # both problems have the data moments in closed form
+    k_mean, x_mean = oracle.k_mean_exact(), oracle.x_rho_mean_exact()
     tc = theory_constants(oracle.meta(), setup.reg, k_mean, args.p, x_mean)
     fields = dataclasses.asdict(tc)
     out = {
@@ -715,10 +701,7 @@ def _cmd_constants(args) -> int:
         "p": args.p,
         "meta": dataclasses.asdict(oracle.meta()),
         "k_mean": k_mean,
-        "k_mean_se": k_se,
         "x_rho_mean": x_mean,
-        "x_rho_mean_se": x_se,
-        **exact,
     }
     _dump_json(out, args.out or None)
     return _EX_OK
@@ -744,7 +727,7 @@ def _cmd_gibbs(args) -> int:
     else:
         u = lambda x: u_s_value_batch(x, args.s)
         sigma = None
-    gibbs = gibbs_sampler_1d(u, args.beta, None, rng, n_samples=args.samples)
+    gibbs = gibbs_sampler_1d(u, args.beta, None, rng, n_draws=args.samples)
     out = {
         "problem": args.problem,
         "s": args.s if args.problem == "us" else None,

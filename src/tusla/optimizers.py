@@ -144,8 +144,8 @@ class AdamConfig:
         for name, b in (("beta1", self.beta1), ("beta2", self.beta2)):
             if not (0.0 <= b < 1.0):
                 raise ValueError(f"{name} must lie in [0, 1), got {b}")
-        if self.eps < 0.0:
-            raise ValueError(f"eps must be non-negative, got {self.eps}")
+        if not (math.isfinite(self.eps) and self.eps >= 0.0):
+            raise ValueError(f"eps must be finite and non-negative, got {self.eps}")
 
 
 @dataclass

@@ -218,9 +218,6 @@ class UsProblem(GradientOracle):
             out *= mult
             return out
 
-    def g0_norm(self, x: float) -> float:
-        return abs(self.evaluate_scalar(0.0, x))
-
     def k_mean_exact(self) -> float:
         """E[K(X)] under X ~ U[0, 11], in closed form.
 
@@ -264,8 +261,13 @@ class QuadraticProblem(GradientOracle):
     def evaluate_batch(self, thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
         return thetas.copy()
 
-    def g0_norm(self, x: object) -> float:
-        return 0.0
+    def k_mean_exact(self) -> float:
+        """E[K(X)] = 2^q L1 = 2: the data are the constant 0 and G(0, x) = 0."""
+        return 2.0
+
+    def x_rho_mean_exact(self) -> float:
+        """E[(1 + |X|)^rho] = 1 for the constant data 0."""
+        return 1.0
 
     @property
     def theta_star(self) -> float:
@@ -334,7 +336,3 @@ class OneNeuronProblem(GradientOracle):
     def evaluate(self, theta: ParameterVector, x) -> ParameterVector:
         xv, yv = float(x[0]), float(x[1])
         return one_neuron_gradient(float(theta[0]), float(theta[1]), xv, yv, self.eta)
-
-    def g0_norm(self, x) -> float:
-        # At w = 0 only the w2 component survives: |G(0, x)| = 2|y||atan(S)|.
-        return 2.0 * abs(float(x[1])) * abs(math.atan(self.S))

@@ -6,11 +6,11 @@ call them with a few hundred draws; the acceptance gate reruns them at
 >= 10^3 draws per suite. All randomness comes from the caller's Generator so
 failures reproduce.
 
-The checkers are test code because no command calls them: the MLP growth
-bounds with their pointwise checker ``partial_deriv_bound_check`` (built on
-the per-sample forms in ``_mlp_reference.py``), the penalized drift's
-Lipschitz constants, the dissipativity grid check and the running moment of
-a recorded run.
+The checkers are test code because no command calls them: the per-sample
+growth envelope K(x), the MLP growth bounds with their pointwise checker
+``partial_deriv_bound_check`` (built on the per-sample forms in
+``_mlp_reference.py``), the penalized drift's Lipschitz constants, the
+dissipativity grid check and the running moment of a recorded run.
 """
 import math
 from dataclasses import dataclass
@@ -39,6 +39,22 @@ def _rand_theta(rng: np.random.Generator, d: int) -> np.ndarray:
     return v / n * scale
 
 
+def data_norm(x) -> float:
+    """Norm of a data sample as it enters the growth bounds."""
+    if np.isscalar(x):
+        return abs(float(x))
+    return safe_norm(np.asarray(x, dtype=np.float64).ravel())
+
+
+def growth_envelope(oracle, x) -> float:
+    """Per-sample K(x) = 2^q (L1 (1+|x|)^rho + |G(0,x)|), the envelope with
+    |G(theta, x)| <= K(x) (1 + |theta|^q); its mean is the closed-form
+    k_mean_exact() where a problem has one."""
+    meta = oracle.meta()
+    g0 = safe_norm(oracle.evaluate(np.zeros(oracle.dim()), x))
+    return 2.0 ** meta.q * (meta.L1 * (1.0 + data_norm(x)) ** meta.rho + g0)
+
+
 def g_growth_violations(oracle, sample, draws: int, rng: np.random.Generator) -> int:
     """|G(theta, x)| <= K(x) (1 + |theta|^q)."""
     q = oracle.meta().q
@@ -51,7 +67,7 @@ def g_growth_violations(oracle, sample, draws: int, rng: np.random.Generator) ->
         a = safe_norm(theta)
         with np.errstate(over="ignore"):
             # numpy pow so 1e6**52 saturates to inf instead of raising
-            rhs = oracle.k_of(x) * (1.0 + np.float64(a) ** q)
+            rhs = growth_envelope(oracle, x) * (1.0 + np.float64(a) ** q)
         if not lhs <= rhs * (1.0 + SLACK):
             bad += 1
     return bad
@@ -71,7 +87,7 @@ def h_growth_violations(
         g = np.asarray(oracle.evaluate(theta, x), dtype=np.float64)
         h = overflow_safe_drift(g, theta, lam, reg)
         lhs = math.sqrt(lam) * safe_norm(h)
-        rhs = oracle.k_of(x) + reg.eta * safe_norm(theta)
+        rhs = growth_envelope(oracle, x) + reg.eta * safe_norm(theta)
         if not lhs <= rhs * (1.0 + SLACK):
             bad += 1
     return bad
@@ -91,7 +107,7 @@ def sqr_growth_violations(
         g = np.asarray(oracle.evaluate(theta, x), dtype=np.float64)
         h = overflow_safe_drift(g, theta, lam, reg)
         nh = safe_norm(h)
-        k = oracle.k_of(x)
+        k = growth_envelope(oracle, x)
         a = safe_norm(theta)
         if not lam * nh * nh <= (4.0 * k * k + 2.0 * reg.eta ** 2 * a * a) * (1.0 + SLACK):
             bad += 1
@@ -128,7 +144,7 @@ def drift_lipschitz_violations(
         h1 = regularized_gradient(np.asarray(oracle.evaluate(t1, x), dtype=np.float64), t1, reg)
         h2 = regularized_gradient(np.asarray(oracle.evaluate(t2, x), dtype=np.float64), t2, reg)
         lhs = safe_norm(h1 - h2)
-        xn = oracle.x_norm(x)
+        xn = data_norm(x)
         n1, n2 = safe_norm(t1), safe_norm(t2)
         rhs = (
             L

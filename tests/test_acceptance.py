@@ -427,7 +427,7 @@ def test_criterion_9_estimator_correctness():
         for xs, ys, p, want in fixtures
     )
     dist = gibbs_sampler_1d(lambda x: 0.5 * x * x, beta=1.0, support=(-10.0, 10.0),
-                            rng=np.random.default_rng(11), n_samples=100_000)
+                            rng=np.random.default_rng(11), n_draws=100_000)
     ks = ks_vs_gaussian(dist, sigma=1.0)
     _gate([
         (f"wasserstein_p_1d matches {len(fixtures)} hand fixtures exactly", exact),

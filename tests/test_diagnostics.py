@@ -16,8 +16,6 @@ from _suites import dissipativity_check, empirical_moment
 from tusla import optimizers
 from tusla.diagnostics import (
     EmpiricalDistribution1D,
-    estimate_k_mean,
-    estimate_x_rho_mean,
     gaussian_quantiles,
     gibbs_sampler_1d,
     ks_vs_gaussian,
@@ -27,6 +25,7 @@ from tusla.diagnostics import (
     wasserstein_to_gaussian,
 )
 from tusla.gradient_oracle import (
+    GradientOracle,
     OracleMeta,
     RegularizationParams,
     lambda_max,
@@ -101,16 +100,6 @@ def test_theory_constants_validation():
         # q = 4 demands r >= 3
         theory_constants(OracleMeta(q=4.0, rho=1.0, L1=1.0),
                          RegularizationParams(eta=0.5, r=1.0), k_mean=1.0, p=2)
-
-
-def test_moment_estimators_are_deterministic():
-    prob = UsProblem(s=2)
-    stream = UniformDataSource()
-    assert estimate_k_mean(prob, stream, 500, seed=3) == estimate_k_mean(prob, stream, 500, seed=3)
-    a, _ = estimate_k_mean(prob, stream, 500, seed=3)
-    b, _ = estimate_k_mean(prob, stream, 500, seed=4)
-    assert a != b
-    assert estimate_x_rho_mean(prob, stream, 500, seed=3) == estimate_x_rho_mean(prob, stream, 500, seed=3)
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +208,11 @@ def test_empirical_distribution_validation():
 def test_gibbs_sampler_recovers_gaussian():
     rng = np.random.default_rng(1)
     u = lambda x: 0.5 * x * x
-    d1 = gibbs_sampler_1d(u, beta=1.0, support=None, rng=rng, n_samples=100_000)
+    d1 = gibbs_sampler_1d(u, beta=1.0, support=None, rng=rng, n_draws=100_000)
     assert abs(d1.mean()) < 0.015
     assert abs(d1.var() - 1.0) < 0.02
     assert ks_vs_gaussian(d1, 1.0) < 0.01
-    d4 = gibbs_sampler_1d(u, beta=4.0, support=None, rng=rng, n_samples=100_000)
+    d4 = gibbs_sampler_1d(u, beta=4.0, support=None, rng=rng, n_draws=100_000)
     assert abs(d4.var() - 0.25) < 0.01
     assert wasserstein_to_gaussian(d4, 0.5, p=2) < 0.02
 
@@ -231,7 +220,7 @@ def test_gibbs_sampler_recovers_gaussian():
 def test_gibbs_sampler_us_density_centers_at_minimizer():
     rng = np.random.default_rng(2)
     d = gibbs_sampler_1d(lambda x: u_s_value_batch(x, 2), beta=10.0, support=None,
-                         rng=rng, n_samples=50_000)
+                         rng=rng, n_draws=50_000)
     assert abs(d.mean() - 0.1) < 0.02  # density is symmetric about 0.1
     assert np.all(np.abs(d.samples - 0.1) < 2.0)
 
@@ -239,7 +228,7 @@ def test_gibbs_sampler_us_density_centers_at_minimizer():
 def test_gibbs_sampler_explicit_support():
     rng = np.random.default_rng(3)
     d = gibbs_sampler_1d(lambda x: 0.5 * x * x, beta=2.0, support=(-1.0, 1.25),
-                         rng=rng, n_samples=5_000)
+                         rng=rng, n_draws=5_000)
     assert d.samples.min() >= -1.0
     assert d.samples.max() <= 1.25
 
@@ -248,19 +237,19 @@ def test_gibbs_sampler_validation():
     rng = np.random.default_rng(4)
     u = lambda x: 0.5 * x * x
     with pytest.raises(ValueError):
-        gibbs_sampler_1d(u, beta=0.0, support=None, rng=rng, n_samples=10)
+        gibbs_sampler_1d(u, beta=0.0, support=None, rng=rng, n_draws=10)
     with pytest.raises(ValueError):
-        gibbs_sampler_1d(u, beta=1.0, support=None, rng=rng, n_samples=0)
+        gibbs_sampler_1d(u, beta=1.0, support=None, rng=rng, n_draws=0)
     with pytest.raises(ValueError):
-        gibbs_sampler_1d(u, beta=1.0, support=None, rng=rng, n_samples=10, n_cells=100)
+        gibbs_sampler_1d(u, beta=1.0, support=None, rng=rng, n_draws=10, n_cells=100)
     with pytest.raises(ValueError):
-        gibbs_sampler_1d(u, beta=1.0, support=(2.0, 1.0), rng=rng, n_samples=10)
+        gibbs_sampler_1d(u, beta=1.0, support=(2.0, 1.0), rng=rng, n_draws=10)
     with pytest.raises(ValueError):
         # exp(+beta x^2) is not integrable; auto-widening must give up
-        gibbs_sampler_1d(lambda x: -x * x, beta=1.0, support=None, rng=rng, n_samples=10)
+        gibbs_sampler_1d(lambda x: -x * x, beta=1.0, support=None, rng=rng, n_draws=10)
     with pytest.raises(ValueError):
         gibbs_sampler_1d(lambda x: np.sqrt(x), beta=1.0, support=(-2.0, 2.0),
-                         rng=rng, n_samples=10)
+                         rng=rng, n_draws=10)
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +456,25 @@ def test_terminal_law_rejects_a_non_finite_start(monkeypatch, theta0):
     with pytest.raises(ValueError, match="theta0"):
         tusla_terminal_law(oracle, stream, 0.01, 4.0, reg, theta0=theta0, n_steps=5,
                            n_replicas=4, seed=0)
+
+
+def test_terminal_law_needs_evaluate_batch():
+    # a 1-D oracle with only evaluate: the law names the missing method
+    # before it draws a block, instead of failing inside its first step
+    class EvaluateOnly(GradientOracle):
+        def evaluate(self, theta, x):
+            return np.array(theta, dtype=np.float64)
+
+        def meta(self):
+            return OracleMeta(q=1.0, rho=1.0, L1=1.0)
+
+    class NoDraws:
+        def sample_batch(self, rng, n):
+            raise AssertionError("the law drew data")
+
+    with pytest.raises(ValueError, match="evaluate_batch"):
+        tusla_terminal_law(EvaluateOnly(), NoDraws(), 0.01, 4.0, RegularizationParams(0.0, 1.5),
+                           theta0=0.0, n_steps=5, n_replicas=4, seed=0)
 
 
 @pytest.mark.parametrize("n_replicas", [1, 2, 3, 512, 5000])

@@ -17,12 +17,13 @@ from _suites import (
     g_growth_violations,
     h_growth_violations,
     drift_lipschitz_violations,
+    growth_envelope,
     sqr_growth_violations,
 )
 from tusla.gradient_oracle import (
+    GradientOracle,
     OracleMeta,
     RegularizationParams,
-    growth_envelope,
     lambda_max,
     overflow_safe_drift,
     overflow_safe_drift_batch,
@@ -399,9 +400,16 @@ def test_taming_dominance(d, data, lam, r):
 
 
 def test_growth_envelope_formula():
-    meta = OracleMeta(q=3.0, rho=2.0, L1=1.5)
+    class Const(GradientOracle):  # |G(0, x)| = 7 whatever x is
+        def evaluate(self, theta, x):
+            return np.array([7.0])
+
+        def meta(self):
+            return OracleMeta(q=3.0, rho=2.0, L1=1.5)
+
     # 2^3 (1.5 * (1+2)^2 + 7) = 8 * 20.5
-    assert growth_envelope(meta, g0_norm=7.0, x_norm=2.0) == 164.0
+    assert growth_envelope(Const(), 2.0) == 164.0
+    assert growth_envelope(Const(), np.array([-2.0])) == 164.0
 
 
 def test_lambda_max_hand_values():

@@ -628,8 +628,9 @@ def test_cli_usage_errors(tmp_path, monkeypatch):
     # out_path is no config field: an unknown key, not a silent no-op
     assert main(["run", "--preset", "paper-s2", "--set", "out_path=x",
                  "--out", str(tmp_path)]) == 64
-    # an invalid ADAM setting fails before TUSLA and SGLD run: no partial artifacts
-    for bad in ("alpha=-1", "beta1=1.5"):
+    # an invalid ADAM setting, a non-finite eps included, fails before TUSLA
+    # and SGLD run: no partial artifacts
+    for bad in ("alpha=-1", "beta1=1.5", "eps=nan", "eps=inf"):
         out = tmp_path / bad
         assert main(["run", "--preset", "paper-s2", "--set", bad, "--set", "seeds=0,1",
                      "--set", "n_steps=5", "--out", str(out)]) == 64, bad
@@ -662,13 +663,13 @@ def test_cli_usage_errors(tmp_path, monkeypatch):
             assert main(["gibbs", "--problem", problem, "--steps", "2", "--replicas", "2",
                          "--samples", "100", *bad, "--out", str(out)]) == 64, (problem, bad)
             assert not out.exists(), (problem, bad)
-    # tusla constants: the standard errors need two draws, and the quadratic
-    # problem draws no data, so an explicit --n-samples there is an error
-    for bad in (["--problem", "us", "--n-samples", "0"], ["--problem", "us", "--n-samples", "1"],
-                ["--problem", "quadratic", "--n-samples", "64"]):
-        out = tmp_path / "constants.json"
-        assert main(["constants", *bad, "--out", str(out)]) == 64, bad
-        assert not out.exists(), bad
+    # tusla constants reads closed-form moments: it draws nothing, so it has
+    # no Monte-Carlo options left
+    for bad in (["--n-samples", "500"], ["--seed", "0"]):
+        for problem in ("us", "quadratic"):
+            out = tmp_path / "constants.json"
+            assert main(["constants", "--problem", problem, *bad, "--out", str(out)]) == 64, bad
+            assert not out.exists(), (problem, bad)
     # the law itself rejects a non-finite --theta0, before its first step
     for bad in ("nan", "inf", "-inf"):
         for problem in ("quadratic", "us"):
@@ -721,6 +722,15 @@ def test_cli_constants_json(tmp_path):
     assert obj["overflowed"] == []
     assert obj["lambda_max"] == 0.2712673611111111
     assert obj["r"] == 12.0
+    # the data moments are UsProblem's closed forms, and A is E[K(X)]
+    assert obj["k_mean"] == obj["A"] == obj["K_mean"] == 2568.7105991575795
+    assert obj["x_rho_mean"] == 6.5
+    for key in ("k_mean_se", "x_rho_mean_se", "k_mean_exact", "x_rho_mean_exact"):
+        assert key not in obj, key
+    # nothing is drawn, so a second invocation writes the same bytes
+    again = tmp_path / "c-again.json"
+    assert main(["constants", "--problem", "us", "--s", "2", "--out", str(again)]) == 0
+    assert again.read_bytes() == open(out, "rb").read()
     # steep variant overflows B but keeps its log companion finite
     out26 = str(tmp_path / "c26.json")
     assert main(["constants", "--problem", "us", "--s", "26", "--out", out26]) == 0
@@ -736,6 +746,7 @@ def test_cli_constants_quadratic(tmp_path):
     obj = json.load(open(out))
     assert obj["problem"] == "quadratic"
     assert obj["meta"]["q"] == 1.0
+    assert (obj["k_mean"], obj["x_rho_mean"]) == (2.0, 1.0)
 
 
 def test_cli_gibbs(tmp_path):
@@ -768,7 +779,7 @@ def test_cli_gibbs_us_runs_at_the_default_penalty(tmp_path):
             theta0=0.5, n_steps=200, n_replicas=16, seed=3,
         )
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([3, 9])))
-        gibbs = gibbs_sampler_1d(lambda x: u_s_value_batch(x, s), 4.0, None, rng, n_samples=2000)
+        gibbs = gibbs_sampler_1d(lambda x: u_s_value_batch(x, s), 4.0, None, rng, n_draws=2000)
         assert obj == {
             "problem": "us", "s": s, "eta": 0.01, "r": r, "theta0": 0.5, "seed": 3,
             "beta": 4.0, "lam": 0.01, "replicas": 16, "steps": 200, "replicas_used": 16,
@@ -800,7 +811,7 @@ def test_cli_gibbs_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch
 
 
 @pytest.mark.parametrize("argv", [
-    ["constants", "--problem", "us", "--s", "2", "--n-samples", "500"],
+    ["constants", "--problem", "us", "--s", "2"],
     ["constants", "--problem", "quadratic", "--eta", "0.5"],
     ["gibbs", "--problem", "quadratic", "--replicas", "16", "--steps", "100",
      "--samples", "2000"],

@@ -16,7 +16,7 @@ from _loop_reference import (
     us_evaluate_batch_signed_pow,
     us_odd_power,
 )
-from tusla.diagnostics import estimate_k_mean, estimate_x_rho_mean
+from _suites import data_norm, growth_envelope
 from tusla.problems import (
     ConstantDataSource,
     OneNeuronProblem,
@@ -454,24 +454,25 @@ def test_us_l1_grid_chunks_match_the_whole_grid(s, unbiased):
     assert UsProblem(s=s, unbiased=unbiased).meta().L1 == _us_l1_whole_grid(s, unbiased)
 
 
-def test_us_g0_norm_matches_evaluate():
-    for unbiased in (False, True):
-        prob = UsProblem(s=2, unbiased=unbiased)
-        for x in (0.0, 0.7, 3.3, 11.0):
-            assert prob.g0_norm(x) == abs(prob.evaluate(np.zeros(1), x)[0])
+def _monte_carlo(f, n, seed):
+    # (mean of f(X), standard error) over n draws of X ~ U[0, 11]
+    stream, rng = UniformDataSource(), np.random.default_rng(seed)
+    vals = np.array([f(stream.sample(rng)) for _ in range(n)])
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n))
 
 
 def test_us_k_mean_exact_vs_monte_carlo():
     for unbiased in (False, True):
         prob = UsProblem(s=2, unbiased=unbiased)
-        est, sem = estimate_k_mean(prob, UniformDataSource(), 20_000, seed=0)
+        est, sem = _monte_carlo(lambda x: growth_envelope(prob, x), 20_000, seed=0)
         assert abs(est - prob.k_mean_exact()) <= 5.0 * sem
 
 
 def test_us_x_rho_mean_exact_vs_monte_carlo():
     prob = UsProblem(s=2)
     assert prob.x_rho_mean_exact() == 6.5
-    est, sem = estimate_x_rho_mean(prob, UniformDataSource(), 20_000, seed=0)
+    rho = prob.meta().rho
+    est, sem = _monte_carlo(lambda x: (1.0 + data_norm(x)) ** rho, 20_000, seed=0)
     assert abs(est - 6.5) <= 5.0 * sem
 
 
@@ -486,7 +487,9 @@ def test_quadratic_problem():
     assert np.array_equal(g, theta)
     g[0] = 99.0  # returned array is a copy
     assert theta[0] == 3.0
-    assert prob.g0_norm(None) == 0.0
+    # the moments `tusla constants` reads, at the constant data 0 it runs on
+    assert prob.k_mean_exact() == growth_envelope(QuadraticProblem(), 0.0) == 2.0
+    assert prob.x_rho_mean_exact() == 1.0
     batch = prob.evaluate_batch(np.array([1.0, -2.0]), None)
     assert np.array_equal(batch, np.array([1.0, -2.0]))
 
@@ -540,14 +543,6 @@ def test_one_neuron_escapes_quadratic_dissipativity():
             g = prob.evaluate(w, (1.0, 0.0))
             inner = float(g @ w)
             assert inner <= -2.0 * t * t + 2.0 * eta * prob.w1_star ** 2 + 1e-9
-
-
-def test_one_neuron_g0_norm_matches_evaluate():
-    prob = OneNeuronProblem()
-    for sample in ((1.0, 0.0), (0.5, -2.0), (2.0, 3.5)):
-        g = prob.evaluate(np.zeros(2), sample)
-        assert g[0] == 0.0
-        assert prob.g0_norm(sample) == abs(g[1])
 
 
 def test_one_neuron_meta_and_validation():
