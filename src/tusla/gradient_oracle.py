@@ -75,23 +75,28 @@ def safe_row_norms(v: np.ndarray) -> np.ndarray:
     v[:, None, :] @ v[:, :, None], which calls the BLAS dot that np.dot calls
     on the row alone; (v * v).sum(1) and einsum sum in another order and
     differ in the last bits.
+
+    The dots come first: when every squared norm lies in [d 1e-299, 1e299],
+    every row's max entry lies within [3.1e-150, 3.2e149], so no row needs the
+    rescaling, and only a batch with a row outside that range takes it.
     """
-    if v.shape[1] == 1:
+    d = v.shape[1]
+    if d == 1 or len(v) == 0:  # the one column's abs, or no rows
         return np.abs(v[:, 0])
+    with np.errstate(over="ignore"):  # an overflowing dot sends the batch below
+        sq = (v[:, None, :] @ v[:, :, None])[:, 0, 0]
+    if sq.min() >= d * 1e-299 and sq.max() <= 1e299:  # false on any nan
+        return np.sqrt(sq)
     m = np.abs(v).max(axis=1)
     finite = np.isfinite(m)
     scaled = finite & ((m > 1e150) | ((m < 1e-150) & (m > 0.0)))
-    rare = scaled.any() or not finite.all()
-    w = v
-    if rare:
-        w = v.copy()
-        w[scaled] = v[scaled] / m[scaled, None]
-        w[~finite] = 0.0  # their norm is inf; squaring them could overflow
+    w = v.copy()
+    w[scaled] = v[scaled] / m[scaled, None]
+    w[~finite] = 0.0  # their norm is inf; squaring them could overflow
     out = np.sqrt((w[:, None, :] @ w[:, :, None])[:, 0, 0])
-    if rare:
-        with np.errstate(over="ignore"):  # a norm beyond DBL_MAX is inf, as on floats
-            out[scaled] *= m[scaled]
-        out[~finite] = math.inf
+    with np.errstate(over="ignore"):  # a norm beyond DBL_MAX is inf, as on floats
+        out[scaled] *= m[scaled]
+    out[~finite] = math.inf
     return out
 
 

@@ -128,6 +128,8 @@ class ExperimentConfig:
             raise ValueError("seeds must be distinct")
         if min(self.seeds) < 0:
             raise ValueError(f"seeds must be non-negative, got {min(self.seeds)}")
+        if not math.isfinite(self.theta0):  # mlp draws its start, but the JSON records it
+            raise ValueError(f"theta0 must be finite, got {self.theta0}")
 
     def resolved_r(self) -> float:
         if self.r is not None:
@@ -210,7 +212,8 @@ class RunSummary:
 class _ProblemSetup:
     """One problem as every command builds it: the oracle, the data stream,
     the penalty reg, the objective and theta* (from the oracle, where it
-    declares one); theta0(seed) gives each seed's start."""
+    declares one); theta0(seed) gives each seed's start. The objective maps
+    a record's (k, d) stack of recorded states to their k values."""
 
     def __init__(self, cfg: ExperimentConfig) -> None:
         self.arch: Optional[Architecture] = None
@@ -218,20 +221,20 @@ class _ProblemSetup:
             self.oracle = UsProblem(s=cfg.s)
             self.stream = UniformDataSource()
             self.fixed_theta0 = parameter_vector([cfg.theta0])
-            self.objective = lambda v: u_s_value(float(v[0]), cfg.s)
+            self.objective = lambda rows: [u_s_value(v, cfg.s) for v in rows[:, 0].tolist()]
         elif cfg.problem == "quadratic":
             self.oracle = QuadraticProblem(d=1)
             self.stream = ConstantDataSource(0.0)
             self.fixed_theta0 = parameter_vector([cfg.theta0])
-            self.objective = lambda v: 0.5 * float(v[0]) ** 2
+            self.objective = lambda rows: [0.5 * v ** 2 for v in rows[:, 0].tolist()]
         elif cfg.problem == "one_neuron":
             self.oracle = OneNeuronProblem(eta=cfg.eta)
             self.stream = ConstantDataSource(np.array([1.0, 0.0]))
             self.fixed_theta0 = parameter_vector([cfg.theta0, cfg.theta0])
             eta = cfg.eta
-            self.objective = lambda v: one_neuron_value(
-                float(v[0]), float(v[1]), 1.0, 0.0, eta
-            )
+            self.objective = lambda rows: [
+                one_neuron_value(v[0], v[1], 1.0, 0.0, eta) for v in rows.tolist()
+            ]
         else:  # mlp
             arch = self.arch = Architecture(cfg.dims, activation_by_name(cfg.activation))
             teacher_rng = np.random.Generator(
@@ -245,8 +248,13 @@ class _ProblemSetup:
             )
             probe = self.stream.sample_batch(probe_rng, 32)
 
-            def objective(v, _arch=arch, _probe=probe):
-                return float(np.mean(risk(_arch, v, _probe, 0.0, 1.0)))
+            def objective(rows, _arch=arch, _probe=probe):
+                # one risk call pairs each recorded theta with a copy of the
+                # probe; the mean of a state's 32 contiguous risks is bitwise
+                # that of its own 32-row stack
+                k, m = len(rows), len(_probe)
+                pairs = risk(_arch, rows, np.tile(_probe, (k, 1)), 0.0, 1.0)
+                return pairs.reshape(k, m).mean(axis=1)
 
             self.objective = objective
         star = getattr(self.oracle, "theta_star", None)
@@ -514,8 +522,8 @@ def _json_float(v):
 def summary_jsonable(summary: RunSummary) -> dict:
     """JSON form of a RunSummary. Timings are deliberately excluded so that
     identical invocations serialize byte-identically."""
-    cfg = dataclasses.asdict(summary.config)
-    cfg["r"] = summary.config.resolved_r()
+    cfg = {k: _json_float(v) for k, v in dataclasses.asdict(summary.config).items()}
+    cfg["r"] = _json_float(summary.config.resolved_r())
     return {
         "name": summary.name,
         "config": cfg,
@@ -523,9 +531,9 @@ def summary_jsonable(summary: RunSummary) -> dict:
             algo: {
                 "n_seeds": a.n_seeds,
                 "n_non_crashed": a.n_non_crashed,
-                "median_final_distance": a.median_final_distance,
-                "mean_final_distance": a.mean_final_distance,
-                "median_final_objective": a.median_final_objective,
+                "median_final_distance": _json_float(a.median_final_distance),
+                "mean_final_distance": _json_float(a.mean_final_distance),
+                "median_final_objective": _json_float(a.median_final_objective),
                 "per_seed": [
                     {k: _json_float(v) for k, v in dataclasses.asdict(r).items()}
                     for r in a.results
@@ -538,8 +546,9 @@ def summary_jsonable(summary: RunSummary) -> dict:
 
 def _dump_json(obj, path: Optional[str]) -> None:
     """Every JSON the harness writes: sorted keys, indent 2, a final LF; to
-    stdout when path is None."""
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    stdout when path is None. Strict JSON: a NaN or Infinity float raises
+    ValueError rather than writing a token no JSON parser accepts."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path is None:
         sys.stdout.write(text)
         return

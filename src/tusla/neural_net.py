@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .gradient_oracle import GradientOracle, OracleMeta, safe_norm
+from .gradient_oracle import GradientOracle, OracleMeta, safe_norm, safe_row_norms
 
 __all__ = [
     "ActivationSpec",
@@ -202,23 +202,46 @@ def _split_rows(xs, d0: int) -> tuple[np.ndarray, np.ndarray]:
     return xs[:, :d0], xs[:, d0]
 
 
+_RISK_BLOCK = 512  # (theta, sample) pairs per stacked pass; bounds its temporaries
+
+
 def risk(arch: Architecture, theta, x, eta: float, r: float):
     """(y - f(z))^2 + eta/(2(r+1)) |theta|^(2(r+1)) at the flat theta.
 
-    x packs one sample (z, y), and the risk is a float; or x is a stack of
-    packed samples, one per row, and the per-row risks come back as an array
-    from one stacked forward pass.
+    x packs one sample (z, y), and the risk is a float; or x is a stack of m
+    packed samples, one per row, and the m risks come back as an array.
+    theta is one flat vector for every sample, or a stack of k, shape
+    (k, param_dim), for m = k g samples: row i pairs with samples i g to
+    i g + g - 1 (k = m pairs them row by row). A stack runs through the
+    forward pass in blocks of whole groups of at most _RISK_BLOCK pairs (one
+    group when g is larger) and is never copied to (m, param_dim). Each row
+    is bitwise the single-pair risk.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    if theta.ndim != 1:
-        raise ValueError(f"theta must be one flat vector, got shape {theta.shape}")
     xs = np.asarray(x, dtype=np.float64)
     zs, ys = _split_rows(xs if xs.ndim == 2 else xs.reshape(1, -1), arch.dims[0])
-    resid = ys - _forward(arch, *arch._views(theta), zs)[0]
+    if theta.ndim == 1:
+        f = _forward(arch, *arch._views(theta), zs)[0]
+    elif theta.ndim == 2 and xs.ndim == 2 and len(theta) and len(zs) % len(theta) == 0:
+        g = len(zs) // len(theta)
+        per = max(1, _RISK_BLOCK // g)  # theta rows per pass
+        f = np.empty(len(zs))
+        for a in range(0, len(theta), per):
+            views = arch._views(np.repeat(theta[a : a + per], g, axis=0))
+            f[a * g : (a + per) * g] = _forward(arch, *views, zs[a * g : (a + per) * g])[0]
+    else:
+        raise ValueError(f"theta must be one flat vector, or k of them for k g samples; "
+                         f"got shapes {theta.shape} and {xs.shape}")
+    resid = ys - f
     out = resid * resid
     if eta != 0.0:
-        t = safe_norm(theta)
-        out = out + eta / (2.0 * (r + 1.0)) * t ** (2.0 * (r + 1.0))
+        p = 2.0 * (r + 1.0)
+        # libm pow on native floats, the one-theta case's pow, per theta row
+        if theta.ndim == 1:
+            t = safe_norm(theta) ** p
+        else:
+            t = np.repeat([n ** p for n in safe_row_norms(theta).tolist()], g)
+        out = out + eta / (2.0 * (r + 1.0)) * t
     return float(out[0]) if xs.ndim < 2 else out
 
 

@@ -50,7 +50,7 @@ import os
 import warnings
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -184,9 +184,9 @@ class _Recorder:
 
     Both routes pass theta in their own form, a float on the scalar route and
     an array (never mutated afterwards) on the vector route, so recording a
-    row allocates no numpy object. finish stacks the theta rows once and
-    evaluates the objective once per row; rows are held only while thetas or
-    objectives need them.
+    row allocates no numpy object. finish stacks the theta rows once into the
+    (k, d) record stack and calls the objective once on it, for one value per
+    row; rows are held only while thetas or objectives need them.
     """
 
     def __init__(self, d: int, objective: Optional[Callable]) -> None:
@@ -212,7 +212,12 @@ class _Recorder:
             rows = np.array(self.thetas, dtype=np.float64).reshape(len(self.idx), -1)
         objectives = None
         if self.objective is not None:
-            objectives = np.array([float(self.objective(row)) for row in rows])
+            objectives = np.asarray(self.objective(rows), dtype=np.float64)
+            if objectives.shape != (len(rows),):
+                raise ValueError(
+                    f"objective must map the {rows.shape} record stack to "
+                    f"{len(rows)} values, got shape {objectives.shape}"
+                )
         return RunRecord(
             step_indices=np.array(self.idx, dtype=np.int64),
             theta_norms=np.array(self.norms, dtype=np.float64),
@@ -258,7 +263,7 @@ def run(
     rng_seed: int,
     record_every: int = 1,
     divergence_threshold: float = 1e10,
-    objective: Optional[Callable[[np.ndarray], float]] = None,
+    objective: Optional[Callable[[np.ndarray], Sequence[float]]] = None,
 ) -> RunRecord:
     """Run one algorithm from theta0 for up to n_steps, recording every
     record_every-th state plus the initial and final (or divergent) one.
@@ -266,8 +271,9 @@ def run(
     algorithm: a TuslaConfig, SgldConfig, or AdamConfig.
     stream: data source with sample_batch(rng, n), which draws the same
         values as n calls of sample(rng).
-    objective: optional theta -> float, evaluated once per recorded state
-        (after the loop, on that state's theta row) and recorded with it.
+    objective: optional map from the record stack to its values: called
+        once, after the loop, on the (k, d) stack of the k recorded states,
+        it returns k floats, row i's value recorded with state i.
     """
     theta0 = parameter_vector(theta0)
     if not scalar_route(oracle, theta0.size):
@@ -294,13 +300,14 @@ def run_seeds(
     seeds,
     record_every: int = 1,
     divergence_threshold: float = 1e10,
-    objective: Optional[Callable[[np.ndarray], float]] = None,
+    objective: Optional[Callable[[np.ndarray], Sequence[float]]] = None,
 ) -> list[RunRecord]:
     """One record per seed: row i of theta0s run with rng seed seeds[i].
 
     Record i is bitwise run(algorithm, theta0s[i], ..., seeds[i], ...). On
     either route every seed steps as one row of an (R, d) block, with one
-    evaluate_rows call and one stacked update per step.
+    evaluate_rows call and one stacked update per step. objective has run's
+    contract: one call per record, on that record's (k, d) stack.
     """
     theta0s = np.array([parameter_vector(t) for t in theta0s])
     if theta0s.ndim != 2 or len(theta0s) != len(seeds) or len(seeds) == 0:

@@ -106,33 +106,34 @@ def _us_ratio_sup(s: int, unbiased: bool) -> float:
     # attained at moderate |xi| because the envelope degree q - 1 matches the
     # top derivative degree plus one. The grid runs in chunks of 2^15 points,
     # so its temporaries take 0.3 MB each rather than 3.2 MB; a maximum is
-    # exact, so L1 does not depend on the chunking.
+    # exact, so L1 does not depend on the chunking. For large s the powers
+    # overflow and the sup comes out inf or nan; _us_l1 rejects it.
     q = max(2 * s, 1)
     grid = np.linspace(-8.0, 8.2, 400001)
     maxima = []
     for lo in range(0, grid.size, 1 << 15):
         xs = grid[lo : lo + (1 << 15)]
         d = xs - _CENTER
-        if s == 0:
-            pen_d = np.zeros_like(d)
-        else:
-            with np.errstate(over="ignore"):
-                pen_d = 2.0 * s * (2 * s - 1) * d ** (2 * s - 2)
         inner = np.abs(d) <= 1.0
-        if unbiased:
-            # derivative = mult * lin' + pen'; lin' = 1 inside, 0 outside
-            deriv = 11.0 * inner.astype(float) + np.abs(pen_d)
-        else:
-            # derivative = mult * bracket'; bracket' = 2d inside, sign(d) outside
-            base = np.where(inner, 2.0 * np.abs(d), 1.0)
-            deriv = 11.0 * (base + np.abs(pen_d))
-        maxima.append(np.max(deriv / (1.0 + np.abs(xs)) ** (q - 1)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            pen_d = 2.0 * s * (2 * s - 1) * d ** (2 * s - 2) if s else np.zeros_like(d)
+            if unbiased:
+                # derivative = mult * lin' + pen'; lin' = 1 inside, 0 outside
+                deriv = 11.0 * inner.astype(float) + np.abs(pen_d)
+            else:
+                # derivative = mult * bracket'; bracket' = 2d inside, sign(d) outside
+                base = np.where(inner, 2.0 * np.abs(d), 1.0)
+                deriv = 11.0 * (base + np.abs(pen_d))
+            maxima.append(np.max(deriv / (1.0 + np.abs(xs)) ** (q - 1)))
     return float(np.max(maxima))
 
 
 @lru_cache(maxsize=None)
 def _us_l1(s: int, unbiased: bool) -> float:
-    return 1.1 * _us_ratio_sup(s, unbiased)
+    l1 = 1.1 * _us_ratio_sup(s, unbiased)
+    if not math.isfinite(l1):
+        raise ValueError(f"the u_s growth constant L1 overflows float64 at s = {s}")
+    return l1
 
 
 @dataclass(frozen=True)

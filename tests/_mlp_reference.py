@@ -162,6 +162,11 @@ class ReferenceTeacherStream:
 
 
 def per_probe_risks(arch: Architecture, theta, xs, eta: float, r: float) -> np.ndarray:
-    """risk over a stack of samples as one reference call per row."""
-    params = split(arch, theta)
-    return np.array([risk(params, x, eta, r) for x in xs])
+    """risk over a stack of samples as one reference call per row; theta is
+    one flat vector for every row, or a stack of k, row i for the g = m/k
+    samples i g .. i g + g - 1."""
+    if np.ndim(theta) == 1:
+        thetas = [theta] * len(xs)
+    else:
+        thetas = np.repeat(theta, len(xs) // len(theta), axis=0)
+    return np.array([risk(split(arch, t), x, eta, r) for t, x in zip(thetas, xs)])

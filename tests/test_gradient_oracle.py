@@ -106,6 +106,10 @@ _NORM_CELLS = st.one_of(
     st.floats(1e149, 1e151),
     st.floats(-1e151, -1e149),
     st.floats(-1e-300, 1e-300),
+    # within a factor of 10 of the max entries at safe_row_norms' cut points,
+    # sqrt(1e299) and sqrt(1e-299)
+    st.floats(3.2e148, 3.2e150),
+    st.floats(-3.2e-149, -3.2e-151),
 )
 
 
@@ -126,6 +130,13 @@ _NORM_ROWS = st.integers(1, 9).flatmap(
             st.lists(st.floats(-1e-300, 1e-300), min_size=d - 1, max_size=d - 1).map(
                 lambda row: row + [1.7e308]
             ),
+            # every entry near a cut point, or all in range: blocks that mix
+            # rows either side of the cut points
+            st.lists(st.floats(-3.2e150, 3.2e150).filter(lambda c: abs(c) > 3.2e148),
+                     min_size=d, max_size=d),
+            st.lists(st.floats(-3.2e-149, 3.2e-149).filter(lambda c: abs(c) > 3.2e-151),
+                     min_size=d, max_size=d),
+            st.lists(st.floats(-1e3, 1e3), min_size=d, max_size=d),
         ),
         min_size=1,
         max_size=6,
@@ -135,10 +146,10 @@ _NORM_ROWS = st.integers(1, 9).flatmap(
 
 @settings(max_examples=300, deadline=None)
 @given(rows=_NORM_ROWS)
-def test_safe_row_norms_match_safe_norm_bitwise(rows):
+def test_safe_row_norms_match_reference_bitwise(rows):
     v = np.array(rows, dtype=np.float64).reshape(len(rows), -1)
     got = safe_row_norms(v)
-    want = np.array([safe_norm(row) for row in v])
+    want = np.array([_reference_safe_norm(row) for row in v])
     assert got.shape == (len(rows),)
     assert got.tobytes() == want.tobytes()
 

@@ -708,6 +708,60 @@ def test_base_seed_summary_records_the_seeds_that_ran(tmp_path):
         ExperimentConfig(seeds=(0, -1))
 
 
+def _strict_json(path):
+    def reject(token):
+        raise ValueError(f"{path.name} holds the non-JSON token {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_cli_summaries_are_strict_json(tmp_path):
+    # a non-finite theta0 is rejected for every problem, mlp included, which
+    # draws its start and would only have recorded it; no file is written
+    for preset in ("nn-demo", "paper-s2"):
+        for bad in ("theta0=nan", "theta0=inf"):
+            out = tmp_path / f"{preset}-{bad}"
+            assert main(["run", "--preset", preset, "--set", bad, "--set", "n_steps=5",
+                         "--out", str(out)]) == 64, (preset, bad)
+            assert not out.exists(), (preset, bad)
+    # an infinite threshold and an infinite objective median go in as null
+    inf_threshold, inf_objective = tmp_path / "threshold", tmp_path / "objective"
+    assert main(["run", "--preset", "nn-demo", "--set", "divergence_threshold=inf",
+                 "--set", "n_steps=20", "--set", "seeds=0,1", "--out", str(inf_threshold)]) == 0
+    assert main(["run", "--preset", "paper-s26", "--set", "n_steps=0", "--set", "theta0=1e8",
+                 "--set", "seeds=0", "--out", str(inf_objective)]) == 0
+    summary = _strict_json(inf_threshold / "nn-demo-summary.json")
+    assert summary["config"]["divergence_threshold"] is None
+    summary = _strict_json(inf_objective / "paper-s26-summary.json")
+    for algo in summary["algorithms"].values():
+        assert algo["median_final_objective"] is None  # u_26 at 1e8 overflows
+        assert algo["per_seed"][0]["final_objective"] is None
+    for path in sorted(inf_objective.glob("*.json")):
+        _strict_json(path)
+    with pytest.raises(ValueError):
+        harness._dump_json({"x": math.nan}, str(tmp_path / "nan.json"))
+    assert not (tmp_path / "nan.json").exists()
+
+
+def test_cli_us_growth_constant_overflow_is_a_usage_error(tmp_path):
+    # u_s's L1 grid overflows float64 for large s: every command that reads
+    # L1 exits 64 with no warning and no file
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (["constants", "--s", "400", "--out", str(out)],
+                     ["run", "--preset", "paper-s2", "--set", "s=400", "--out", str(out)],
+                     ["gibbs", "--problem", "us", "--s", "400", "--out", str(out)]):
+            assert main(argv) == 64, argv
+            assert not out.exists(), argv
+        with pytest.raises(ValueError, match="s = 400"):
+            UsProblem(s=400).meta()
+        # SGLD never reads L1, so it still runs
+        assert main(["run", "--preset", "paper-s2", "--set", "s=400", "--set", "algorithm=sgld",
+                     "--set", "n_steps=10", "--set", "seeds=0", "--out", str(out)]) == 0
+    assert (out / "paper-s2-sgld-seed0.csv").exists()
+
+
 def test_cli_io_error(tmp_path):
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
 

@@ -22,6 +22,7 @@ from _suites import (
     operator_norm,
     partial_deriv_bound_check,
 )
+from tusla import neural_net
 from tusla.neural_net import (
     ARCTAN,
     TANH,
@@ -165,8 +166,15 @@ def test_container_validation():
             arch._views(bad)
         with pytest.raises(ValueError):
             risk(arch, bad, np.zeros(3), 0.0, 1.0)
+    thetas = np.zeros((2, arch.param_dim))
     with pytest.raises(ValueError):
-        risk(arch, np.zeros((2, arch.param_dim)), np.zeros((2, 3)), 0.0, 1.0)  # one theta only
+        risk(arch, thetas, np.zeros((3, 3)), 0.0, 1.0)  # 3 samples in 2 equal groups
+    with pytest.raises(ValueError):
+        risk(arch, thetas, np.zeros(3), 0.0, 1.0)  # a theta stack needs a sample stack
+    with pytest.raises(ValueError):
+        risk(arch, thetas[:0], np.zeros((0, 3)), 0.0, 1.0)
+    assert risk(arch, thetas, np.zeros((2, 3)), 0.0, 1.0).shape == (2,)
+    assert risk(arch, thetas, np.zeros((6, 3)), 0.0, 1.0).shape == (6,)
     with pytest.raises(ValueError):
         Architecture(dims=(4,))
     with pytest.raises(ValueError):
@@ -369,10 +377,16 @@ def test_kernels_match_per_sample_reference_bitwise(dims, act, log_scale, m, see
     want = ref.gradient_g(params, x).flatten()
     assert MlpOracle(arch).evaluate(theta, x).tobytes() == want.tobytes()
 
+    # theta stacks of k rows, each paired with m/k consecutive samples
+    scales = rng.uniform(0.5, 2.0, size=(m, 1))
     for eta, r in ((0.0, 1.0), (0.01, 2.5)):
         per_probe = np.array([ref.risk(params, row, eta, r) for row in xs])
         assert risk(arch, theta, xs, eta, r).tobytes() == per_probe.tobytes()
         assert risk(arch, theta, x, eta, r) == per_probe[0]
+        for k in {1, m, m // 2 if m % 2 == 0 else m}:
+            thetas = theta * scales[:k]
+            per_pair = ref.per_probe_risks(arch, thetas, xs, eta, r)
+            assert risk(arch, thetas, xs, eta, r).tobytes() == per_pair.tobytes(), k
 
     stream = TeacherStream(arch, theta, half_width=1.5)
     batch = stream.sample_batch(np.random.default_rng(seed), m)
@@ -415,6 +429,22 @@ def test_evaluate_rows_rejects_misshapen_rows():
         oracle.evaluate_rows(np.zeros((2, d)), np.zeros((2, d0)))  # no label column
     with pytest.raises(ValueError):
         oracle.evaluate_rows(np.zeros((2, d + 1)), np.zeros((2, d0 + 1)))
+
+
+@pytest.mark.parametrize("k,g", [(2 * neural_net._RISK_BLOCK + 7, 1), (70, 32), (3, 1500)])
+def test_paired_risk_rows_do_not_depend_on_the_block(k, g):
+    # more pairs than one stacked pass takes, in groups of g samples per
+    # theta: every row is its single pair's risk, whichever block it is in
+    arch = Architecture((3, 4, 4))
+    rng = np.random.default_rng(5)
+    m = k * g
+    thetas = rng.normal(size=(k, arch.param_dim))
+    xs = np.column_stack([rng.uniform(-1.0, 1.0, size=(m, 3)), rng.normal(size=m)])
+    got = risk(arch, thetas, xs, 0.01, 2.0)
+    assert got.shape == (m,)
+    per = max(1, neural_net._RISK_BLOCK // g)  # theta rows per block
+    for i in sorted({0, per * g - 1, per * g, m - 1}):
+        assert got[i] == risk(arch, thetas[i // g], xs[i], 0.01, 2.0), i
 
 
 def test_risk_rejects_misshapen_samples():

@@ -28,7 +28,7 @@ from tusla.gradient_oracle import (
     GradientOracle,
     OracleMeta,
     RegularizationParams,
-    safe_norm,
+    safe_row_norms,
 )
 from tusla.optimizers import (
     ALGO_IDS,
@@ -401,7 +401,7 @@ def _stacked_and_single(route, algo, scales, n_steps, record_every, threshold, s
     theta0s = np.array([scale * base for scale in scales])
     seeds = [seed + i for i in range(len(scales))]
     chain = dict(record_every=record_every, divergence_threshold=threshold,
-                 objective=lambda v: float(np.sum(v)))
+                 objective=lambda rows: [float(np.sum(v)) for v in rows])
     stacked = run_seeds(cfg, theta0s, oracle, stream, n_steps, seeds, **chain)
     for theta0, s, rec in zip(theta0s, seeds, stacked):
         assert records_equal(rec, run(cfg, theta0, oracle, stream, n_steps, s, **chain))
@@ -501,7 +501,7 @@ def test_objective_column():
     oracle = UsProblem(s=2)
     cfg = SgldConfig(lam=0.01, beta=1.0)
     rec = run(cfg, [0.3], oracle, UniformDataSource(), n_steps=4, rng_seed=2,
-              objective=lambda th: u_s_value(float(th[0]), 2))
+              objective=lambda rows: [u_s_value(float(th[0]), 2) for th in rows])
     assert rec.objectives is not None
     for i in range(rec.n_recorded):
         assert rec.objectives[i] == u_s_value(float(rec.thetas[i, 0]), 2)
@@ -533,9 +533,9 @@ def test_recorded_objective_is_evaluated_on_recorded_rows(
     def u_s(t):
         return u_s_value(t, 2)
 
-    def objective(v):
-        calls.append(v.shape)
-        return u_s(float(v[0]))
+    def objective(rows):
+        calls.append(rows.copy())
+        return [u_s(float(v[0])) for v in rows]
 
     rec = run(SgldConfig(lam=lam, beta=1.0), theta0, oracle, UniformDataSource(),
               n_steps=n_steps, rng_seed=0, record_every=record_every, objective=objective)
@@ -543,7 +543,9 @@ def test_recorded_objective_is_evaluated_on_recorded_rows(
     if diverges:
         assert rec.divergence_step % 7 != 0
     assert rec.n_recorded == _expected_rows(rec, n_steps, record_every)
-    assert calls == [(1,)] * rec.n_recorded  # once per recorded row, on a theta row
+    # once per record, on the (k, d) stack of its recorded states
+    assert len(calls) == 1 and calls[0].shape == (rec.n_recorded, 1)
+    assert calls[0].tobytes() == rec.thetas.tobytes()
     for i in range(rec.n_recorded):
         want = np.float64(u_s(float(np.array([rec.thetas[i, 0]])[0])))
         assert rec.objectives[i].tobytes() == want.tobytes()
@@ -552,13 +554,23 @@ def test_recorded_objective_is_evaluated_on_recorded_rows(
 
 def test_recorded_objective_rows_above_dimension_eight():
     # thetas are dropped for d > 8 but the objective still sees each recorded
-    # state: with the norm as objective the two columns agree bitwise
+    # state: with the row norms as objective the two columns agree bitwise
     cfg = SgldConfig(lam=0.01, beta=1.0)
     rec = run(cfg, np.full(9, 0.5), QuadraticProblem(d=9), ConstantDataSource(),
-              n_steps=20, rng_seed=0, record_every=7, objective=safe_norm)
+              n_steps=20, rng_seed=0, record_every=7, objective=safe_row_norms)
     assert rec.thetas is None
     assert rec.n_recorded == _expected_rows(rec, 20, 7)
     assert rec.objectives.tobytes() == rec.theta_norms.tobytes()
+
+
+@pytest.mark.parametrize("theta0", [[0.3], [0.3, -0.2]])  # scalar and vector route
+def test_objective_must_give_one_value_per_recorded_state(theta0):
+    oracle = UsProblem(s=2) if len(theta0) == 1 else QuadraticProblem(d=2)
+    stream = UniformDataSource() if len(theta0) == 1 else ConstantDataSource()
+    for objective in (lambda rows: float(np.sum(rows)), lambda rows: np.sum(rows, axis=0)[:1]):
+        with pytest.raises(ValueError, match="record stack"):
+            run(SgldConfig(lam=0.01, beta=1.0), theta0, oracle, stream, n_steps=4,
+                rng_seed=0, objective=objective)
 
 
 def test_thetas_dropped_above_dimension_eight():

@@ -52,6 +52,17 @@ def test_traced_leaf_and_span_paths_resolve():
         assert SPAN_ARGS.get(name, set()) <= params, f"{name}: {path} lacks {SPAN_ARGS[name]}"
 
 
+def _count(monkeypatch, calls: dict, owner, attr: str) -> None:
+    fn = getattr(owner, attr)
+    calls[attr] = 0
+
+    def wrapper(*args, **kwargs):
+        calls[attr] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, wrapper)
+
+
 def test_traced_gibbs_leaves_are_called_in_this_process(tmp_path, monkeypatch):
     # the child wraps the replica law's leaves in its own process, so the law
     # must call them there, through the same lookups, whatever the CPU count
@@ -59,20 +70,9 @@ def test_traced_gibbs_leaves_are_called_in_this_process(tmp_path, monkeypatch):
     from tusla.problems import UniformDataSource, UsProblem
 
     calls = {}
-
-    def count(owner, attr):
-        fn = getattr(owner, attr)
-        calls[attr] = 0
-
-        def wrapper(*args, **kwargs):
-            calls[attr] += 1
-            return fn(*args, **kwargs)
-
-        monkeypatch.setattr(owner, attr, wrapper)
-
-    count(diagnostics, "overflow_safe_drift_batch")
-    count(UsProblem, "evaluate_batch")
-    count(UniformDataSource, "sample_batch")
+    _count(monkeypatch, calls, diagnostics, "overflow_safe_drift_batch")
+    _count(monkeypatch, calls, UsProblem, "evaluate_batch")
+    _count(monkeypatch, calls, UniformDataSource, "sample_batch")
     monkeypatch.setattr(optimizers, "_usable_cpus", lambda: 2)
     steps, replicas = 10, 4
     assert tusla.harness.main([
@@ -85,3 +85,18 @@ def test_traced_gibbs_leaves_are_called_in_this_process(tmp_path, monkeypatch):
         "evaluate_batch": steps,
         "sample_batch": -(-steps // block),
     }
+
+
+def test_traced_nn_demo_risk_is_one_pass_per_chain(tmp_path, monkeypatch):
+    # the child's neural_net.risk leaf wraps the harness global; with one
+    # usable CPU the chains run in this process, and the recorder's objective
+    # sends each chain's whole record through it at once: 3 algorithms x 8
+    # seeds, not one call per recorded state (24 x 201)
+    from tusla import harness, optimizers
+
+    calls = {}
+    _count(monkeypatch, calls, harness, "risk")
+    monkeypatch.setattr(optimizers, "_usable_cpus", lambda: 1)
+    assert harness.main(["run", "--preset", "nn-demo", "--out", str(tmp_path)]) == 0
+    cfg = harness.PRESETS["nn-demo"]
+    assert calls == {"risk": len(cfg.algorithms()) * len(cfg.seeds)} == {"risk": 24}
