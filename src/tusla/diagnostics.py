@@ -337,7 +337,7 @@ def tusla_terminal_law(
         raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
     if not math.isfinite(theta0):
         raise ValueError(f"theta0 must be finite, got {theta0}")
-    reg.require_order(oracle.meta().q)
+    reg.require_order(oracle.degree())
     data_rng, noise_rng = _streams(seed, ALGO_IDS["tusla"])
     thetas = np.full(n_replicas, float(theta0))
     scale = math.sqrt(2.0 * lam / beta)

@@ -162,6 +162,11 @@ class GradientOracle(ABC):
         """Parameter dimension (1 unless overridden)."""
         return 1
 
+    def degree(self) -> float:
+        """The growth degree q of meta(), which is all require_order reads;
+        an oracle whose L1 is costly to compute returns q without it."""
+        return self.meta().q
+
     # Optional fast paths. The optimizers take evaluate_scalar when it is
     # there and evaluate_rows otherwise; the replica law needs evaluate_batch
     # and has no fallback (tusla_terminal_law checks for it).

@@ -50,6 +50,8 @@ from .optimizers import (
     RunRecord,
     SgldConfig,
     TuslaConfig,
+    _check_beta,
+    _check_step_size,
     fork_map,
     run,
     run_seeds,
@@ -130,6 +132,11 @@ class ExperimentConfig:
             raise ValueError(f"seeds must be non-negative, got {min(self.seeds)}")
         if not math.isfinite(self.theta0):  # mlp draws its start, but the JSON records it
             raise ValueError(f"theta0 must be finite, got {self.theta0}")
+        # every algorithm's settings, whichever algorithms run: the summary
+        # records them all
+        _check_step_size(self.lam, "lam")
+        _check_beta(self.beta)
+        AdamConfig(self.alpha, self.beta1, self.beta2, self.eps)
 
     def resolved_r(self) -> float:
         if self.r is not None:
@@ -269,7 +276,7 @@ class _ProblemSetup:
 
     def algo_config(self, cfg: ExperimentConfig, algo: str):
         if algo == "tusla":
-            self.reg.require_order(self.oracle.meta().q)
+            self.reg.require_order(self.oracle.degree())
             return TuslaConfig(lam=cfg.lam, beta=cfg.beta, reg=self.reg)
         if algo == "sgld":
             return SgldConfig(lam=cfg.lam, beta=cfg.beta)

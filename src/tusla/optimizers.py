@@ -3,10 +3,14 @@
 All three share one update-noise convention: the Langevin algorithms add
 sqrt(2 * lam / beta) * xi with xi ~ N(0, I) per step; ADAM is noise-free.
 ``run`` wires a data stream and seeded substreams to the update, records
-trajectory statistics, and stops early (flagging, not raising) when the
-iterate norm exceeds the divergence threshold or turns non-finite. Divergence
-is an expected, reportable outcome for the unstable baselines, so the loop
-suppresses IEEE overflow warnings and lets inf/nan propagate to the check.
+trajectory statistics, and stops early (flagging, not raising) at the first
+state, theta0 included, whose norm fails ``norm <= min(threshold, DBL_MAX)``.
+That one comparison is exactly "non-finite or above the threshold": nan fails
+every comparison and only inf exceeds DBL_MAX. So a norm equal to the
+threshold does not diverge, and under a threshold of inf only a non-finite
+norm does. Divergence is an expected, reportable outcome for the unstable
+baselines, so the loop suppresses IEEE overflow warnings and lets inf/nan
+propagate to the check.
 
 There are two loops, both stepped in blocks. A block draws k data rows (one
 stream.sample_batch call) and k noise rows per chain at once (k holds at
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import warnings
 from dataclasses import dataclass
 from itertools import repeat
@@ -78,9 +83,9 @@ __all__ = [
 ALGO_IDS = {"tusla": 0, "sgld": 1, "adam": 2}
 
 
-def _check_step_size(lam: float) -> None:
+def _check_step_size(lam: float, name: str = "step size") -> None:
     if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"step size must be positive and finite, got {lam}")
+        raise ValueError(f"{name} must be positive and finite, got {lam}")
 
 
 def _check_beta(beta: float) -> None:
@@ -140,7 +145,7 @@ class AdamConfig:
     eps: float = 1e-8
 
     def __post_init__(self) -> None:
-        _check_step_size(self.alpha)
+        _check_step_size(self.alpha, "alpha")
         for name, b in (("beta1", self.beta1), ("beta2", self.beta2)):
             if not (0.0 <= b < 1.0):
                 raise ValueError(f"{name} must lie in [0, 1), got {b}")
@@ -245,7 +250,7 @@ def _algo_id(algorithm, oracle, n_steps, record_every, divergence_threshold) -> 
     if not (divergence_threshold > 0.0):
         raise ValueError(f"divergence threshold must be positive, got {divergence_threshold}")
     if isinstance(algorithm, TuslaConfig):
-        algorithm.reg.require_order(oracle.meta().q)
+        algorithm.reg.require_order(oracle.degree())
         return ALGO_IDS["tusla"]
     if isinstance(algorithm, SgldConfig):
         return ALGO_IDS["sgld"]
@@ -342,7 +347,8 @@ def _run_chain(
 ) -> RunRecord:
     # The scalar route: native floats throughout (see the module docstring).
     # The one norm of each new state serves the divergence check, the
-    # recorder and the next step's drift.
+    # recorder and the next step's drift. A step's cost is interpreter work,
+    # so it tests one algorithm flag (TUSLA's first) and counts down to records.
     evaluate, norm, sqrt = oracle.evaluate_scalar, abs, math.sqrt
     is_adam = isinstance(algorithm, AdamConfig)
     is_tusla = isinstance(algorithm, TuslaConfig)
@@ -354,14 +360,17 @@ def _run_chain(
         noise_scale = math.sqrt(2.0 * lam / algorithm.beta)
     if is_tusla:
         eta, two_r, sqlam = algorithm.reg.eta, 2.0 * algorithm.reg.r, math.sqrt(lam)
+        neg_two_r = -two_r
+    limit = min(threshold, sys.float_info.max)
 
     nrm = norm(theta)
-    if not math.isfinite(nrm) or nrm > threshold:
+    if not nrm <= limit:
         return rec.finish(0, theta, nrm, True, 0)
 
     block = _block_size(n_steps)
     add = rec.add
     n = 0
+    countdown = 1  # steps until the next recorded state, which is n = 0
     while n < n_steps:
         # k data values and k noise values, the same draws as k per-step
         # calls; the noise is scaled once per block, and noise_scale * xi
@@ -370,9 +379,19 @@ def _run_chain(
         xis = repeat(None, k) if is_adam else (noise_scale * noise_rng.standard_normal(k)).tolist()
         for x, xi in zip(_rows(stream.sample_batch(data_rng, k)), xis):
             g = evaluate(theta, x)
-            if n % record_every == 0:
+            countdown -= 1
+            if not countdown:
+                countdown = record_every
                 add(n, theta, nrm, norm(g))
-            if is_adam:
+            if is_tusla:
+                if nrm < 1.0:
+                    t = nrm ** two_r
+                    g = (g + (eta * t) * theta) / (1.0 + sqlam * t)
+                else:
+                    ti = nrm ** neg_two_r
+                    g = (ti * g + eta * theta) / (ti + sqlam)
+                theta = theta - lam * g + xi
+            elif is_adam:
                 m = b1 * m + (1.0 - b1) * g
                 v = b2 * v + (1.0 - b2) * (g * g)
                 mhat = m / (1.0 - b1 ** (n + 1))
@@ -383,17 +402,10 @@ def _run_chain(
                     upd = math.nan if mhat == 0.0 else math.copysign(math.inf, mhat)
                 theta = theta - alpha * upd
             else:
-                if is_tusla:
-                    if nrm < 1.0:
-                        t = nrm ** two_r
-                        g = (g + (eta * t) * theta) / (1.0 + sqlam * t)
-                    else:
-                        ti = nrm ** -two_r
-                        g = (ti * g + eta * theta) / (ti + sqlam)
                 theta = theta - lam * g + xi
             n += 1
             nrm = norm(theta)
-            if not math.isfinite(nrm) or nrm > threshold:
+            if not nrm <= limit:
                 return rec.finish(n, theta, nrm, True, n)
     return rec.finish(n, theta, nrm, False, None)
 
@@ -423,14 +435,14 @@ def _run_rows(
         eta, two_r, sqlam = algorithm.reg.eta, 2.0 * algorithm.reg.r, math.sqrt(lam)
     data_rngs = [data_rng for data_rng, _ in streams]
     evaluate = oracle.evaluate_rows
-    isfinite = math.isfinite
+    limit = min(threshold, sys.float_info.max)
 
     n = 0
     nrms = safe_row_norms(thetas).tolist()
     xs = xis = None
     block = _block_size(n_steps, d)
     while True:
-        gone = [i for i, a in enumerate(nrms) if not isfinite(a) or a > threshold]
+        gone = [i for i, a in enumerate(nrms) if not a <= limit]
         if gone:
             for i in gone:
                 out[live[i]] = recs[live[i]].finish(n, thetas[i], nrms[i], True, n)

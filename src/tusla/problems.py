@@ -162,13 +162,22 @@ class UsProblem(GradientOracle):
     s: int = 2
     unbiased: bool = False
     theta_star: float = field(default=_CENTER, init=False)
+    # the wall term 2s d^(2s-1) as (factor, exponent); at s = 0 the exponent
+    # is 0, as d ** 0 == 1.0 for every d, so the term is 0.0 * 1.0
+    _two_s: float = field(init=False, repr=False, compare=False)
+    _odd: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (isinstance(self.s, int) and self.s >= 0):
             raise ValueError(f"s must be a non-negative integer, got {self.s}")
+        object.__setattr__(self, "_two_s", 2.0 * self.s)
+        object.__setattr__(self, "_odd", 2 * self.s - 1 if self.s else 0)
+
+    def degree(self) -> float:
+        return float(max(2 * self.s, 1))
 
     def meta(self) -> OracleMeta:
-        return OracleMeta(q=float(max(2 * self.s, 1)), rho=1.0, L1=_us_l1(self.s, self.unbiased))
+        return OracleMeta(q=self.degree(), rho=1.0, L1=_us_l1(self.s, self.unbiased))
 
     def dim(self) -> int:
         return 1
@@ -178,18 +187,14 @@ class UsProblem(GradientOracle):
         # raises rather than returning inf, and the odd power saturates to
         # inf with the sign of d, so that run sees the divergence
         d = theta - _CENTER
-        s = self.s
-        if s == 0:
-            pen = 0.0
-        else:
-            try:
-                pen = 2.0 * s * d ** (2 * s - 1)
-            except OverflowError:
-                pen = math.copysign(math.inf, d)
+        try:
+            pen = self._two_s * d ** self._odd
+        except OverflowError:
+            pen = math.copysign(math.inf, d)
         mult = 11.0 if 0.0 <= x <= 1.0 else -1.0
         if self.unbiased:
-            return mult * (d if abs(d) <= 1.0 else math.copysign(1.0, d)) + pen
-        if abs(d) <= 1.0:
+            return mult * (d if -1.0 <= d <= 1.0 else math.copysign(1.0, d)) + pen
+        if -1.0 <= d <= 1.0:
             return mult * (d * d + pen)
         return mult * (abs(d) - 0.5 + pen)
 

@@ -695,6 +695,29 @@ def test_cli_usage_errors(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.glob("*.csv"))[0] == "paper-s2-adam-seed3.csv"
 
 
+@pytest.mark.parametrize("algorithm, field, match", [
+    ("adam", "lam", "lam must be positive"),
+    ("adam", "beta", "inverse temperature"),
+    ("tusla", "alpha", "alpha must be positive"),
+    ("tusla", "beta1", "beta1 must lie"),
+    ("tusla", "beta2", "beta2 must lie"),
+    ("tusla", "eps", "eps must be finite"),
+])
+def test_every_algorithm_field_is_checked_whichever_algorithms_run(
+    tmp_path, capsys, algorithm, field, match,
+):
+    # the summary records every field, so a nan in the settings of an
+    # algorithm that does not run is a usage error too, before --out is made
+    out = tmp_path / "out"
+    assert main(["run", "--preset", "paper-s2", "--set", f"algorithm={algorithm}",
+                 "--set", f"{field}=nan", "--set", "n_steps=5", "--set", "seeds=0",
+                 "--out", str(out)]) == 64
+    assert not out.exists()
+    assert match in capsys.readouterr().err
+    with pytest.raises(ValueError, match=match):
+        ExperimentConfig(**{field: math.nan})
+
+
 def test_base_seed_summary_records_the_seeds_that_ran(tmp_path):
     # --seed replaces the seed list before anything runs, so the summary's
     # config and its per-seed rows name the same seeds
@@ -744,22 +767,54 @@ def test_cli_summaries_are_strict_json(tmp_path):
 
 
 def test_cli_us_growth_constant_overflow_is_a_usage_error(tmp_path):
-    # u_s's L1 grid overflows float64 for large s: every command that reads
-    # L1 exits 64 with no warning and no file
+    # u_s's L1 grid overflows float64 for large s: tusla constants, which
+    # reads L1, exits 64 with no warning and no file. run and gibbs take the
+    # order check from degree(), never read L1, and so still run
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for argv in (["constants", "--s", "400", "--out", str(out)],
-                     ["run", "--preset", "paper-s2", "--set", "s=400", "--out", str(out)],
-                     ["gibbs", "--problem", "us", "--s", "400", "--out", str(out)]):
-            assert main(argv) == 64, argv
-            assert not out.exists(), argv
+        assert main(["constants", "--s", "400", "--out", str(out)]) == 64
+        assert not out.exists()
         with pytest.raises(ValueError, match="s = 400"):
             UsProblem(s=400).meta()
-        # SGLD never reads L1, so it still runs
-        assert main(["run", "--preset", "paper-s2", "--set", "s=400", "--set", "algorithm=sgld",
-                     "--set", "n_steps=10", "--set", "seeds=0", "--out", str(out)]) == 0
-    assert (out / "paper-s2-sgld-seed0.csv").exists()
+        assert UsProblem(s=400).degree() == 800.0
+        # from theta0 = 1e3 the s = 400 gradient saturates to +-inf, so every
+        # chain reports its divergence at step 1
+        assert main(["run", "--preset", "paper-s2", "--set", "s=400", "--set", "n_steps=10",
+                     "--set", "seeds=0", "--out", str(out)]) == 0
+        summary = json.loads((out / "paper-s2-summary.json").read_text())
+        for algo in ("tusla", "sgld", "adam"):
+            row = summary["algorithms"][algo]["per_seed"][0]
+            assert row["diverged"] and row["divergence_step"] == 1, algo
+        assert main(["gibbs", "--problem", "us", "--s", "400", "--steps", "10",
+                     "--replicas", "8", "--samples", "100", "--out", str(out / "g.json")]) == 0
+        assert json.loads((out / "g.json").read_text())["replicas_used"] == 8
+
+
+# the u_s L1 bits tusla constants reports, as float.hex
+_US_L1_HEX = {0: "0x1.8331c34132d08p+4", 1: "0x1.a9eb2c4f085a2p+4",
+              2: "0x1.8b2875faae3a7p+4", 26: "0x1.260283854e9afp+4"}
+
+
+def test_run_and_gibbs_never_build_the_l1_grid(tmp_path, monkeypatch):
+    # the order check r >= q/2 + 1 reads only q, which degree() gives without
+    # the 400,001-point L1 grid; tusla constants still reads L1, and its bits
+    from tusla import problems
+
+    def no_grid(*args):
+        raise AssertionError("the u_s L1 grid was built")
+
+    monkeypatch.setattr(problems, "_us_l1", no_grid)
+    assert main(["run", "--preset", "paper-s26", "--out", str(tmp_path / "run")]) == 0
+    assert main(["gibbs", "--problem", "us", "--steps", "100",
+                 "--out", str(tmp_path / "gibbs.json")]) == 0
+    with pytest.raises(AssertionError, match="L1 grid"):  # the patch is the one constants reads
+        main(["constants", "--out", str(tmp_path / "c.json")])
+    monkeypatch.undo()
+    for s, want in _US_L1_HEX.items():
+        out = tmp_path / f"constants-{s}.json"
+        assert main(["constants", "--s", str(s), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["meta"]["L1"] == float.fromhex(want), s
 
 
 def test_cli_io_error(tmp_path):

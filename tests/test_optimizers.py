@@ -6,6 +6,7 @@ run() against the one-step reference functions bitwise, and the block-stepped
 loop against the per-step loops it replaced (both in tests/_loop_reference.py).
 """
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -604,6 +605,86 @@ def test_initial_state_beyond_threshold():
     assert rec.diverged and rec.divergence_step == 0
     assert rec.n_recorded == 1
     assert math.isnan(rec.grad_norms[0])
+
+
+# ---------------------------------------------------------------------------
+# run() and run_seeds(): the divergence rule, not |theta| <= min(threshold, DBL_MAX)
+
+
+class NanGradient(GradientOracle):
+    """G = nan on both routes, so the first step's norm is nan."""
+
+    def evaluate(self, theta, x):
+        return np.full_like(np.asarray(theta, dtype=np.float64), math.nan)
+
+    def evaluate_scalar(self, theta, x):
+        return math.nan
+
+    def meta(self) -> OracleMeta:
+        return OracleMeta(q=1.0, rho=1.0, L1=1.0)
+
+
+def _run_both(cfg, theta0, oracle, stream, n_steps, threshold):
+    # the chain through run, and through run_seeds beside a second seed
+    single = run(cfg, theta0, oracle, stream, n_steps, 0, divergence_threshold=threshold)
+    stacked = run_seeds(cfg, [theta0, theta0], oracle, stream, n_steps, (0, 1),
+                        divergence_threshold=threshold)
+    return single, stacked[0]
+
+
+_SGLD = SgldConfig(lam=0.01, beta=1.0)
+_EDGE_ROUTES = {
+    # theta0 with a norm that float64 holds exactly, oracle, stream
+    "scalar": ([2.5], UsProblem(s=2), UniformDataSource()),
+    "vector": ([1.5, 2.0], QuadraticProblem(d=2), ConstantDataSource(0.0)),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_EDGE_ROUTES))
+def test_norm_equal_to_the_threshold_does_not_diverge(route):
+    theta0, oracle, stream = _EDGE_ROUTES[route]
+    assert safe_row_norms(np.array([theta0]))[0] == 2.5
+    for rec in _run_both(_SGLD, theta0, oracle, stream, 0, 2.5):
+        assert not rec.diverged and rec.divergence_step is None
+    for rec in _run_both(_SGLD, theta0, oracle, stream, 5, math.nextafter(2.5, 0.0)):
+        assert rec.diverged and rec.divergence_step == 0 and rec.n_recorded == 1
+    if route == "scalar":  # one ulp above the threshold, from theta0's side
+        for rec in _run_both(_SGLD, [math.nextafter(2.5, math.inf)], oracle, stream, 5, 2.5):
+            assert rec.diverged and rec.divergence_step == 0
+    # the same edge after a step from 0: step 1's norm (the noise's) as the
+    # threshold, and one ulp below it
+    zero = [0.0] * len(theta0)
+    first = run(_SGLD, zero, oracle, stream, 1, 0, divergence_threshold=math.inf)
+    edge = float(first.theta_norms[1])
+    for rec in _run_both(_SGLD, zero, oracle, stream, 1, edge):
+        assert not rec.diverged and rec.theta_norms[1] == edge
+    for rec in _run_both(_SGLD, zero, oracle, stream, 1, math.nextafter(edge, 0.0)):
+        assert rec.diverged and rec.divergence_step == 1
+
+
+@pytest.mark.parametrize("theta0", [[sys.float_info.max], [sys.float_info.max, 0.0]])
+def test_infinite_threshold_runs_from_dbl_max(theta0):
+    oracle, stream = QuadraticProblem(d=len(theta0)), ConstantDataSource(0.0)
+    for rec in _run_both(_SGLD, theta0, oracle, stream, 3, math.inf):
+        assert not rec.diverged and rec.n_recorded == 4
+        assert rec.theta_norms[0] == sys.float_info.max
+        assert np.all(np.isfinite(rec.theta_norms))
+    for rec in _run_both(_SGLD, theta0, oracle, stream, 3, 1e10):
+        assert rec.diverged and rec.divergence_step == 0
+    # an infinite norm still diverges: the s = 26 gradient is inf at 1e7
+    oracle = UsProblem(s=26) if len(theta0) == 1 else ConstantGradient(math.inf)
+    for rec in _run_both(_SGLD, [1e7] * len(theta0), oracle, UniformDataSource(), 3, math.inf):
+        assert rec.diverged and rec.divergence_step == 1 and rec.theta_norms[-1] == math.inf
+
+
+@pytest.mark.parametrize("theta0", [[0.5], [0.5, -0.5]])  # scalar and vector route
+@pytest.mark.parametrize("threshold", [1e10, math.inf])
+def test_nan_norm_diverges(theta0, threshold):
+    # a width-1 norm is abs, so nan; safe_row_norms gives a wider nan row inf
+    want = math.isnan if len(theta0) == 1 else math.isinf
+    for rec in _run_both(_SGLD, theta0, NanGradient(), ConstantDataSource(0.0), 5, threshold):
+        assert rec.diverged and rec.divergence_step == 1
+        assert want(rec.theta_norms[-1]) and np.all(np.isnan(rec.final_theta))
 
 
 def test_tusla_survives_where_sgld_diverges():

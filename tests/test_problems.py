@@ -1,5 +1,6 @@
 """Benchmark-problem tests: hand-computed values, estimator identities,
 finite-difference checks, and the scalar/batch agreement contract."""
+import dataclasses
 import math
 import struct
 import sys
@@ -382,6 +383,27 @@ def test_evaluate_scalar_matches_the_nested_estimator_anywhere(s, unbiased, thet
     )
 
 
+@pytest.mark.parametrize("unbiased", [False, True])
+def test_replaced_and_s0_oracles_evaluate_like_fresh_ones(unbiased):
+    # the wall term's factor and exponent are set from s in __post_init__,
+    # which replace runs again; they stay out of repr, equality and the hash
+    replaced = dataclasses.replace(UsProblem(s=2, unbiased=unbiased), s=26)
+    ref = g_s_unbiased if unbiased else g_s_sample
+    for prob, s in ((replaced, 26), (UsProblem(s=0, unbiased=unbiased), 0)):
+        fresh = UsProblem(s=s, unbiased=unbiased)
+        assert prob == fresh and hash(prob) == hash(fresh)
+        assert repr(prob) == repr(fresh) == (
+            f"UsProblem(s={s}, unbiased={unbiased}, theta_star=0.1)"
+        )
+        for theta in _SCALAR_THETAS:
+            for x in _SCALAR_XS:
+                got = _bits(prob.evaluate_scalar(theta, x))
+                assert got == _bits(fresh.evaluate_scalar(theta, x)) == _bits(ref(theta, x, s)), (
+                    s, theta, x,
+                )
+    assert replaced != UsProblem(s=2, unbiased=unbiased)
+
+
 def test_evaluate_wraps_scalar():
     prob = UsProblem(s=2)
     out = prob.evaluate(np.array([1.7]), 0.3)
@@ -423,6 +445,8 @@ def test_us_meta_and_validation():
     assert UsProblem(s=0).meta().q == 1.0
     assert UsProblem(s=2).meta().q == 4.0
     assert UsProblem(s=26).meta().q == 52.0
+    for s in (0, 1, 2, 26):  # degree() is meta().q without the L1 grid
+        assert UsProblem(s=s).degree() == UsProblem(s=s).meta().q
     assert UsProblem(s=2).meta().rho == 1.0
     assert UsProblem(s=2).meta().L1 > 0.0
     assert UsProblem(s=2).theta_star == CENTER

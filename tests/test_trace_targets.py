@@ -9,6 +9,7 @@ nothing is written next to it.
 """
 import functools
 import inspect
+import json
 import types
 from pathlib import Path
 
@@ -100,3 +101,33 @@ def test_traced_nn_demo_risk_is_one_pass_per_chain(tmp_path, monkeypatch):
     assert harness.main(["run", "--preset", "nn-demo", "--out", str(tmp_path)]) == 0
     cfg = harness.PRESETS["nn-demo"]
     assert calls == {"risk": len(cfg.algorithms()) * len(cfg.seeds)} == {"risk": 24}
+
+
+def test_traced_scalar_leaf_is_called_once_per_step(tmp_path, monkeypatch):
+    # the child wraps UsProblem.evaluate_scalar on the class; the scalar route
+    # must reach it there, once per step, with no instance attribute that
+    # shadows it. With one usable CPU the chain runs in this process
+    from tusla import harness, optimizers
+    from tusla.problems import UsProblem
+
+    fn = UsProblem.__dict__["evaluate_scalar"]
+    calls, oracles = [0], {}
+
+    def wrapper(self, *args):
+        calls[0] += 1
+        oracles[id(self)] = self
+        return fn(self, *args)
+
+    monkeypatch.setattr(UsProblem, "evaluate_scalar", wrapper)
+    monkeypatch.setattr(optimizers, "_usable_cpus", lambda: 1)
+    n_steps = 5000  # past the first 4096-step block
+    assert harness.main([
+        "run", "--preset", "paper-s26", "--set", "algorithm=tusla", "--set", "seeds=0",
+        "--set", f"n_steps={n_steps}", "--set", "record_every=1000", "--out", str(tmp_path),
+    ]) == 0
+    summary = json.loads((tmp_path / "paper-s26-summary.json").read_text())
+    assert summary["algorithms"]["tusla"]["per_seed"][0]["diverged"] is False
+    assert calls == [n_steps]
+    assert len(oracles) == 1
+    for oracle in oracles.values():
+        assert "evaluate_scalar" not in vars(oracle)
