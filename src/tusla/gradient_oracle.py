@@ -186,12 +186,17 @@ class GradientOracle(ABC):
 
 
 def overflow_safe_drift(
-    g: ParameterVector, theta: ParameterVector, lam: float, reg: RegularizationParams
-) -> ParameterVector:
-    """Vector H_lam(theta, x), overflow-safe for any finite theta, given finite g.
+    g: np.ndarray, theta: np.ndarray, norms, lam: float, reg: RegularizationParams
+) -> np.ndarray:
+    """H_lam(theta, x) per row, overflow-safe for any finite theta, given finite g.
 
-    Agrees with the plain two-stage form (regularize, then tame) wherever that
-    form is finite; tests/_loop_reference.py keeps it as the reference.
+    theta is one vector (d,) or an (R, d) stack, g has its shape, and norms
+    holds each row's safe_norm, one float per row. Both branches are one
+    expression, (a g + b theta) / c, with per-row factors from a libm pow on
+    the float norm: (1, eta t, 1 + sqrt(lam) t) below |theta| = 1 and
+    (ti, eta, ti + sqrt(lam)) from there on; 1.0 * g is exact. Agrees with
+    the plain two-stage form (regularize, then tame) wherever that form is
+    finite; tests/_loop_reference.py keeps it as the reference.
 
     The guard tames |theta|^(2r), not the oracle. Where the oracle itself
     overflows, g = +-inf; once |theta|^(-2r) has underflowed to 0 the large
@@ -203,12 +208,17 @@ def overflow_safe_drift(
     """
     if lam <= 0.0 or not math.isfinite(lam):
         raise ValueError(f"lam must be a positive finite step size, got {lam}")
-    a = safe_norm(theta)
-    if a < 1.0:
-        t = np.float64(a) ** (2.0 * reg.r)
-        return (g + (reg.eta * t) * theta) / (1.0 + math.sqrt(lam) * t)
-    ti = np.float64(a) ** (-2.0 * reg.r)
-    return (ti * g + reg.eta * theta) / (ti + math.sqrt(lam))
+    eta, two_r, sq = reg.eta, 2.0 * reg.r, math.sqrt(lam)
+    abc = []
+    for a in norms:
+        if a < 1.0:
+            t = a ** two_r
+            abc.append((1.0, eta * t, 1.0 + sq * t))
+        else:
+            ti = a ** -two_r
+            abc.append((ti, eta, ti + sq))
+    fa, fb, fc = np.array(abc).T.reshape((3,) + theta.shape[:-1] + (1,))
+    return (fa * g + fb * theta) / fc
 
 
 def overflow_safe_drift_batch(
@@ -216,26 +226,26 @@ def overflow_safe_drift_batch(
 ) -> np.ndarray:
     """Elementwise H_lam over replica arrays of scalar parameters.
 
-    Same two-branch arithmetic as overflow_safe_drift, vectorized with
-    np.where. Both branches are built from one power per element,
-    p = |theta|^(2r) below |theta| = 1 and |theta|^(-2r) from there on, so p
-    lies in [0, 1] or is nan. For r >= 1.5 (every r that require_order
-    admits) each element is bitwise the form with one clamped power per
-    branch (tests/_loop_reference.py); at 2r in {0.5, 1, 2} numpy's
-    scalar-exponent shortcuts round differently. Against the one-parameter
+    overflow_safe_drift's expression, (a g + eta w theta) / (a + sqrt(lam) w),
+    with per-element factors from one power per element: p = |theta|^(2r)
+    below |theta| = 1 gives a = 1, w = p, and p = |theta|^(-2r) from there on
+    gives a = p, w = 1, so p lies in [0, 1] or is nan. For r >= 1.5 (every r
+    that require_order admits) each element is bitwise the form with one
+    clamped power per branch (tests/_loop_reference.py); at 2r in {0.5, 1, 2}
+    numpy's scalar-exponent shortcuts round differently. Against the row
     drift, agreement is within an ulp or two, not bitwise: numpy's vectorized
     pow may round differently from libm pow. Finite for finite theta and
-    finite g (see overflow_safe_drift); with an infinite g the unused branch
-    may form 0 * inf and warn.
+    finite g (see overflow_safe_drift).
     """
     a = np.abs(theta)
-    sq = math.sqrt(lam)
     small = a < 1.0
-    two_r = 2.0 * reg.r
-    p = a ** np.where(small, two_r, -two_r)
-    low = (g + (reg.eta * p) * theta) / (1.0 + sq * p)
-    high = (p * g + reg.eta * theta) / (p + sq)
-    return np.where(small, low, high)
+    p = a ** np.where(small, 2.0 * reg.r, -2.0 * reg.r)
+    fa, w = np.where(small, 1.0, p), np.where(small, p, 1.0)
+    out = fa * g
+    out += (reg.eta * w) * theta
+    w *= math.sqrt(lam)
+    out /= np.add(fa, w, out=w)  # fa + sqrt(lam) w, in the order the rows add
+    return out
 
 
 def lambda_max(eta: float, p: float) -> float:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import math
 import os
@@ -31,7 +30,7 @@ import sys
 import time
 import typing
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -137,6 +136,8 @@ class ExperimentConfig:
         _check_step_size(self.lam, "lam")
         _check_beta(self.beta)
         AdamConfig(self.alpha, self.beta1, self.beta2, self.eps)
+        # the mlp fields too, which the summary records for every problem
+        Architecture(self.dims, activation_by_name(self.activation))
 
     def resolved_r(self) -> float:
         if self.r is not None:
@@ -358,12 +359,39 @@ def run_config(
     algorithms = {algo: setup.algo_config(cfg, algo) for algo in cfg.algorithms()}
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-    job = _Job(cfg, setup, algorithms, seeds, name, out_dir, fmt)
-    if job.stacked:  # every seed as one row of an (R, d) block
+    stacked = not scalar_route(setup.oracle, setup.theta0(seeds[0]).size)
+    chain = dict(
+        record_every=cfg.record_every,
+        divergence_threshold=cfg.divergence_threshold,
+        objective=setup.objective,
+    )
+
+    def run_task(task: tuple) -> tuple[list[SeedResult], float]:
+        # one task's chains, their files written; its results and seconds
+        t0 = time.perf_counter()
+        algo, task_seeds = task
+        algorithm, loop = algorithms[algo], (setup.oracle, setup.stream, cfg.n_steps)
+        theta0s = [setup.theta0(seed) for seed in task_seeds]
+        if stacked:
+            records = run_seeds(algorithm, theta0s, *loop, task_seeds, **chain)
+        else:
+            records = [run(algorithm, theta0s[0], *loop, task_seeds[0], **chain)]
+        results = []
+        for seed, record in zip(task_seeds, records):
+            results.append(_seed_result(setup, seed, record))
+            if out_dir is not None:
+                stem = f"{out_dir}/{name}-{algo}-seed{seed}"
+                if fmt == "csv":
+                    export_csv(record, f"{stem}.csv")
+                else:
+                    _export_record_json(record, f"{stem}.json")
+        return results, time.perf_counter() - t0
+
+    if stacked:  # every seed as one row of an (R, d) block
         tasks = [(algo, seeds) for algo in algorithms]
     else:
         tasks = [(algo, (seed,)) for algo in algorithms for seed in seeds]
-    outcomes, workers = fork_map(functools.partial(_run_task, job), tasks)
+    outcomes, workers = fork_map(run_task, tasks)
 
     algos: dict[str, AlgoSummary] = {}
     for algo in algorithms:
@@ -380,48 +408,6 @@ def run_config(
     if out_dir is not None:
         _dump_json(summary_jsonable(summary), f"{out_dir}/{name}-summary.json")
     return summary
-
-
-class _Job:
-    """What every task of one run_config call shares."""
-
-    def __init__(self, cfg, setup, algorithms, seeds, name, out_dir, fmt) -> None:
-        self.setup, self.algorithms = setup, algorithms
-        self.n_steps, self.name, self.out_dir, self.fmt = cfg.n_steps, name, out_dir, fmt
-        self.theta0 = {seed: setup.theta0(seed) for seed in seeds}
-        self.stacked = not scalar_route(setup.oracle, self.theta0[seeds[0]].size)
-        self.chain = dict(
-            record_every=cfg.record_every,
-            divergence_threshold=cfg.divergence_threshold,
-            objective=setup.objective,
-        )
-
-
-def _run_task(job: _Job, task: tuple) -> tuple[list[SeedResult], float]:
-    """Run one task's chains and write their files; its results and seconds."""
-    t0 = time.perf_counter()
-    algo, seeds = task
-    setup, algorithm = job.setup, job.algorithms[algo]
-    theta0s = [job.theta0[seed] for seed in seeds]
-    if job.stacked:
-        records = run_seeds(
-            algorithm, theta0s, setup.oracle, setup.stream, job.n_steps, seeds, **job.chain
-        )
-    else:
-        records = [
-            run(algorithm, theta0s[0], setup.oracle, setup.stream, job.n_steps, seeds[0],
-                **job.chain)
-        ]
-    results = []
-    for seed, record in zip(seeds, records):
-        results.append(_seed_result(setup, seed, record))
-        if job.out_dir is not None:
-            stem = f"{job.out_dir}/{job.name}-{algo}-seed{seed}"
-            if job.fmt == "csv":
-                export_csv(record, f"{stem}.csv")
-            else:
-                _export_record_json(record, f"{stem}.json")
-    return results, time.perf_counter() - t0
 
 
 def run_preset(

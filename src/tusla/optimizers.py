@@ -24,19 +24,20 @@ vector route: ``run_seeds`` steps the chains of R seeds as the rows of one
 (R, d) array, with one evaluate_rows call and one stacked update per step,
 and ``run`` is its R = 1 case. ``run_seeds`` stacks scalar-route seeds too,
 as rows of width 1. Both loops run the update of the one-step reference
-steppers in tests/_loop_reference.py operation for operation, with the
-tamed drift of overflow_safe_drift written inline.
+steppers in tests/_loop_reference.py operation for operation. The stacked
+route takes its tamed drift from overflow_safe_drift, one call per step;
+the scalar route writes the same operations inline, which spares a call
+per step.
 
 Row i of the stacked route is bitwise the single chain of seed i. Each row
 draws from its own streams. Elementwise operations round per element,
 whatever the shape, so only the reductions and the powers need care. The
 row norms are safe_row_norms, safe_norm's branches per row with the dot
-taken as a stacked BLAS dot. Each row's TUSLA factor |theta|^(+-2r) is a
-libm pow on a native float, as on the scalar route; numpy's vector pow
-rounds differently in a few percent of elements. The drift's two branches
-are one expression, (a g + b theta) / c with per-row a, b and c; a = 1.0
-in the small branch, and 1.0 * g is exact. A row that diverges is
-finished at its own step and leaves the block.
+taken as a stacked BLAS dot. overflow_safe_drift takes each row's TUSLA
+factor |theta|^(+-2r) as a libm pow on that native-float norm, as on the
+scalar route; numpy's vector pow rounds differently in a few percent of
+elements. A row that diverges is finished at its own step and leaves the
+block.
 
 Seeding: one master seed per run expands to independent substreams via
 SeedSequence spawn keys: data = [seed, 0], update noise = [seed, 1, algo_id]
@@ -64,7 +65,7 @@ from .gradient_oracle import (
     ParameterVector,
     RegularizationParams,
     lambda_max,
-    overflow_safe_drift,  # no caller here: the traced benchmark wraps this name
+    overflow_safe_drift,
     parameter_vector,
     safe_row_norms,
 )
@@ -431,8 +432,6 @@ def _run_rows(
         lam = algorithm.lam
         noise_scale = math.sqrt(2.0 * lam / algorithm.beta)
         noise_rngs = [noise_rng for _, noise_rng in streams]
-    if is_tusla:
-        eta, two_r, sqlam = algorithm.reg.eta, 2.0 * algorithm.reg.r, math.sqrt(lam)
     data_rngs = [data_rng for data_rng, _ in streams]
     evaluate = oracle.evaluate_rows
     limit = min(threshold, sys.float_info.max)
@@ -485,18 +484,7 @@ def _run_rows(
             thetas = thetas - alpha * (mhat / (np.sqrt(vhat) + eps))
         else:
             if is_tusla:
-                # both branches as (a g + b theta) / c with per-row a, b, c;
-                # a = 1.0 in the small branch, and 1.0 * g is exact
-                abc = []
-                for a in nrms:
-                    if a < 1.0:
-                        t = a ** two_r
-                        abc.append((1.0, eta * t, 1.0 + sqlam * t))
-                    else:
-                        ti = a ** -two_r
-                        abc.append((ti, eta, ti + sqlam))
-                fa, fb, fc = np.array(abc).T[:, :, None]
-                g = (fa * g + fb * thetas) / fc
+                g = overflow_safe_drift(g, thetas, nrms, lam, algorithm.reg)
             thetas = thetas - lam * g + xis[j]
         n += 1
         nrms = safe_row_norms(thetas).tolist()

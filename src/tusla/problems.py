@@ -179,9 +179,6 @@ class UsProblem(GradientOracle):
     def meta(self) -> OracleMeta:
         return OracleMeta(q=self.degree(), rho=1.0, L1=_us_l1(self.s, self.unbiased))
 
-    def dim(self) -> int:
-        return 1
-
     def evaluate_scalar(self, theta: float, x: float) -> float:
         # one frame for the hot scalar route; a float ** int that overflows
         # raises rather than returning inf, and the odd power saturates to

@@ -135,7 +135,7 @@ def tusla_step(
 ) -> ParameterVector:
     """theta - lam * H_lam(theta, x) + sqrt(2 lam / beta) * xi."""
     g = oracle.evaluate(theta, x)
-    drift = overflow_safe_drift(g, theta, cfg.lam, cfg.reg)
+    drift = overflow_safe_drift(g, theta, [safe_norm(theta)], cfg.lam, cfg.reg)
     return theta - cfg.lam * drift + math.sqrt(2.0 * cfg.lam / cfg.beta) * xi
 
 
@@ -401,7 +401,7 @@ def _run_vector(
         else:
             xi = noise.next()
             if is_tusla:
-                drift = overflow_safe_drift(g, theta, lam, algorithm.reg)
+                drift = overflow_safe_drift(g, theta, [nrm], lam, algorithm.reg)
                 theta = theta - lam * drift + noise_scale * xi
             else:
                 theta = theta - lam * g + noise_scale * xi

@@ -85,7 +85,7 @@ def h_growth_violations(
         x = sample(rng)
         lam = cap * 10.0 ** rng.uniform(-4.0, 0.0)
         g = np.asarray(oracle.evaluate(theta, x), dtype=np.float64)
-        h = overflow_safe_drift(g, theta, lam, reg)
+        h = overflow_safe_drift(g, theta, [safe_norm(theta)], lam, reg)
         lhs = math.sqrt(lam) * safe_norm(h)
         rhs = growth_envelope(oracle, x) + reg.eta * safe_norm(theta)
         if not lhs <= rhs * (1.0 + SLACK):
@@ -105,7 +105,7 @@ def sqr_growth_violations(
         x = sample(rng)
         lam = cap * 10.0 ** rng.uniform(-4.0, 0.0)
         g = np.asarray(oracle.evaluate(theta, x), dtype=np.float64)
-        h = overflow_safe_drift(g, theta, lam, reg)
+        h = overflow_safe_drift(g, theta, [safe_norm(theta)], lam, reg)
         nh = safe_norm(h)
         k = growth_envelope(oracle, x)
         a = safe_norm(theta)

@@ -220,7 +220,7 @@ def test_safe_drift_finishes_where_plain_form_overflows():
     with np.errstate(over="ignore", invalid="ignore"):
         plain = tamed_gradient(regularized_gradient(g, theta, reg), theta, 0.05, reg.r)
     assert not np.isfinite(plain[0])
-    safe = overflow_safe_drift(g, theta, 0.05, reg)
+    safe = overflow_safe_drift(g, theta, [safe_norm(theta)], 0.05, reg)
     assert np.isfinite(safe[0])
     assert safe[0] == pytest.approx(0.01 * 1e5 / math.sqrt(0.05), rel=1e-12)
 
@@ -229,7 +229,75 @@ def test_drift_rejects_bad_step_size():
     reg = RegularizationParams(eta=0.1, r=2.0)
     for lam in [0.0, -1.0, math.inf, math.nan]:
         with pytest.raises(ValueError):
-            overflow_safe_drift(np.array([1.0]), np.array([1.0]), lam, reg)
+            overflow_safe_drift(np.array([1.0]), np.array([1.0]), [1.0], lam, reg)
+
+
+_BOUNDARY = (math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0))
+
+
+@st.composite
+def _stack_row(draw, d):
+    # a signed basis vector of a boundary norm, or any row of norm 1e-3..1e3
+    if draw(st.booleans()):
+        row = np.zeros(d)
+        row[draw(st.integers(0, d - 1))] = draw(st.sampled_from([-1.0, 1.0])) * draw(
+            st.sampled_from(_BOUNDARY)
+        )
+        return row
+    row = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=d, max_size=d)))
+    assume(1e-3 <= safe_norm(row) <= 1e3)
+    return row
+
+
+@given(
+    d=st.sampled_from([1, 2, 9]),
+    data=st.data(),
+    lam=st.floats(1e-4, 1.0),
+    eta=st.floats(0.0, 0.9),
+    r=st.floats(1.5, 12.0),
+)
+@settings(max_examples=150, deadline=None)
+def test_drift_on_a_stack_is_bitwise_its_rows(d, data, lam, eta, r):
+    # the stacked route's one call per step against one call per row: the
+    # norms come as the route takes them, safe_row_norms over the stack
+    rows = data.draw(st.lists(_stack_row(d), min_size=1, max_size=6))
+    thetas = np.array(rows)
+    g = np.array(data.draw(st.lists(
+        st.lists(st.floats(-1e30, 1e30), min_size=d, max_size=d),
+        min_size=len(rows), max_size=len(rows),
+    )))
+    reg = RegularizationParams(eta=eta, r=r)
+    norms = safe_row_norms(thetas).tolist()
+    stacked = overflow_safe_drift(g, thetas, norms, lam, reg)
+    one = np.array([
+        overflow_safe_drift(g[i], thetas[i], [safe_norm(thetas[i])], lam, reg)
+        for i in range(len(rows))
+    ])
+    assert stacked.shape == thetas.shape
+    assert np.array_equal(stacked.view(np.int64), one.view(np.int64))
+
+
+def test_drift_stack_takes_both_branches_at_the_boundary():
+    # a basis row's norm is its entry, so the three rows straddle |theta| = 1
+    # exactly, and each row's own component is the scalar drift of its branch
+    reg = RegularizationParams(eta=0.3, r=2.0)
+    thetas = np.diag(_BOUNDARY)
+    norms = safe_row_norms(thetas).tolist()
+    assert norms == list(_BOUNDARY)
+    out = overflow_safe_drift(np.full((3, 3), -7.5), thetas, norms, 0.25, reg)
+    assert np.diag(out).tolist() == [
+        overflow_safe_drift_scalar(-7.5, m, 0.25, reg.eta, reg.r) for m in _BOUNDARY
+    ]
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5])
+@pytest.mark.parametrize("g", [math.inf, -math.inf])
+def test_drift_batch_small_branch_passes_an_infinite_gradient(theta, g):
+    # below |theta| = 1 the factor on g is 1.0: no 0 * inf is formed anywhere
+    reg = RegularizationParams(eta=0.01, r=12.0)
+    with np.errstate(all="raise"):
+        out = overflow_safe_drift_batch(np.array([g, g]), np.array([theta, -theta]), 0.05, reg)
+    assert out.tolist() == [g, g]
 
 
 # ----------------------------------------------------- extended-precision oracle
@@ -282,7 +350,7 @@ def test_drift_agrees_with_two_stage_form(d, data, lam, eta, r):
     g = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=d, max_size=d)))
     reg = RegularizationParams(eta=eta, r=r)
 
-    safe = overflow_safe_drift(g, theta, lam, reg)
+    safe = overflow_safe_drift(g, theta, [safe_norm(theta)], lam, reg)
     plain = tamed_gradient(regularized_gradient(g, theta, reg), theta, lam, r)
     assert np.all(np.isfinite(plain))
 
@@ -308,7 +376,7 @@ def test_drift_scalar_vector_batch_identical_bits(g, mag, sign, lam, eta, r):
     theta = sign * 10.0 ** mag
     reg = RegularizationParams(eta=eta, r=r)
     s = overflow_safe_drift_scalar(g, theta, lam, eta, r)
-    v = overflow_safe_drift(np.array([g]), np.array([theta]), lam, reg)
+    v = overflow_safe_drift(np.array([g]), np.array([theta]), [abs(theta)], lam, reg)
     b = overflow_safe_drift_batch(np.array([g, g]), np.array([theta, theta]), lam, reg)
     # scalar and vector share one code path per element: bitwise
     assert np.array_equal(np.array([s]), v, equal_nan=True)

@@ -731,6 +731,29 @@ def test_base_seed_summary_records_the_seeds_that_ran(tmp_path):
         ExperimentConfig(seeds=(0, -1))
 
 
+@pytest.mark.parametrize("bad", ["dims=0", "dims=3,0", "dims=3", "dims=3,-4"])
+def test_mlp_dims_are_checked_whatever_the_problem(tmp_path, bad):
+    # the summary records dims for every problem, so a u_s run checks them
+    # too, before --out is made
+    for preset in ("paper-s2", "nn-demo"):
+        out = tmp_path / preset
+        assert main(["run", "--preset", preset, "--set", bad, "--set", "n_steps=10",
+                     "--set", "seeds=0", "--out", str(out)]) == 64, (preset, bad)
+        assert not out.exists(), (preset, bad)
+    with pytest.raises(ValueError, match="layer"):
+        ExperimentConfig(problem="us", dims=(3, 0))
+
+
+def test_mlp_activation_is_checked_whatever_the_problem(tmp_path):
+    for preset in ("paper-s2", "nn-demo"):
+        out = tmp_path / preset
+        assert main(["run", "--preset", preset, "--set", "activation=relu", "--set",
+                     "n_steps=10", "--set", "seeds=0", "--out", str(out)]) == 64, preset
+        assert not out.exists(), preset
+    with pytest.raises(ValueError, match="unknown activation"):
+        ExperimentConfig(problem="quadratic", activation="relu")
+
+
 def _strict_json(path):
     def reject(token):
         raise ValueError(f"{path.name} holds the non-JSON token {token}")

@@ -131,3 +131,22 @@ def test_traced_scalar_leaf_is_called_once_per_step(tmp_path, monkeypatch):
     assert len(oracles) == 1
     for oracle in oracles.values():
         assert "evaluate_scalar" not in vars(oracle)
+
+
+def test_traced_row_drift_is_called_once_per_stacked_step(tmp_path, monkeypatch):
+    # the child wraps optimizers.overflow_safe_drift; the stacked route takes
+    # its TUSLA drift through that global, one call for all rows per step.
+    # With one usable CPU the nn-demo chains run in this process
+    from tusla import harness, optimizers
+
+    calls = {}
+    _count(monkeypatch, calls, optimizers, "overflow_safe_drift")
+    monkeypatch.setattr(optimizers, "_usable_cpus", lambda: 1)
+    n_steps = 30
+    assert harness.main([
+        "run", "--preset", "nn-demo", "--set", "algorithm=tusla",
+        "--set", f"n_steps={n_steps}", "--out", str(tmp_path),
+    ]) == 0
+    summary = json.loads((tmp_path / "nn-demo-summary.json").read_text())
+    assert [r["diverged"] for r in summary["algorithms"]["tusla"]["per_seed"]] == [False] * 8
+    assert calls == {"overflow_safe_drift": n_steps}
