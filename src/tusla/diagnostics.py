@@ -171,13 +171,15 @@ def _simpson_cell_masses(logw_nodes: np.ndarray, logw_mids: np.ndarray, h: float
     return (h / 6.0) * (wn[:-1] + 4.0 * wm + wn[1:])
 
 
+_GIBBS_CELLS = 1 << 14  # gibbs_sampler_1d's quadrature cells
+
+
 def gibbs_sampler_1d(
     u: Callable[[np.ndarray], np.ndarray],
     beta: float,
     support: Optional[tuple[float, float]],
     rng: np.random.Generator,
     n_draws: int,
-    n_cells: int = 1 << 14,
 ) -> EmpiricalDistribution1D:
     """Draw n_draws samples from the density proportional to exp(-beta u(x)).
 
@@ -185,15 +187,13 @@ def gibbs_sampler_1d(
     None starts from [-20, 20] and doubles the span until the boundary
     density falls below 1e-12 of the peak; a density whose tails refuse to
     decay raises rather than returning garbage. Sampling inverts the CDF of
-    a composite Simpson quadrature on n_cells uniform cells (n_cells + 1
-    nodes), linearly interpolated between nodes.
+    a composite Simpson quadrature on _GIBBS_CELLS = 2^14 uniform cells,
+    linearly interpolated between nodes.
     """
     if not (math.isfinite(beta) and beta > 0.0):
         raise ValueError(f"beta must be positive and finite, got {beta}")
     if n_draws < 1:
         raise ValueError("n_draws must be positive")
-    if n_cells < (1 << 14):
-        raise ValueError(f"need at least {1 << 14} cells, got {n_cells}")
 
     auto = support is None
     lo, hi = (-20.0, 20.0) if auto else (float(support[0]), float(support[1]))
@@ -201,7 +201,7 @@ def gibbs_sampler_1d(
         raise ValueError(f"invalid support [{lo}, {hi}]")
 
     def density_grid(lo, hi):
-        nodes = np.linspace(lo, hi, n_cells + 1)
+        nodes = np.linspace(lo, hi, _GIBBS_CELLS + 1)
         mids = 0.5 * (nodes[:-1] + nodes[1:])
         with np.errstate(over="ignore", invalid="ignore"):
             logw_nodes = -beta * np.asarray(u(nodes), dtype=np.float64)
@@ -226,11 +226,11 @@ def gibbs_sampler_1d(
                 "exp(-beta u) may not be integrable"
             )
         # monotone-tail sanity: log-density must not be rising at the edges
-        k = max(2, n_cells // 256)
+        k = _GIBBS_CELLS // 256
         if lw_n[0] > lw_n[k] + 1e-9 or lw_n[-1] > lw_n[-1 - k] + 1e-9:
             raise ValueError("density rises toward the support boundary; not integrable")
 
-    h = (hi - lo) / n_cells
+    h = (hi - lo) / _GIBBS_CELLS
     masses = _simpson_cell_masses(lw_n, lw_m, h)
     total = float(masses.sum())
     if not (math.isfinite(total) and total > 0.0):

@@ -284,7 +284,7 @@ class _ProblemSetup:
         return AdamConfig(alpha=cfg.alpha, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
 
 
-def _seed_result(setup: _ProblemSetup, seed: int, record: RunRecord) -> SeedResult:
+def _seed_result(setup: _ProblemSetup, seed: int, record: RunRecord, objectives) -> SeedResult:
     if setup.theta_star is None:
         dist = math.nan
     else:
@@ -293,7 +293,7 @@ def _seed_result(setup: _ProblemSetup, seed: int, record: RunRecord) -> SeedResu
         seed=seed,
         final_distance=dist,
         final_theta_norm=float(record.theta_norms[-1]),
-        final_objective=float(record.objectives[-1]),
+        final_objective=float(objectives[-1]),
         diverged=record.diverged,
         divergence_step=record.divergence_step,
     )
@@ -360,11 +360,7 @@ def run_config(
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     stacked = not scalar_route(setup.oracle, setup.theta0(seeds[0]).size)
-    chain = dict(
-        record_every=cfg.record_every,
-        divergence_threshold=cfg.divergence_threshold,
-        objective=setup.objective,
-    )
+    chain = dict(record_every=cfg.record_every, divergence_threshold=cfg.divergence_threshold)
 
     def run_task(task: tuple) -> tuple[list[SeedResult], float]:
         # one task's chains, their files written; its results and seconds
@@ -378,13 +374,15 @@ def run_config(
             records = [run(algorithm, theta0s[0], *loop, task_seeds[0], **chain)]
         results = []
         for seed, record in zip(task_seeds, records):
-            results.append(_seed_result(setup, seed, record))
+            # one objective call per record, on its (k, d) stack of states
+            objectives = np.asarray(setup.objective(record.thetas), dtype=np.float64)
+            results.append(_seed_result(setup, seed, record, objectives))
             if out_dir is not None:
                 stem = f"{out_dir}/{name}-{algo}-seed{seed}"
                 if fmt == "csv":
-                    export_csv(record, f"{stem}.csv")
+                    export_csv(record, objectives, f"{stem}.csv")
                 else:
-                    _export_record_json(record, f"{stem}.json")
+                    _export_record_json(record, objectives, f"{stem}.json")
         return results, time.perf_counter() - t0
 
     if stacked:  # every seed as one row of an (R, d) block
@@ -454,29 +452,27 @@ def _conforms(val, hint) -> bool:
 
 _FMT = "%.17g"  # shortest representation that round-trips float64
 _BLOCK_ROWS = 4096  # rows formatted per write; bounds the transient Python objects
+_THETA_MAX_DIM = 8  # wider states are exported without their components
 
 
-def export_csv(record: RunRecord, path: str) -> str:
-    """Write one trajectory as CSV (LF newlines, 17-significant-digit floats).
+def export_csv(record: RunRecord, objectives: np.ndarray, path: str) -> str:
+    """Write one trajectory and its objective values as CSV (LF, %.17g floats).
 
     Header is always step,theta_norm,theta,objective,grad_norm; the theta
     column holds semicolon-joined components when the dimension is <= 8 and
-    is empty otherwise, objective is empty when no objective was recorded.
+    is empty otherwise.
 
     Rows are formatted a block at a time: each column slice becomes Python
     numbers with one tolist(), the slices are interleaved row-major, and one
     %-format string with a row template per row formats the whole block.
     """
     cols = [record.step_indices, record.theta_norms]
-    theta_fmt = obj_fmt = ""
-    if record.thetas is not None:
+    theta_fmt = ""
+    if record.thetas.shape[1] <= _THETA_MAX_DIM:
         cols.extend(record.thetas.T)
         theta_fmt = ";".join([_FMT] * record.thetas.shape[1])
-    if record.objectives is not None:
-        cols.append(record.objectives)
-        obj_fmt = _FMT
-    cols.append(record.grad_norms)
-    row = f"%d,{_FMT},{theta_fmt},{obj_fmt},{_FMT}\n"
+    cols += [objectives, record.grad_norms]
+    row = f"%d,{_FMT},{theta_fmt},{_FMT},{_FMT}\n"
     k, width = record.step_indices.size, len(cols)
     with open(path, "w", newline="") as f:
         f.write("step,theta_norm,theta,objective,grad_norm\n")
@@ -489,12 +485,13 @@ def export_csv(record: RunRecord, path: str) -> str:
     return path
 
 
-def _export_record_json(record: RunRecord, path: str) -> None:
+def _export_record_json(record: RunRecord, objectives: np.ndarray, path: str) -> None:
+    wide = record.thetas.shape[1] > _THETA_MAX_DIM  # null theta, as the CSV's empty cells
     obj = {
         "step": record.step_indices.tolist(),
         "theta_norm": _nan_safe_list(record.theta_norms),
-        "theta": None if record.thetas is None else [_nan_safe_list(t) for t in record.thetas],
-        "objective": None if record.objectives is None else _nan_safe_list(record.objectives),
+        "theta": None if wide else [_nan_safe_list(t) for t in record.thetas],
+        "objective": _nan_safe_list(objectives),
         "grad_norm": _nan_safe_list(record.grad_norms),
         "final_theta": _nan_safe_list(record.final_theta),
         "diverged": record.diverged,
@@ -648,8 +645,8 @@ def _build_parser() -> _Parser:
     pg.add_argument("--s", type=int, default=2)
     pg.add_argument("--beta", type=float, default=4.0)
     pg.add_argument("--lam", type=float, default=0.01)
-    pg.add_argument("--eta", type=float, default=0.0,
-                    help="penalty weight, >= 0 (u_s at --eta 0 runs at 0.01)")
+    pg.add_argument("--eta", type=float, default=None,
+                    help="penalty weight, >= 0 (default 0.01 on u_s, 0 on the quadratic)")
     pg.add_argument("--replicas", type=int, default=512)
     pg.add_argument("--steps", type=int, default=20000)
     pg.add_argument("--theta0", type=float, default=0.0)
@@ -713,10 +710,10 @@ def _cmd_gibbs(args) -> int:
     # checked before the law, which takes seconds at the defaults
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
-    if not args.eta >= 0.0:
-        raise ValueError(f"--eta must be >= 0, got {args.eta}")
+    eta = (0.01 if args.problem == "us" else 0.0) if args.eta is None else args.eta
+    if not eta >= 0.0:
+        raise ValueError(f"--eta must be >= 0, got {eta}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([args.seed, 9])))
-    eta = 0.01 if args.problem == "us" and args.eta == 0.0 else args.eta
     setup = _ProblemSetup(ExperimentConfig(problem=args.problem, s=args.s, eta=eta))
     # the law checks lam, beta, steps, replicas and theta0 before it draws anything
     law = tusla_terminal_law(

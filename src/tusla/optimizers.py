@@ -3,7 +3,7 @@
 All three share one update-noise convention: the Langevin algorithms add
 sqrt(2 * lam / beta) * xi with xi ~ N(0, I) per step; ADAM is noise-free.
 ``run`` wires a data stream and seeded substreams to the update, records
-trajectory statistics, and stops early (flagging, not raising) at the first
+the states it visits, and stops early (flagging, not raising) at the first
 state, theta0 included, whose norm fails ``norm <= min(threshold, DBL_MAX)``.
 That one comparison is exactly "non-finite or above the threshold": nan fails
 every comparison and only inf exceeds DBL_MAX. So a norm equal to the
@@ -39,6 +39,11 @@ scalar route; numpy's vector pow rounds differently in a few percent of
 elements. A row that diverges is finished at its own step and leaves the
 block.
 
+Recording: the loops record only what they alone know, each recorded
+state's step, theta and |G|, plus the divergence. ``_Recorder.finish``
+derives the columns that are functions of the (k, d) state stack:
+theta_norms = safe_row_norms(stack) is bitwise the loop's own norms.
+
 Seeding: one master seed per run expands to independent substreams via
 SeedSequence spawn keys: data = [seed, 0], update noise = [seed, 1, algo_id]
 with algo_id 0/1/2 for TUSLA/SGLD/ADAM. Two algorithms given the same seed
@@ -56,7 +61,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -158,21 +163,24 @@ class AdamConfig:
 class RunRecord:
     """Column-oriented trajectory record.
 
-    grad_norms[i] is |G(theta, x)| evaluated at the recorded state when the
-    step leaving it was taken (the raw oracle gradient, not the tamed drift);
-    it is nan on the final recorded state, which no step leaves. thetas is
-    kept only for dimension <= 8. diverged is True iff some recorded norm
-    exceeded the threshold or was non-finite; divergence_step is that step.
+    thetas is the (k, d) stack of the k recorded states; theta_norms is its
+    safe_row_norms and final_theta its last row. grad_norms[i] is |G(theta, x)|
+    at recorded state i when the step leaving it was taken (the raw oracle
+    gradient, not the tamed drift); nan on the final state, which no step
+    leaves. diverged is True iff some recorded norm exceeded the threshold
+    or was non-finite; divergence_step is that step.
     """
 
     step_indices: np.ndarray
     theta_norms: np.ndarray
     grad_norms: np.ndarray
-    thetas: Optional[np.ndarray]
-    objectives: Optional[np.ndarray]
-    final_theta: np.ndarray
+    thetas: np.ndarray
     diverged: bool
     divergence_step: Optional[int]
+
+    @property
+    def final_theta(self) -> np.ndarray:
+        return self.thetas[-1]
 
     @property
     def n_recorded(self) -> int:
@@ -186,53 +194,32 @@ def _streams(rng_seed: int, algo_id: int) -> tuple[np.random.Generator, np.rando
 
 
 class _Recorder:
-    """Collects one row per recorded state: step, theta, |theta| and |G|.
+    """Collects each recorded state's step, theta and |G|, which only the
+    loop knows. Both routes pass theta in their own form, a float on the
+    scalar route and an array (never mutated afterwards) on the vector route,
+    so recording a row allocates no numpy object. finish stacks the rows once
+    into the (k, d) record stack and derives the state columns from it."""
 
-    Both routes pass theta in their own form, a float on the scalar route and
-    an array (never mutated afterwards) on the vector route, so recording a
-    row allocates no numpy object. finish stacks the theta rows once into the
-    (k, d) record stack and calls the objective once on it, for one value per
-    row; rows are held only while thetas or objectives need them.
-    """
-
-    def __init__(self, d: int, objective: Optional[Callable]) -> None:
-        self.keep_theta = d <= 8
-        self.objective = objective
-        self.keep_rows = self.keep_theta or objective is not None
+    def __init__(self) -> None:
         self.idx: list[int] = []
         self.thetas: list = []
-        self.norms: list[float] = []
         self.grads: list[float] = []
 
-    def add(self, n: int, theta, norm: float, grad_norm: float) -> None:
+    def add(self, n: int, theta, grad_norm: float) -> None:
         self.idx.append(n)
-        self.norms.append(norm)
+        self.thetas.append(theta)
         self.grads.append(grad_norm)
-        if self.keep_rows:
-            self.thetas.append(theta)
 
-    def finish(self, n: int, theta, norm: float, diverged: bool, step: Optional[int]) -> RunRecord:
-        self.add(n, theta, norm, math.nan)  # final recorded state has no outgoing step
-        rows = None
-        if self.keep_rows:
-            rows = np.array(self.thetas, dtype=np.float64).reshape(len(self.idx), -1)
-        objectives = None
-        if self.objective is not None:
-            objectives = np.asarray(self.objective(rows), dtype=np.float64)
-            if objectives.shape != (len(rows),):
-                raise ValueError(
-                    f"objective must map the {rows.shape} record stack to "
-                    f"{len(rows)} values, got shape {objectives.shape}"
-                )
+    def finish(self, n: int, theta, diverged: bool) -> RunRecord:
+        self.add(n, theta, math.nan)  # final recorded state has no outgoing step
+        thetas = np.array(self.thetas, dtype=np.float64).reshape(len(self.idx), -1)
         return RunRecord(
             step_indices=np.array(self.idx, dtype=np.int64),
-            theta_norms=np.array(self.norms, dtype=np.float64),
+            theta_norms=safe_row_norms(thetas),
             grad_norms=np.array(self.grads, dtype=np.float64),
-            thetas=rows if self.keep_theta else None,
-            objectives=objectives,
-            final_theta=np.array(theta, dtype=np.float64, ndmin=1),
+            thetas=thetas,
             diverged=diverged,
-            divergence_step=step,
+            divergence_step=n if diverged else None,
         )
 
 
@@ -269,27 +256,24 @@ def run(
     rng_seed: int,
     record_every: int = 1,
     divergence_threshold: float = 1e10,
-    objective: Optional[Callable[[np.ndarray], Sequence[float]]] = None,
 ) -> RunRecord:
     """Run one algorithm from theta0 for up to n_steps, recording every
-    record_every-th state plus the initial and final (or divergent) one.
+    record_every-th state plus the initial and final (or divergent) one in
+    the record's (k, d) state stack; an objective is the caller's to take.
 
     algorithm: a TuslaConfig, SgldConfig, or AdamConfig.
     stream: data source with sample_batch(rng, n), which draws the same
         values as n calls of sample(rng).
-    objective: optional map from the record stack to its values: called
-        once, after the loop, on the (k, d) stack of the k recorded states,
-        it returns k floats, row i's value recorded with state i.
     """
     theta0 = parameter_vector(theta0)
     if not scalar_route(oracle, theta0.size):
         return run_seeds(
             algorithm, theta0[None], oracle, stream, n_steps, (rng_seed,),
-            record_every, divergence_threshold, objective,
+            record_every, divergence_threshold,
         )[0]
     algo_id = _algo_id(algorithm, oracle, n_steps, record_every, divergence_threshold)
     data_rng, noise_rng = _streams(rng_seed, algo_id)
-    rec = _Recorder(1, objective)
+    rec = _Recorder()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return _run_chain(
             algorithm, float(theta0[0]), oracle, stream, n_steps,
@@ -306,14 +290,12 @@ def run_seeds(
     seeds,
     record_every: int = 1,
     divergence_threshold: float = 1e10,
-    objective: Optional[Callable[[np.ndarray], Sequence[float]]] = None,
 ) -> list[RunRecord]:
     """One record per seed: row i of theta0s run with rng seed seeds[i].
 
     Record i is bitwise run(algorithm, theta0s[i], ..., seeds[i], ...). On
     either route every seed steps as one row of an (R, d) block, with one
-    evaluate_rows call and one stacked update per step. objective has run's
-    contract: one call per record, on that record's (k, d) stack.
+    evaluate_rows call and one stacked update per step.
     """
     theta0s = np.array([parameter_vector(t) for t in theta0s])
     if theta0s.ndim != 2 or len(theta0s) != len(seeds) or len(seeds) == 0:
@@ -322,7 +304,7 @@ def run_seeds(
         )
     algo_id = _algo_id(algorithm, oracle, n_steps, record_every, divergence_threshold)
     streams = [_streams(seed, algo_id) for seed in seeds]
-    recs = [_Recorder(theta0s.shape[1], objective) for _ in seeds]
+    recs = [_Recorder() for _ in seeds]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return _run_rows(
             algorithm, theta0s, oracle, stream, n_steps,
@@ -347,8 +329,8 @@ def _run_chain(
     data_rng, noise_rng, record_every, threshold, rec: _Recorder,
 ) -> RunRecord:
     # The scalar route: native floats throughout (see the module docstring).
-    # The one norm of each new state serves the divergence check, the
-    # recorder and the next step's drift. A step's cost is interpreter work,
+    # The one norm of each new state serves the divergence check and the
+    # next step's drift. A step's cost is interpreter work,
     # so it tests one algorithm flag (TUSLA's first) and counts down to records.
     evaluate, norm, sqrt = oracle.evaluate_scalar, abs, math.sqrt
     is_adam = isinstance(algorithm, AdamConfig)
@@ -366,7 +348,7 @@ def _run_chain(
 
     nrm = norm(theta)
     if not nrm <= limit:
-        return rec.finish(0, theta, nrm, True, 0)
+        return rec.finish(0, theta, True)
 
     block = _block_size(n_steps)
     add = rec.add
@@ -383,7 +365,7 @@ def _run_chain(
             countdown -= 1
             if not countdown:
                 countdown = record_every
-                add(n, theta, nrm, norm(g))
+                add(n, theta, norm(g))
             if is_tusla:
                 if nrm < 1.0:
                     t = nrm ** two_r
@@ -407,8 +389,8 @@ def _run_chain(
             n += 1
             nrm = norm(theta)
             if not nrm <= limit:
-                return rec.finish(n, theta, nrm, True, n)
-    return rec.finish(n, theta, nrm, False, None)
+                return rec.finish(n, theta, True)
+    return rec.finish(n, theta, False)
 
 
 def _run_rows(
@@ -444,7 +426,7 @@ def _run_rows(
         gone = [i for i, a in enumerate(nrms) if not a <= limit]
         if gone:
             for i in gone:
-                out[live[i]] = recs[live[i]].finish(n, thetas[i], nrms[i], True, n)
+                out[live[i]] = recs[live[i]].finish(n, thetas[i], True)
             keep = [i for i in range(len(live)) if i not in gone]
             if not keep:
                 return out
@@ -475,7 +457,7 @@ def _run_rows(
         if n % record_every == 0:
             gnorms = safe_row_norms(g).tolist()
             for i, c in enumerate(live):
-                recs[c].add(n, thetas[i], nrms[i], gnorms[i])
+                recs[c].add(n, thetas[i], gnorms[i])
         if is_adam:
             m = b1 * m + (1.0 - b1) * g
             v = b2 * v + (1.0 - b2) * (g * g)
@@ -489,7 +471,7 @@ def _run_rows(
         n += 1
         nrms = safe_row_norms(thetas).tolist()
     for i, c in enumerate(live):
-        out[c] = recs[c].finish(n, thetas[i], nrms[i], False, None)
+        out[c] = recs[c].finish(n, thetas[i], False)
     return out
 
 

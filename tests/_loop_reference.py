@@ -11,7 +11,8 @@ merged: a scalar loop on native floats with the drift inlined, and a vector
 loop that calls ``overflow_safe_drift``. Each draws one data value and one
 unscaled noise value per step from a buffer and multiplies the noise by
 sqrt(2 lam / beta) at the step. ``reference_run`` replays a whole ``run``
-through them.
+through them, into ``ReferenceRecorder``, which keeps the norm each loop
+computed, so ``records_equal`` checks the record's derived norms against them.
 
 The replica law ``reference_terminal_law`` is ``tusla_terminal_law`` as a
 per-step loop, one data draw and one noise draw per step, with the drift
@@ -47,7 +48,6 @@ from tusla.optimizers import (
     RunRecord,
     SgldConfig,
     TuslaConfig,
-    _Recorder,
 )
 from tusla.problems import UsProblem, _guard_pow
 
@@ -177,7 +177,6 @@ def records_equal(a: RunRecord, b: RunRecord) -> bool:
         and eq(a.theta_norms, b.theta_norms)
         and eq(a.grad_norms, b.grad_norms)
         and eq(a.thetas, b.thetas)
-        and eq(a.objectives, b.objectives)
         and eq(a.final_theta, b.final_theta)
         and a.diverged == b.diverged
         and a.divergence_step == b.divergence_step
@@ -258,6 +257,31 @@ def _data_block(stream, rng: np.random.Generator) -> Callable[[int], np.ndarray]
     return lambda n: np.array([stream.sample(rng) for _ in range(n)])
 
 
+class ReferenceRecorder:
+    """The recorder as the per-step loops fed it: each row with the norm the
+    loop computed for its divergence check and drift."""
+
+    def __init__(self) -> None:
+        self.idx, self.thetas, self.norms, self.grads = [], [], [], []
+
+    def add(self, n: int, theta, norm: float, grad_norm: float) -> None:
+        self.idx.append(n)
+        self.thetas.append(theta)
+        self.norms.append(norm)
+        self.grads.append(grad_norm)
+
+    def finish(self, n: int, theta, norm: float, diverged: bool, step) -> RunRecord:
+        self.add(n, theta, norm, math.nan)
+        return RunRecord(
+            step_indices=np.array(self.idx, dtype=np.int64),
+            theta_norms=np.array(self.norms, dtype=np.float64),
+            grad_norms=np.array(self.grads, dtype=np.float64),
+            thetas=np.array(self.thetas, dtype=np.float64).reshape(len(self.idx), -1),
+            diverged=diverged,
+            divergence_step=step,
+        )
+
+
 def reference_run(
     algorithm,
     theta0,
@@ -267,7 +291,6 @@ def reference_run(
     rng_seed: int,
     record_every: int = 1,
     divergence_threshold: float = 1e10,
-    objective: Optional[Callable[[np.ndarray], float]] = None,
 ) -> RunRecord:
     """``run`` through the per-step loops (no argument validation)."""
     theta0 = parameter_vector(theta0)
@@ -277,7 +300,7 @@ def reference_run(
     noise_rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence([rng_seed, 1, algo_id]))
     )
-    rec = _Recorder(theta0.size, objective)
+    rec = ReferenceRecorder()
     scalar = theta0.size == 1 and (
         type(oracle).evaluate_scalar is not GradientOracle.evaluate_scalar
     )
@@ -295,7 +318,7 @@ def reference_run(
 
 def _run_scalar(
     algorithm, th: float, oracle, stream, n_steps,
-    data_rng, noise_rng, record_every, threshold, rec: _Recorder,
+    data_rng, noise_rng, record_every, threshold, rec: ReferenceRecorder,
 ) -> RunRecord:
     evaluate = oracle.evaluate_scalar
     xs = BlockDraws(_data_block(stream, data_rng), _block_size(n_steps))
@@ -361,7 +384,7 @@ def _run_scalar(
 
 def _run_vector(
     algorithm, theta: np.ndarray, oracle, stream, n_steps,
-    data_rng, noise_rng, record_every, threshold, rec: _Recorder,
+    data_rng, noise_rng, record_every, threshold, rec: ReferenceRecorder,
 ) -> RunRecord:
     d = theta.size
     xs = BlockDraws(_data_block(stream, data_rng), _block_size(n_steps))

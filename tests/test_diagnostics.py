@@ -241,8 +241,6 @@ def test_gibbs_sampler_validation():
     with pytest.raises(ValueError):
         gibbs_sampler_1d(u, beta=1.0, support=None, rng=rng, n_draws=0)
     with pytest.raises(ValueError):
-        gibbs_sampler_1d(u, beta=1.0, support=None, rng=rng, n_draws=10, n_cells=100)
-    with pytest.raises(ValueError):
         gibbs_sampler_1d(u, beta=1.0, support=(2.0, 1.0), rng=rng, n_draws=10)
     with pytest.raises(ValueError):
         # exp(+beta x^2) is not integrable; auto-widening must give up

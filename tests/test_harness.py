@@ -35,7 +35,7 @@ from tusla.harness import (
 )
 from tusla.diagnostics import gibbs_sampler_1d, tusla_terminal_law, wasserstein_p_1d
 from tusla.gradient_oracle import RegularizationParams
-from tusla.optimizers import RunRecord, run
+from tusla.optimizers import RunRecord, run, scalar_route
 from tusla.problems import UniformDataSource, UsProblem, u_s_value_batch
 
 
@@ -154,29 +154,30 @@ def _toy_record() -> RunRecord:
         theta_norms=np.array([math.pi, 1.0 / 3.0, 1e-300]),
         grad_norms=np.array([0.1 + 0.2, 5e-324, math.nan]),
         thetas=np.array([[math.pi, -0.0], [1e308, -1e-308], [0.5, 2.0]]),
-        objectives=np.array([1.5, math.inf, 0.0]),
-        final_theta=np.array([0.5, 2.0]),
         diverged=False,
         divergence_step=None,
     )
 
 
+_TOY_OBJECTIVES = np.array([1.5, math.inf, 0.0])
+
+
 def test_csv_round_trip_is_bit_exact(tmp_path):
     rec = _toy_record()
     path = str(tmp_path / "toy.csv")
-    export_csv(rec, path)
+    export_csv(rec, _TOY_OBJECTIVES, path)
     cols = parse_csv(path)
     assert np.array_equal(cols["step"], rec.step_indices)
     assert cols["theta_norm"].tobytes() == rec.theta_norms.tobytes()
     assert cols["grad_norm"].tobytes() == rec.grad_norms.tobytes()
     assert cols["theta"].tobytes() == rec.thetas.tobytes()
-    assert cols["objective"].tobytes() == rec.objectives.tobytes()
+    assert cols["objective"].tobytes() == _TOY_OBJECTIVES.tobytes()
 
 
 def test_csv_layout(tmp_path):
     rec = _toy_record()
     path = str(tmp_path / "layout.csv")
-    export_csv(rec, path)
+    export_csv(rec, _TOY_OBJECTIVES, path)
     raw = open(path, "rb").read()
     assert b"\r" not in raw
     lines = raw.decode().split("\n")
@@ -188,25 +189,25 @@ def test_csv_layout(tmp_path):
 
 
 def test_csv_empty_optional_columns(tmp_path):
+    # theta, the one optional column, is empty above dimension 8; the record
+    # still holds the (k, 9) stack
     rec = RunRecord(
         step_indices=np.array([0, 1], dtype=np.int64),
         theta_norms=np.array([1.0, 2.0]),
         grad_norms=np.array([3.0, math.nan]),
-        thetas=None,
-        objectives=None,
-        final_theta=np.zeros(9),
+        thetas=np.zeros((2, 9)),
         diverged=False,
         divergence_step=None,
     )
     path = str(tmp_path / "empty.csv")
-    export_csv(rec, path)
+    export_csv(rec, np.array([4.0, 5.0]), path)
     cols = parse_csv(path)
     assert cols["theta"] is None
-    assert cols["objective"] is None
-    assert open(path).readlines()[1] == "0,1,,,3\n"
+    assert cols["objective"].tolist() == [4.0, 5.0]
+    assert open(path).readlines()[1] == "0,1,,4,3\n"
 
 
-def _reference_export_csv(record: RunRecord, path: str) -> None:
+def _reference_export_csv(record: RunRecord, objectives: np.ndarray, path: str) -> None:
     # the original per-row formatter; export_csv must match it byte for byte
     def cell(v):
         return "%.17g" % v
@@ -216,10 +217,10 @@ def _reference_export_csv(record: RunRecord, path: str) -> None:
         for i in range(record.step_indices.size):
             theta_cell = (
                 ";".join(cell(c) for c in record.thetas[i])
-                if record.thetas is not None
+                if record.thetas.shape[1] <= 8
                 else ""
             )
-            obj_cell = cell(record.objectives[i]) if record.objectives is not None else ""
+            obj_cell = cell(objectives[i])
             f.write(
                 f"{int(record.step_indices[i])},{cell(record.theta_norms[i])},"
                 f"{theta_cell},{obj_cell},{cell(record.grad_norms[i])}\n"
@@ -249,27 +250,24 @@ def _random_cells(rng, shape, drawn):
 @given(
     n_rows=st.sampled_from([1, 2, 5000]),  # 5000 crosses a 4096-row block
     d=st.sampled_from([1, 2, 8, 9]),
-    has_objective=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
     drawn=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=8),
 )
-def test_export_csv_matches_per_row_reference(tmp_path_factory, n_rows, d, has_objective,
-                                              seed, drawn):
+def test_export_csv_matches_per_row_reference(tmp_path_factory, n_rows, d, seed, drawn):
     rng = np.random.default_rng(seed)
     rec = RunRecord(
         step_indices=np.sort(rng.integers(0, 2**62, size=n_rows)).astype(np.int64),
         theta_norms=_random_cells(rng, n_rows, drawn),
         grad_norms=_random_cells(rng, n_rows, drawn[::-1]),
-        thetas=_random_cells(rng, (n_rows, d), drawn) if d <= 8 else None,
-        objectives=_random_cells(rng, n_rows, drawn) if has_objective else None,
-        final_theta=np.zeros(d),
+        thetas=_random_cells(rng, (n_rows, d), drawn),
         diverged=False,
         divergence_step=None,
     )
+    objectives = _random_cells(rng, n_rows, drawn)
     out = tmp_path_factory.mktemp("export")
     got, want = out / "got.csv", out / "want.csv"
-    assert export_csv(rec, str(got)) == str(got)
-    _reference_export_csv(rec, str(want))
+    assert export_csv(rec, objectives, str(got)) == str(got)
+    _reference_export_csv(rec, objectives, str(want))
     assert got.read_bytes() == want.read_bytes()
 
 
@@ -278,6 +276,80 @@ def test_parse_csv_rejects_foreign_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
         parse_csv(str(path))
+
+
+def _observe_records(monkeypatch) -> tuple[list, list]:
+    """In process, every (stack, values) objective call of run_config and
+    every record its chains return, both in task order."""
+    calls, records = [], []
+    init = _ProblemSetup.__init__
+
+    def observed_init(self, cfg):
+        init(self, cfg)
+        objective = self.objective
+
+        def observed(stack):
+            values = objective(stack)
+            calls.append((stack, values))
+            return values
+
+        self.objective = observed
+
+    def keep(fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            records.extend(out if isinstance(out, list) else [out])
+            return out
+        return wrapper
+
+    monkeypatch.setattr(_ProblemSetup, "__init__", observed_init)
+    monkeypatch.setattr(harness, "run", keep(harness.run))
+    monkeypatch.setattr(harness, "run_seeds", keep(harness.run_seeds))
+    monkeypatch.setattr(optimizers, "_usable_cpus", lambda: 1)
+    return calls, records
+
+
+@pytest.mark.parametrize("preset,route", [("paper-s2", "run"), ("nn-demo", "run_seeds")])
+def test_run_config_calls_each_objective_once_per_record(tmp_path, monkeypatch, preset, route):
+    # u_s on the scalar route, the MLP risk on the stacked route: one call per
+    # record on its (k, d) state stack, and the CSV objective column and the
+    # summary's final objective are those values, bitwise
+    calls, records = _observe_records(monkeypatch)
+    assert main(["run", "--preset", preset, "--set", "seeds=0,1", "--set", "n_steps=300",
+                 "--set", "record_every=7", "--out", str(tmp_path)]) == 0
+    cfg = PRESETS[preset]
+    chains = [(algo, seed) for algo in cfg.algorithms() for seed in (0, 1)]
+    assert len(calls) == len(records) == len(chains) == 6
+    assert scalar_route(_ProblemSetup(cfg).oracle, records[0].thetas.shape[1]) == (route == "run")
+    summary = json.loads((tmp_path / f"{preset}-summary.json").read_text())
+    for (algo, seed), (stack, values), rec in zip(chains, calls, records):
+        assert stack is rec.thetas and stack.shape == (rec.n_recorded, rec.thetas.shape[1])
+        values = np.asarray(values, dtype=np.float64)
+        assert values.shape == (rec.n_recorded,)
+        cols = parse_csv(str(tmp_path / f"{preset}-{algo}-seed{seed}.csv"))
+        assert cols["objective"].tobytes() == values.tobytes(), (algo, seed)
+        final = summary["algorithms"][algo]["per_seed"][seed]["final_objective"]
+        assert final == values[-1], (algo, seed)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_nn_demo_records_keep_the_stack_and_export_no_theta(tmp_path, monkeypatch, fmt):
+    # the record keeps its (k, 32) stack; exporting theta is a format choice,
+    # and a state above dimension 8 exports none
+    _, records = _observe_records(monkeypatch)
+    assert main(["run", "--preset", "nn-demo", "--set", "algorithm=tusla", "--set", "seeds=0",
+                 "--format", fmt, "--out", str(tmp_path)]) == 0
+    (rec,) = records
+    assert rec.thetas.shape == (rec.n_recorded, 32) == (201, 32)
+    path = tmp_path / f"nn-demo-tusla-seed0.{fmt}"
+    if fmt == "csv":
+        assert parse_csv(str(path))["theta"] is None
+        rows = path.read_text().splitlines()[1:]
+        assert len(rows) == rec.n_recorded and all(row.split(",")[2] == "" for row in rows)
+    else:
+        obj = json.loads(path.read_text())
+        assert obj["theta"] is None
+        assert obj["final_theta"] == rec.final_theta.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -898,8 +970,8 @@ def test_cli_gibbs(tmp_path):
 
 
 def test_cli_gibbs_us_runs_at_the_default_penalty(tmp_path):
-    # --problem us with --eta 0 (the default) runs at eta = 0.01 and r = s + 10,
-    # and the JSON records the problem it ran
+    # --problem us at the default --eta runs at eta = 0.01 and r = s + 10, and
+    # the JSON records the problem it ran
     for s, r in ((2, 12.0), (26, 36.0)):
         out = tmp_path / f"g{s}.json"
         assert main(["gibbs", "--problem", "us", "--s", str(s), "--steps", "200",
@@ -919,6 +991,28 @@ def test_cli_gibbs_us_runs_at_the_default_penalty(tmp_path):
             "w2_vs_gibbs": wasserstein_p_1d(law, gibbs, 2),
             "w2_vs_gaussian": None, "ks_gibbs_vs_gaussian": None,
         }, s
+
+
+def test_cli_gibbs_runs_at_an_explicit_zero_penalty(tmp_path):
+    # an explicit --eta 0 runs at 0 on u_s too, and the JSON records 0; on the
+    # quadratic it is the default
+    common = ["--steps", "200", "--replicas", "16", "--samples", "2000", "--seed", "3"]
+    out = tmp_path / "us0.json"
+    assert main(["gibbs", "--problem", "us", "--eta", "0", *common, "--out", str(out)]) == 0
+    obj = json.loads(out.read_text())
+    law = tusla_terminal_law(
+        UsProblem(s=2), UniformDataSource(), 0.01, 4.0, RegularizationParams(0.0, 12.0),
+        theta0=0.0, n_steps=200, n_replicas=16, seed=3,
+    )
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([3, 9])))
+    gibbs = gibbs_sampler_1d(lambda x: u_s_value_batch(x, 2), 4.0, None, rng, n_draws=2000)
+    assert obj["eta"] == 0.0 and obj["r"] == 12.0
+    assert obj["w1_vs_gibbs"] == wasserstein_p_1d(law, gibbs, 1)
+    quadratic = [tmp_path / "q-default.json", tmp_path / "q0.json"]
+    assert main(["gibbs", *common, "--out", str(quadratic[0])]) == 0
+    assert main(["gibbs", "--eta", "0", *common, "--out", str(quadratic[1])]) == 0
+    assert quadratic[0].read_bytes() == quadratic[1].read_bytes()
+    assert json.loads(quadratic[0].read_text())["eta"] == 0.0
 
 
 @pytest.mark.parametrize("argv", [

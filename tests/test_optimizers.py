@@ -31,6 +31,7 @@ from tusla.gradient_oracle import (
     RegularizationParams,
     safe_row_norms,
 )
+from tusla.harness import ExperimentConfig, _ProblemSetup
 from tusla.optimizers import (
     ALGO_IDS,
     AdamConfig,
@@ -401,14 +402,11 @@ def _stacked_and_single(route, algo, scales, n_steps, record_every, threshold, s
     oracle, stream = make_oracle(), make_stream()
     theta0s = np.array([scale * base for scale in scales])
     seeds = [seed + i for i in range(len(scales))]
-    chain = dict(record_every=record_every, divergence_threshold=threshold,
-                 objective=lambda rows: [float(np.sum(v)) for v in rows])
+    chain = dict(record_every=record_every, divergence_threshold=threshold)
     stacked = run_seeds(cfg, theta0s, oracle, stream, n_steps, seeds, **chain)
     for theta0, s, rec in zip(theta0s, seeds, stacked):
         assert records_equal(rec, run(cfg, theta0, oracle, stream, n_steps, s, **chain))
-        want = reference_run(cfg, theta0, oracle, stream, n_steps, s, **chain)
-        assert records_equal(rec, want)
-        assert rec.objectives.tobytes() == want.objectives.tobytes()
+        assert records_equal(rec, reference_run(cfg, theta0, oracle, stream, n_steps, s, **chain))
     return stacked
 
 
@@ -435,8 +433,9 @@ def _with_stacked_cases(test):
 def test_run_seeds_rows_match_single_seed_runs_bitwise(
     route, algo, scales, n_steps, record_every, threshold, seed
 ):
-    # records_equal covers steps, norms, grad norms, thetas, final theta and
-    # the divergence fields; the helper also compares the objective column
+    # records_equal covers steps, grad norms, thetas, final theta and the
+    # divergence fields, and the record's derived norms against the norms
+    # the reference loop computed
     _stacked_and_single(route, algo, scales, n_steps, record_every, threshold, seed)
 
 
@@ -499,15 +498,15 @@ def test_grad_norm_column_is_raw_oracle_gradient():
 
 
 def test_objective_column():
+    # the objective column is the harness's u_s on the record's state stack,
+    # one value per recorded state
     oracle = UsProblem(s=2)
     cfg = SgldConfig(lam=0.01, beta=1.0)
-    rec = run(cfg, [0.3], oracle, UniformDataSource(), n_steps=4, rng_seed=2,
-              objective=lambda rows: [u_s_value(float(th[0]), 2) for th in rows])
-    assert rec.objectives is not None
+    rec = run(cfg, [0.3], oracle, UniformDataSource(), n_steps=4, rng_seed=2)
+    values = _ProblemSetup(ExperimentConfig(problem="us", s=2)).objective(rec.thetas)
+    assert len(values) == rec.n_recorded == 5
     for i in range(rec.n_recorded):
-        assert rec.objectives[i] == u_s_value(float(rec.thetas[i, 0]), 2)
-    rec2 = run(cfg, [0.3], oracle, UniformDataSource(), n_steps=4, rng_seed=2)
-    assert rec2.objectives is None
+        assert values[i] == u_s_value(float(rec.thetas[i, 0]), 2)
 
 
 def _expected_rows(rec, n_steps, record_every):
@@ -528,61 +527,58 @@ def _expected_rows(rec, n_steps, record_every):
 def test_recorded_objective_is_evaluated_on_recorded_rows(
     oracle, theta0, lam, diverges, record_every
 ):
+    # the caller evaluates the objective on the record's (k, d) state stack,
+    # which holds every recorded state, the final (or divergent) one included
     n_steps = 200
-    calls = []
-
-    def u_s(t):
-        return u_s_value(t, 2)
-
-    def objective(rows):
-        calls.append(rows.copy())
-        return [u_s(float(v[0])) for v in rows]
-
     rec = run(SgldConfig(lam=lam, beta=1.0), theta0, oracle, UniformDataSource(),
-              n_steps=n_steps, rng_seed=0, record_every=record_every, objective=objective)
+              n_steps=n_steps, rng_seed=0, record_every=record_every)
     assert rec.diverged == diverges
     if diverges:
         assert rec.divergence_step % 7 != 0
     assert rec.n_recorded == _expected_rows(rec, n_steps, record_every)
-    # once per record, on the (k, d) stack of its recorded states
-    assert len(calls) == 1 and calls[0].shape == (rec.n_recorded, 1)
-    assert calls[0].tobytes() == rec.thetas.tobytes()
-    for i in range(rec.n_recorded):
-        want = np.float64(u_s(float(np.array([rec.thetas[i, 0]])[0])))
-        assert rec.objectives[i].tobytes() == want.tobytes()
+    assert rec.thetas.shape == (rec.n_recorded, 1)
     assert rec.thetas[-1].tobytes() == rec.final_theta.tobytes()
+    # d = 1: the derived norms are the loop's abs, bitwise
+    assert rec.theta_norms.tobytes() == np.abs(rec.thetas[:, 0]).tobytes()
+    values = _ProblemSetup(ExperimentConfig(problem="us", s=2)).objective(rec.thetas)
+    for i in range(rec.n_recorded):
+        want = np.float64(u_s_value(float(rec.thetas[i, 0]), 2))
+        assert np.float64(values[i]).tobytes() == want.tobytes()
 
 
 def test_recorded_objective_rows_above_dimension_eight():
-    # thetas are dropped for d > 8 but the objective still sees each recorded
-    # state: with the row norms as objective the two columns agree bitwise
+    # a wider chain keeps its (k, 9) stack too, and the record's norms are
+    # its row norms, bitwise
     cfg = SgldConfig(lam=0.01, beta=1.0)
     rec = run(cfg, np.full(9, 0.5), QuadraticProblem(d=9), ConstantDataSource(),
-              n_steps=20, rng_seed=0, record_every=7, objective=safe_row_norms)
-    assert rec.thetas is None
+              n_steps=20, rng_seed=0, record_every=7)
     assert rec.n_recorded == _expected_rows(rec, 20, 7)
-    assert rec.objectives.tobytes() == rec.theta_norms.tobytes()
+    assert rec.thetas.shape == (rec.n_recorded, 9)
+    assert rec.theta_norms.tobytes() == safe_row_norms(rec.thetas).tobytes()
 
 
-@pytest.mark.parametrize("theta0", [[0.3], [0.3, -0.2]])  # scalar and vector route
-def test_objective_must_give_one_value_per_recorded_state(theta0):
-    oracle = UsProblem(s=2) if len(theta0) == 1 else QuadraticProblem(d=2)
-    stream = UniformDataSource() if len(theta0) == 1 else ConstantDataSource()
-    for objective in (lambda rows: float(np.sum(rows)), lambda rows: np.sum(rows, axis=0)[:1]):
-        with pytest.raises(ValueError, match="record stack"):
-            run(SgldConfig(lam=0.01, beta=1.0), theta0, oracle, stream, n_steps=4,
-                rng_seed=0, objective=objective)
-
-
-def test_thetas_dropped_above_dimension_eight():
+def test_thetas_kept_at_every_dimension():
     cfg = SgldConfig(lam=0.001, beta=1.0)
-    small = run(cfg, np.zeros(2), QuadraticProblem(d=2), ConstantDataSource(),
-                n_steps=3, rng_seed=0)
-    assert small.thetas is not None and small.thetas.shape == (4, 2)
-    big = run(cfg, np.zeros(9), QuadraticProblem(d=9), ConstantDataSource(),
-              n_steps=3, rng_seed=0)
-    assert big.thetas is None
-    assert big.theta_norms.shape == (4,)
+    for d in (1, 2, 8, 9, 33):
+        rec = run(cfg, np.zeros(d), QuadraticProblem(d=d), ConstantDataSource(),
+                  n_steps=3, rng_seed=0)
+        assert rec.thetas.shape == (4, d) and rec.theta_norms.shape == (4,), d
+        assert rec.final_theta.shape == (d,), d
+
+
+def test_record_columns_derive_from_the_state_stack():
+    # final_theta is the stack's last row and theta_norms its safe row norms,
+    # bitwise: on the scalar route, the vector route and stacked rows, for
+    # chains that finish and chains that diverge mid-block
+    recs = [_reference_pair(*_REFERENCE_CASES[name])[0] for name in (
+        "scalar-blocks", "scalar-diverges-in-block-2", "neuron-blocks",
+        "neuron-diverges-in-block-2",
+    )]
+    recs += _stacked_and_single(*_STACKED_CASES["mlp-diverges-mid-block"])
+    assert sum(r.diverged for r in recs) >= 3 and sum(not r.diverged for r in recs) >= 3
+    for rec in recs:
+        assert rec.final_theta.tobytes() == rec.thetas[-1].tobytes()
+        assert rec.theta_norms.tobytes() == safe_row_norms(rec.thetas).tobytes()
 
 
 # ---------------------------------------------------------------------------
