@@ -1,9 +1,10 @@
 """Experiment harness: presets, parallel seed runs, CSV/JSON export, CLI.
 
 One ``ExperimentConfig`` describes a full comparison: a problem, one or all
-algorithms, hyperparameters, and a seed list. ``run_preset`` runs every
-(algorithm, seed) chain, writes one CSV or JSON per chain plus one JSON
-summary, and returns the in-memory ``RunSummary``.
+algorithms, hyperparameters, and a seed list; ``PRESETS`` names a few.
+``run_config`` runs every (algorithm, seed) chain of a config, writes one CSV
+or JSON per chain plus one JSON summary, and returns the in-memory
+``RunSummary``.
 
 Chains are independent: each draws from its own seeded streams, so the order
 in which they run never affects a result. ``run_config`` therefore runs them
@@ -73,7 +74,6 @@ __all__ = [
     "SeedResult",
     "AlgoSummary",
     "RunSummary",
-    "run_preset",
     "run_config",
     "export_csv",
     "load_config",
@@ -326,12 +326,11 @@ def run_config(
     name: str = "custom",
     out_dir: Optional[str] = None,
     fmt: str = "csv",
-    base_seed: Optional[int] = None,
 ) -> RunSummary:
     """Execute every (algorithm, seed) pair of cfg; optionally write files.
 
-    base_seed replaces cfg.seeds with base_seed, base_seed + 1, ... before
-    anything runs, so the summary's config records the seeds that ran.
+    Files go to out_dir as ``{name}-{algorithm}-seed{seed}.{fmt}``, one per
+    chain, plus ``{name}-summary.json``, whose config is cfg as it ran.
 
     The chains run as tasks: one per (algorithm, seed) on the scalar route,
     which calls ``run``, and one per algorithm on the stacked vector route,
@@ -348,8 +347,6 @@ def run_config(
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {fmt!r}")
-    if base_seed is not None:
-        cfg = dataclasses.replace(cfg, seeds=tuple(range(base_seed, base_seed + len(cfg.seeds))))
     seeds = cfg.seeds
 
     t_total = time.perf_counter()
@@ -406,22 +403,6 @@ def run_config(
     if out_dir is not None:
         _dump_json(summary_jsonable(summary), f"{out_dir}/{name}-summary.json")
     return summary
-
-
-def run_preset(
-    name: str,
-    overrides: Optional[dict] = None,
-    out_dir: Optional[str] = None,
-    fmt: str = "csv",
-    base_seed: Optional[int] = None,
-) -> RunSummary:
-    """Run a named preset, optionally overriding config fields first."""
-    if name not in PRESETS:
-        raise ValueError(f"unknown preset {name!r}; have {sorted(PRESETS)}")
-    cfg = PRESETS[name]
-    if overrides:
-        cfg = _apply_overrides(cfg, overrides)
-    return run_config(cfg, name=name, out_dir=out_dir, fmt=fmt, base_seed=base_seed)
 
 
 def _apply_overrides(cfg: ExperimentConfig, overrides: dict) -> ExperimentConfig:
@@ -659,10 +640,9 @@ def _build_parser() -> _Parser:
 def _cmd_run(args) -> int:
     cfg = PRESETS[args.preset] if args.preset else load_config(args.config)
     cfg = _apply_overrides(cfg, dict(_parse_override(item) for item in args.set))
-    summary = run_config(
-        cfg, name=args.preset or "custom", out_dir=args.out, fmt=args.format,
-        base_seed=args.seed,
-    )
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, seeds=tuple(range(args.seed, args.seed + len(cfg.seeds))))
+    summary = run_config(cfg, name=args.preset or "custom", out_dir=args.out, fmt=args.format)
 
     print(f"{summary.name}: wrote per-run {args.format} files and "
           f"{summary.name}-summary.json under {args.out}/ "

@@ -31,6 +31,7 @@ import math
 import os
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,7 +56,7 @@ from tusla.diagnostics import (
     wasserstein_to_gaussian,
 )
 from tusla.gradient_oracle import RegularizationParams
-from tusla.harness import run_preset
+from tusla.harness import PRESETS, run_config
 from tusla.neural_net import Architecture, MlpOracle, activation_by_name, risk
 from tusla.optimizers import TuslaConfig, run
 from tusla.problems import (
@@ -85,7 +86,7 @@ def _fmt(x):
 
 def test_criterion_1_benchmark_s2():
     t0 = time.perf_counter()
-    summary = run_preset("paper-s2")
+    summary = run_config(PRESETS["paper-s2"], name="paper-s2")
     elapsed = time.perf_counter() - t0
     med = {a: summary.algorithms[a].median_final_distance for a in ("tusla", "adam")}
     _gate([
@@ -103,7 +104,7 @@ def test_criterion_1_benchmark_s2():
 
 def test_criterion_2_benchmark_s26():
     t0 = time.perf_counter()
-    summary = run_preset("paper-s26")
+    summary = run_config(PRESETS["paper-s26"], name="paper-s26")
     elapsed = time.perf_counter() - t0
     tus = summary.algorithms["tusla"].median_final_distance
     adam = summary.algorithms["adam"].median_final_distance
@@ -394,13 +395,10 @@ def test_criterion_7_sampling_quality():
 
 def test_criterion_8_determinism(tmp_path):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
-    run_preset("paper-s26", out_dir=a)
-    run_preset("paper-s26", out_dir=b)
+    run_config(PRESETS["paper-s26"], name="paper-s26", out_dir=a)
+    run_config(PRESETS["paper-s26"], name="paper-s26", out_dir=b)
     csvs = sorted(f for f in os.listdir(a) if f.endswith(".csv"))
-    identical = all(
-        open(os.path.join(a, f), "rb").read() == open(os.path.join(b, f), "rb").read()
-        for f in csvs
-    )
+    identical = all(Path(a, f).read_bytes() == Path(b, f).read_bytes() for f in csvs)
     _gate([
         (f"preset wrote {len(csvs)} csv files (16 seeds x 3 algorithms)",
          len(csvs) == 48),

@@ -30,7 +30,6 @@ from tusla.harness import (
     load_config,
     main,
     run_config,
-    run_preset,
     summary_jsonable,
 )
 from tusla.diagnostics import gibbs_sampler_1d, tusla_terminal_law, wasserstein_p_1d
@@ -178,7 +177,7 @@ def test_csv_layout(tmp_path):
     rec = _toy_record()
     path = str(tmp_path / "layout.csv")
     export_csv(rec, _TOY_OBJECTIVES, path)
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     assert b"\r" not in raw
     lines = raw.decode().split("\n")
     assert lines[0] == "step,theta_norm,theta,objective,grad_norm"
@@ -204,7 +203,7 @@ def test_csv_empty_optional_columns(tmp_path):
     cols = parse_csv(path)
     assert cols["theta"] is None
     assert cols["objective"].tolist() == [4.0, 5.0]
-    assert open(path).readlines()[1] == "0,1,,4,3\n"
+    assert Path(path).read_text().splitlines(keepends=True)[1] == "0,1,,4,3\n"
 
 
 def _reference_export_csv(record: RunRecord, objectives: np.ndarray, path: str) -> None:
@@ -441,7 +440,7 @@ def test_run_config_writes_expected_files(tmp_path):
 def test_run_config_json_format(tmp_path):
     out = str(tmp_path / "runs")
     run_config(_small_cfg(seeds=(0,), algorithm="tusla"), name="j", out_dir=out, fmt="json")
-    rec = json.load(open(f"{out}/j-tusla-seed0.json"))
+    rec = json.loads(Path(f"{out}/j-tusla-seed0.json").read_text())
     assert rec["step"] == [0, 1, 2, 3, 4, 5]
     assert rec["grad_norm"][-1] is None  # nan gets serialized as null
     assert len(rec["theta_norm"]) == 6
@@ -454,7 +453,7 @@ def test_run_config_reruns_are_byte_identical(tmp_path):
     run_config(_small_cfg(), name="rep", out_dir=a)
     run_config(_small_cfg(), name="rep", out_dir=b)
     for fname in sorted(os.listdir(a)):
-        assert open(f"{a}/{fname}", "rb").read() == open(f"{b}/{fname}", "rb").read(), fname
+        assert Path(a, fname).read_bytes() == Path(b, fname).read_bytes(), fname
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -473,24 +472,6 @@ def test_mlp_run_artifacts_match_per_sample_reference(tmp_path, monkeypatch, fmt
     assert names == sorted(os.listdir(slow)) and len(names) == 7
     for fname in names:
         assert (fast / fname).read_bytes() == (slow / fname).read_bytes(), fname
-
-
-def test_base_seed_shifts_the_seed_list():
-    summary = run_config(_small_cfg(seeds=(0, 1, 2), algorithm="sgld"), base_seed=5)
-    seeds = [r.seed for r in summary.algorithms["sgld"].results]
-    assert seeds == [5, 6, 7]
-
-
-def test_run_preset_with_overrides(tmp_path):
-    summary = run_preset(
-        "paper-s2", overrides={"n_steps": 3, "seeds": (0,), "algorithm": "tusla"},
-    )
-    assert summary.name == "paper-s2"
-    assert summary.config.n_steps == 3
-    with pytest.raises(ValueError):
-        run_preset("missing-preset")
-    with pytest.raises(ValueError):
-        run_preset("paper-s2", overrides={"bogus": 1})
 
 
 def test_summary_json_has_no_wall_times(tmp_path):
@@ -672,6 +653,11 @@ def test_cli_run_config_file(tmp_path):
     out = str(tmp_path / "cli")
     assert main(["run", "--config", str(cfg_file), "--out", out]) == 0
     assert os.path.exists(f"{out}/custom-sgld-seed0.csv")
+    # --seed shifts a config file's seed list as it shifts a preset's
+    shifted = tmp_path / "shifted"
+    assert main(["run", "--config", str(cfg_file), "--seed", "7", "--out", str(shifted)]) == 0
+    assert sorted(os.listdir(shifted)) == ["custom-sgld-seed7.csv", "custom-summary.json"]
+    assert json.loads((shifted / "custom-summary.json").read_text())["config"]["seeds"] == [7]
 
 
 def test_cli_seed_flag_shifts_seeds(tmp_path):
@@ -681,7 +667,7 @@ def test_cli_seed_flag_shifts_seeds(tmp_path):
         "--set", "n_steps=2", "--set", "seeds=0,1", "--set", "algorithm=adam",
     ])
     assert code == 0
-    summary = json.load(open(f"{out}/paper-s2-summary.json"))
+    summary = json.loads(Path(f"{out}/paper-s2-summary.json").read_text())
     assert [r["seed"] for r in summary["algorithms"]["adam"]["per_seed"]] == [5, 6]
 
 
@@ -919,7 +905,7 @@ def test_cli_io_error(tmp_path):
 def test_cli_constants_json(tmp_path):
     out = str(tmp_path / "c.json")
     assert main(["constants", "--problem", "us", "--s", "2", "--out", out]) == 0
-    obj = json.load(open(out))
+    obj = json.loads(Path(out).read_text())
     for key in ("A", "B", "a", "R", "L", "l", "lambda_max", "L2", "K_mean",
                 "log10_B", "log10_a", "overflowed", "k_mean", "x_rho_mean"):
         assert key in obj, key
@@ -934,11 +920,11 @@ def test_cli_constants_json(tmp_path):
     # nothing is drawn, so a second invocation writes the same bytes
     again = tmp_path / "c-again.json"
     assert main(["constants", "--problem", "us", "--s", "2", "--out", str(again)]) == 0
-    assert again.read_bytes() == open(out, "rb").read()
+    assert again.read_bytes() == Path(out).read_bytes()
     # steep variant overflows B but keeps its log companion finite
     out26 = str(tmp_path / "c26.json")
     assert main(["constants", "--problem", "us", "--s", "26", "--out", out26]) == 0
-    obj26 = json.load(open(out26))
+    obj26 = json.loads(Path(out26).read_text())
     assert obj26["B"] is None
     assert "B" in obj26["overflowed"]
     assert math.isfinite(obj26["log10_B"])
@@ -947,7 +933,7 @@ def test_cli_constants_json(tmp_path):
 def test_cli_constants_quadratic(tmp_path):
     out = str(tmp_path / "q.json")
     assert main(["constants", "--problem", "quadratic", "--eta", "0.5", "--out", out]) == 0
-    obj = json.load(open(out))
+    obj = json.loads(Path(out).read_text())
     assert obj["problem"] == "quadratic"
     assert obj["meta"]["q"] == 1.0
     assert (obj["k_mean"], obj["x_rho_mean"]) == (2.0, 1.0)
@@ -960,7 +946,7 @@ def test_cli_gibbs(tmp_path):
         "--samples", "20000", "--out", out,
     ])
     assert code == 0
-    obj = json.load(open(out))
+    obj = json.loads(Path(out).read_text())
     for key in ("w1_vs_gibbs", "w2_vs_gibbs", "w2_vs_gaussian", "replicas_used"):
         assert key in obj
     assert obj["replicas_used"] == 64

@@ -14,14 +14,6 @@ def _run_script(monkeypatch, name: str, *args: str) -> None:
     main()
 
 
-def test_run_benchmarks_prints_a_row_per_algorithm(monkeypatch, capsys):
-    _run_script(monkeypatch, "run_benchmarks.py", "--presets", "nn-demo", "--steps", "20")
-    out = capsys.readouterr().out
-    assert "nn-demo  (20 steps, 8 seeds" in out
-    for algo in ("tusla", "sgld", "adam"):
-        assert f"  {algo} " in out
-
-
 def test_sampling_study_writes_a_row_per_lam(monkeypatch, tmp_path):
     path = tmp_path / "rows.json"
     _run_script(monkeypatch, "sampling_study.py", "--lams", "0.1", "0.05",

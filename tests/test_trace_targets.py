@@ -90,9 +90,9 @@ def test_traced_gibbs_leaves_are_called_in_this_process(tmp_path, monkeypatch):
 
 def test_traced_nn_demo_risk_is_one_pass_per_chain(tmp_path, monkeypatch):
     # the child's neural_net.risk leaf wraps the harness global; with one
-    # usable CPU the chains run in this process, and the recorder's objective
-    # sends each chain's whole record through it at once: 3 algorithms x 8
-    # seeds, not one call per recorded state (24 x 201)
+    # usable CPU the chains run in this process, and run_config evaluates the
+    # objective once per record, on its whole stack of states: 3 algorithms x
+    # 8 seeds, not one call per recorded state (24 x 201)
     from tusla import harness, optimizers
 
     calls = {}
