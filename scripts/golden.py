@@ -1,0 +1,93 @@
+"""Byte contract: SHA-256 digests of every artifact of a fixed set of CLI runs.
+
+Each invocation below runs ``tusla.harness.main`` in process into its own
+directory. ``tests/golden/digests.json`` holds the SHA-256 of every file
+they write, keyed by "<invocation>/<file>", with the numpy version and the
+platform the digests were written on. ``tests/test_golden.py`` reruns the
+set and compares. A change that moves bytes on purpose rewrites the file
+and names the changed artifacts in CHANGES.md.
+
+    python scripts/golden.py            # rerun and compare; exit 1 on a mismatch
+    python scripts/golden.py --write    # rewrite tests/golden/digests.json
+"""
+import argparse
+import hashlib
+import json
+import platform
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from tusla.harness import main as tusla_main
+
+DIGESTS = Path(__file__).resolve().parent.parent / "tests" / "golden" / "digests.json"
+
+# name -> CLI arguments; "{out}" is the invocation's output directory
+INVOCATIONS = {
+    "run-paper-s2": ["run", "--preset", "paper-s2", "--out", "{out}"],
+    "run-paper-s26": ["run", "--preset", "paper-s26", "--out", "{out}"],
+    "run-nn-demo": ["run", "--preset", "nn-demo", "--out", "{out}"],
+    "run-gibbs-quadratic": ["run", "--preset", "gibbs-quadratic", "--out", "{out}"],
+    "run-one-neuron": ["run", "--preset", "nn-demo", "--set", "problem=one_neuron",
+                       "--out", "{out}"],
+    # perfbench's s26-long workload
+    "run-s26-long": ["run", "--preset", "paper-s26", "--set", "algorithm=tusla",
+                     "--set", "seeds=0", "--set", "n_steps=2000000",
+                     "--set", "record_every=1000", "--seed", "0", "--out", "{out}"],
+    "gibbs-us-s2": ["gibbs", "--problem", "us", "--s", "2", "--out", "{out}/gibbs.json"],
+    "gibbs-us-s26": ["gibbs", "--problem", "us", "--s", "26", "--out", "{out}/gibbs.json"],
+    "gibbs-quadratic": ["gibbs", "--problem", "quadratic", "--out", "{out}/gibbs.json"],
+    "constants-us": ["constants", "--problem", "us", "--out", "{out}/constants.json"],
+    "constants-quadratic": ["constants", "--problem", "quadratic",
+                            "--out", "{out}/constants.json"],
+}
+
+
+def environment() -> dict:
+    return {"numpy": np.__version__, "platform": platform.platform()}
+
+
+def run_all(root: Path) -> dict[str, str]:
+    """Run every invocation under root; the digest of each file it wrote."""
+    digests = {}
+    for name, argv in INVOCATIONS.items():
+        out = root / name
+        out.mkdir(parents=True)
+        code = tusla_main([arg.replace("{out}", str(out)) for arg in argv])
+        if code != 0:
+            raise RuntimeError(f"{name} exited with {code}")
+        for path in sorted(out.iterdir()):
+            digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
+def mismatches(expected: dict[str, str], got: dict[str, str]) -> list[str]:
+    """Every artifact whose digest differs, or that only one side has."""
+    return sorted(k for k in expected.keys() | got.keys() if expected.get(k) != got.get(k))
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--write", action="store_true", help=f"rewrite {DIGESTS.name}")
+    args = ap.parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        got = run_all(Path(tmp))
+    if args.write:
+        DIGESTS.parent.mkdir(parents=True, exist_ok=True)
+        text = json.dumps({**environment(), "digests": got}, indent=2, sort_keys=True)
+        DIGESTS.write_text(text + "\n")
+        print(f"wrote {len(got)} digests to {DIGESTS}")
+        return
+    recorded = json.loads(DIGESTS.read_text())
+    changed = mismatches(recorded["digests"], got)
+    for key in changed:
+        print(f"changed: {key}")
+    print(f"{len(changed)} of {len(got)} artifacts differ from the digests written with "
+          f"numpy {recorded['numpy']} on {recorded['platform']}")
+    sys.exit(1 if changed else 0)
+
+
+if __name__ == "__main__":
+    main()
