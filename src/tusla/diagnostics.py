@@ -30,13 +30,7 @@ from .gradient_oracle import (
     lambda_max,
     overflow_safe_drift_batch,
 )
-from .optimizers import (
-    ALGO_IDS,
-    _block_size,
-    _check_beta,
-    _check_step_size,
-    _streams,
-)
+from .optimizers import ALGO_IDS, TuslaConfig, _block_size, _streams
 
 __all__ = [
     "TheoryConstants",
@@ -297,46 +291,46 @@ def ks_vs_gaussian(dist, sigma: float = 1.0) -> float:
 
 
 def tusla_terminal_law(
+    algorithm: TuslaConfig,
+    theta0: float,
     oracle: GradientOracle,
     stream,
-    lam: float,
-    beta: float,
-    reg: RegularizationParams,
-    theta0: float,
     n_steps: int,
     n_replicas: int,
     seed: int,
 ) -> EmpiricalDistribution1D:
     """Terminal law of the tamed update over n_replicas independent chains.
 
-    Vectorized over replicas for 1-D oracles exposing evaluate_batch; each
-    step draws one data sample and one Gaussian per replica. The draws come
-    in blocks of k steps, at most 4096 values as in the chain loops: one
-    sample_batch(k * n_replicas) and one standard_normal((k, n_replicas))
-    call give the values of k per-step calls, so the stream layout does not
-    depend on the block size. Each replica runs the TUSLA update of
-    ``optimizers.run`` with the oracle's evaluate_batch and the replica drift
-    overflow_safe_drift_batch. Their numpy pows (u_s signs its odd power of
-    |d| by copysign) agree with run's libm pow to an ulp or two, not bitwise;
-    the stream layout differs too, so seeds are not interchangeable between
-    the two. lam and beta must be positive and finite, n_steps >= 0 and
-    n_replicas >= 1, theta0 finite. Non-finite replicas are dropped with one
-    warning. The law runs in process.
+    The arguments of ``optimizers.run``, in its order; a config other than
+    TuslaConfig raises TypeError. Vectorized over replicas for 1-D oracles
+    exposing evaluate_batch; each step draws one data sample and one
+    Gaussian per replica. The draws come in blocks of k steps, at most 4096
+    values as in the chain loops: one sample_batch(k * n_replicas) and one
+    standard_normal((k, n_replicas)) call give the values of k per-step
+    calls, so the stream layout does not depend on the block size. Each
+    replica runs the TUSLA update of ``run`` with the oracle's
+    evaluate_batch and the replica drift overflow_safe_drift_batch. Their
+    numpy pows (u_s signs its odd power of |d| by copysign) agree with run's
+    libm pow to an ulp or two, not bitwise; the stream layout differs too,
+    so seeds are not interchangeable between the two. n_steps >= 0,
+    n_replicas >= 1, theta0 finite. Non-finite replicas are dropped with
+    one warning. The law runs in process.
     """
+    if not isinstance(algorithm, TuslaConfig):
+        raise TypeError(f"the replica law runs a TuslaConfig, got {type(algorithm).__name__}")
     if oracle.dim() != 1:
         raise ValueError("replica integrator handles 1-D parameters only")
     if type(oracle).evaluate_batch is GradientOracle.evaluate_batch:
         raise ValueError(
             f"replica integrator needs evaluate_batch, which {type(oracle).__name__} lacks"
         )
-    _check_step_size(lam)
-    _check_beta(beta)
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     if n_replicas < 1:
         raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
     if not math.isfinite(theta0):
         raise ValueError(f"theta0 must be finite, got {theta0}")
+    lam, beta, reg = algorithm.lam, algorithm.beta, algorithm.reg
     reg.require_order(oracle.degree())
     data_rng, noise_rng = _streams(seed, ALGO_IDS["tusla"])
     thetas = np.full(n_replicas, float(theta0))

@@ -4,7 +4,8 @@ One ``ExperimentConfig`` describes a full comparison: a problem, one or all
 algorithms, hyperparameters, and a seed list; ``PRESETS`` names a few.
 ``run_config`` runs every (algorithm, seed) chain of a config, writes one CSV
 or JSON per chain plus one JSON summary, and returns the in-memory
-``RunSummary``.
+``RunSummary``. ``law_report`` measures the terminal law of a one-seed
+``tusla`` config against its Gibbs reference, for ``tusla gibbs``.
 
 Chains are independent: each draws from its own seeded streams, so the order
 in which they run never affects a result. ``run_config`` therefore runs them
@@ -51,6 +52,7 @@ from .optimizers import (
     SgldConfig,
     TuslaConfig,
     _check_beta,
+    _check_chain,
     _check_step_size,
     fork_map,
     run,
@@ -75,6 +77,7 @@ __all__ = [
     "AlgoSummary",
     "RunSummary",
     "run_config",
+    "law_report",
     "export_csv",
     "load_config",
     "main",
@@ -115,14 +118,7 @@ class ExperimentConfig:
             raise ValueError(f"algorithm must be one of {_ALGOS + ('all',)}, got {self.algorithm!r}")
         if not (isinstance(self.s, int) and self.s >= 0):
             raise ValueError(f"s must be a non-negative integer, got {self.s}")
-        if self.n_steps < 0:
-            raise ValueError("n_steps must be non-negative")
-        if self.record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
-        if not (self.divergence_threshold > 0.0):
-            raise ValueError(
-                f"divergence threshold must be positive, got {self.divergence_threshold}"
-            )
+        _check_chain(self.n_steps, self.record_every, self.divergence_threshold)
         if len(self.seeds) == 0:
             raise ValueError("need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
@@ -405,6 +401,47 @@ def run_config(
     return summary
 
 
+def law_report(cfg: ExperimentConfig, n_replicas: int, n_draws: int) -> dict:
+    """The JSON ``tusla gibbs`` writes: n_replicas TUSLA chains of cfg at its
+    one seed against n_draws Gibbs draws of exp(-beta u) (automatic support,
+    substream [seed, 9]); the quadratic adds W2 to N(0, 1/beta). Every
+    setting is checked before the law runs."""
+    if cfg.algorithm != "tusla":
+        raise ValueError(f"the replica law runs tusla only, got {cfg.algorithm!r}")
+    if len(cfg.seeds) != 1:
+        raise ValueError(f"the replica law runs one seed, got {len(cfg.seeds)}")
+    if n_draws < 1:
+        raise ValueError(f"n_draws must be at least 1, got {n_draws}")
+    seed = cfg.seeds[0]
+    setup = _ProblemSetup(cfg)
+    law = tusla_terminal_law(
+        setup.algo_config(cfg, "tusla"), cfg.theta0, setup.oracle, setup.stream,
+        cfg.n_steps, n_replicas, seed,
+    )
+    quadratic = cfg.problem == "quadratic"
+    u = (lambda x: 0.5 * x * x) if quadratic else (lambda x: u_s_value_batch(x, cfg.s))
+    sigma = 1.0 / math.sqrt(cfg.beta) if quadratic else None
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 9])))
+    gibbs = gibbs_sampler_1d(u, cfg.beta, None, rng, n_draws=n_draws)
+    return {
+        "problem": cfg.problem,
+        "s": cfg.s if cfg.problem == "us" else None,
+        "eta": cfg.eta,
+        "r": setup.reg.r,
+        "theta0": cfg.theta0,
+        "seed": seed,
+        "beta": cfg.beta,
+        "lam": cfg.lam,
+        "replicas": n_replicas,
+        "steps": cfg.n_steps,
+        "replicas_used": law.n,
+        "w1_vs_gibbs": wasserstein_p_1d(law, gibbs, 1),
+        "w2_vs_gibbs": wasserstein_p_1d(law, gibbs, 2),
+        "w2_vs_gaussian": None if sigma is None else wasserstein_to_gaussian(law, sigma, 2),
+        "ks_gibbs_vs_gaussian": None if sigma is None else ks_vs_gaussian(gibbs, sigma),
+    }
+
+
 def _apply_overrides(cfg: ExperimentConfig, overrides: dict) -> ExperimentConfig:
     hints = typing.get_type_hints(ExperimentConfig)
     unknown = set(overrides) - set(hints)
@@ -627,7 +664,7 @@ def _build_parser() -> _Parser:
     pg.add_argument("--beta", type=float, default=4.0)
     pg.add_argument("--lam", type=float, default=0.01)
     pg.add_argument("--eta", type=float, default=None,
-                    help="penalty weight, >= 0 (default 0.01 on u_s, 0 on the quadratic)")
+                    help="penalty weight in [0, 1) (default 0.01 on u_s, 0 on the quadratic)")
     pg.add_argument("--replicas", type=int, default=512)
     pg.add_argument("--steps", type=int, default=20000)
     pg.add_argument("--theta0", type=float, default=0.0)
@@ -687,44 +724,12 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_gibbs(args) -> int:
-    # checked before the law, which takes seconds at the defaults
-    if args.samples < 1:
-        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     eta = (0.01 if args.problem == "us" else 0.0) if args.eta is None else args.eta
-    if not eta >= 0.0:
-        raise ValueError(f"--eta must be >= 0, got {eta}")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([args.seed, 9])))
-    setup = _ProblemSetup(ExperimentConfig(problem=args.problem, s=args.s, eta=eta))
-    # the law checks lam, beta, steps, replicas and theta0 before it draws anything
-    law = tusla_terminal_law(
-        setup.oracle, setup.stream, args.lam, args.beta, setup.reg,
-        theta0=args.theta0, n_steps=args.steps, n_replicas=args.replicas, seed=args.seed,
+    cfg = ExperimentConfig(
+        problem=args.problem, algorithm="tusla", s=args.s, lam=args.lam, beta=args.beta,
+        eta=eta, theta0=args.theta0, n_steps=args.steps, seeds=(args.seed,),
     )
-    if args.problem == "quadratic":
-        u = lambda x: 0.5 * x * x
-        sigma = 1.0 / math.sqrt(args.beta)
-    else:
-        u = lambda x: u_s_value_batch(x, args.s)
-        sigma = None
-    gibbs = gibbs_sampler_1d(u, args.beta, None, rng, n_draws=args.samples)
-    out = {
-        "problem": args.problem,
-        "s": args.s if args.problem == "us" else None,
-        "eta": eta,
-        "r": setup.reg.r,
-        "theta0": args.theta0,
-        "seed": args.seed,
-        "beta": args.beta,
-        "lam": args.lam,
-        "replicas": args.replicas,
-        "steps": args.steps,
-        "replicas_used": law.n,
-        "w1_vs_gibbs": wasserstein_p_1d(law, gibbs, 1),
-        "w2_vs_gibbs": wasserstein_p_1d(law, gibbs, 2),
-        "w2_vs_gaussian": None if sigma is None else wasserstein_to_gaussian(law, sigma, 2),
-        "ks_gibbs_vs_gaussian": None if sigma is None else ks_vs_gaussian(gibbs, sigma),
-    }
-    _dump_json(out, args.out or None)
+    _dump_json(law_report(cfg, args.replicas, args.samples), args.out or None)
     return _EX_OK
 
 

@@ -290,7 +290,6 @@ class TeacherStream:
 
     arch: Architecture
     teacher: np.ndarray
-    half_width: float = 1.0
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return self.sample_batch(rng, 1)[0]
@@ -298,6 +297,6 @@ class TeacherStream:
     def sample_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n packed samples (z, y) as rows: the same draws as n sample calls."""
         arch = self.arch
-        zs = rng.uniform(-self.half_width, self.half_width, size=(n, arch.dims[0]))
+        zs = rng.uniform(-1.0, 1.0, size=(n, arch.dims[0]))
         f = _forward(arch, *arch._views(self.teacher), zs)[0]
         return np.concatenate([zs, f[:, None]], axis=1)

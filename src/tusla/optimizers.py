@@ -99,6 +99,15 @@ def _check_beta(beta: float) -> None:
         raise ValueError(f"inverse temperature must be positive and finite, got {beta}")
 
 
+def _check_chain(n_steps: int, record_every: int, divergence_threshold: float) -> None:
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be non-negative, got {n_steps}")
+    if record_every < 1:
+        raise ValueError(f"record_every must be >= 1, got {record_every}")
+    if not (divergence_threshold > 0.0):
+        raise ValueError(f"divergence threshold must be positive, got {divergence_threshold}")
+
+
 @dataclass(frozen=True)
 class TuslaConfig:
     """Tamed Langevin configuration.
@@ -231,12 +240,7 @@ def scalar_route(oracle: GradientOracle, dim: int) -> bool:
 
 
 def _algo_id(algorithm, oracle, n_steps, record_every, divergence_threshold) -> int:
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be non-negative, got {n_steps}")
-    if record_every < 1:
-        raise ValueError(f"record_every must be >= 1, got {record_every}")
-    if not (divergence_threshold > 0.0):
-        raise ValueError(f"divergence threshold must be positive, got {divergence_threshold}")
+    _check_chain(n_steps, record_every, divergence_threshold)
     if isinstance(algorithm, TuslaConfig):
         algorithm.reg.require_order(oracle.degree())
         return ALGO_IDS["tusla"]

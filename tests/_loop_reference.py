@@ -490,12 +490,10 @@ def us_evaluate_batch_signed_pow(
 
 
 def reference_terminal_law(
+    algorithm,
+    theta0: float,
     oracle: GradientOracle,
     stream,
-    lam: float,
-    beta: float,
-    reg: RegularizationParams,
-    theta0: float,
     n_steps: int,
     n_replicas: int,
     seed: int,
@@ -503,6 +501,7 @@ def reference_terminal_law(
     """``tusla_terminal_law`` as a per-step loop: one data draw and one noise
     draw per step, the two-power drift and, for u_s, the out-of-place
     gradient."""
+    lam, beta, reg = algorithm.lam, algorithm.beta, algorithm.reg
     if oracle.dim() != 1:
         raise ValueError("replica integrator handles 1-D parameters only")
     reg.require_order(oracle.meta().q)

@@ -125,8 +125,8 @@ def risk(params: Params, x, eta: float, r: float) -> float:
     return resid * resid + eta / (2.0 * (r + 1.0)) * t ** (2.0 * (r + 1.0))
 
 
-def teacher_sample(teacher: Params, rng: np.random.Generator, half_width: float = 1.0):
-    z = rng.uniform(-half_width, half_width, size=teacher.arch.dims[0])
+def teacher_sample(teacher: Params, rng: np.random.Generator):
+    z = rng.uniform(-1.0, 1.0, size=teacher.arch.dims[0])
     return np.concatenate([z, [forward(teacher, z)]])
 
 
@@ -152,10 +152,9 @@ class ReferenceTeacherStream:
 
     arch: Architecture
     teacher: np.ndarray
-    half_width: float = 1.0
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return teacher_sample(split(self.arch, self.teacher), rng, self.half_width)
+        return teacher_sample(split(self.arch, self.teacher), rng)
 
     def sample_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.array([self.sample(rng) for _ in range(n)])

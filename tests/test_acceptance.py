@@ -363,16 +363,15 @@ def test_criterion_7_sampling_quality():
     quad, feed = QuadraticProblem(), ConstantDataSource()
     sigma = 0.5  # Gibbs law of u(x) = x^2/2 at beta = 4 is N(0, 1/beta)
 
-    law = tusla_terminal_law(quad, feed, lam=0.01, beta=4.0, reg=reg,
-                             theta0=0.0, n_steps=20_000, n_replicas=512, seed=0)
+    law = tusla_terminal_law(TuslaConfig(lam=0.01, beta=4.0, reg=reg), 0.0, quad, feed,
+                             n_steps=20_000, n_replicas=512, seed=0)
     w2_main = wasserstein_to_gaussian(law, sigma, p=2)
 
     def mean_w2(lam):
         vals = [
             wasserstein_to_gaussian(
-                tusla_terminal_law(quad, feed, lam=lam, beta=4.0, reg=reg,
-                                   theta0=0.0, n_steps=20_000, n_replicas=512,
-                                   seed=seed),
+                tusla_terminal_law(TuslaConfig(lam=lam, beta=4.0, reg=reg), 0.0, quad, feed,
+                                   n_steps=20_000, n_replicas=512, seed=seed),
                 sigma, p=2)
             for seed in (0, 1, 2)
         ]

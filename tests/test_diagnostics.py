@@ -30,6 +30,7 @@ from tusla.gradient_oracle import (
     RegularizationParams,
     lambda_max,
 )
+from tusla.optimizers import AdamConfig, SgldConfig, TuslaConfig
 from tusla.problems import (
     ConstantDataSource,
     OneNeuronProblem,
@@ -343,10 +344,10 @@ def test_gaussian_quantiles_and_exact_fit():
 def test_terminal_law_approaches_gaussian_target():
     # quadratic drift with eta = 0: the chain is an AR(1) whose stationary
     # law is N(0, 1/beta) up to O(lam) discretization error
-    reg = RegularizationParams(eta=0.0, r=1.5)
+    algorithm = TuslaConfig(lam=0.01, beta=4.0, reg=RegularizationParams(eta=0.0, r=1.5))
     law = tusla_terminal_law(
-        QuadraticProblem(), ConstantDataSource(), lam=0.01, beta=4.0, reg=reg,
-        theta0=0.0, n_steps=2000, n_replicas=64, seed=0,
+        algorithm, 0.0, QuadraticProblem(), ConstantDataSource(),
+        n_steps=2000, n_replicas=64, seed=0,
     )
     sd = math.sqrt(law.var())
     assert 0.3 <= sd <= 0.7
@@ -354,18 +355,30 @@ def test_terminal_law_approaches_gaussian_target():
 
 
 def test_terminal_law_is_deterministic():
-    reg = RegularizationParams(eta=0.0, r=1.5)
-    kw = dict(lam=0.01, beta=4.0, reg=reg, theta0=0.0, n_steps=50, n_replicas=16)
-    a = tusla_terminal_law(QuadraticProblem(), ConstantDataSource(), seed=9, **kw)
-    b = tusla_terminal_law(QuadraticProblem(), ConstantDataSource(), seed=9, **kw)
+    algorithm = TuslaConfig(lam=0.01, beta=4.0, reg=RegularizationParams(eta=0.0, r=1.5))
+    kw = dict(n_steps=50, n_replicas=16)
+    a = tusla_terminal_law(algorithm, 0.0, QuadraticProblem(), ConstantDataSource(), seed=9, **kw)
+    b = tusla_terminal_law(algorithm, 0.0, QuadraticProblem(), ConstantDataSource(), seed=9, **kw)
     assert np.array_equal(a.samples, b.samples)
+
+
+class _NoDraws:
+    """A stream for laws that must fail before their first draw."""
+
+    def sample_batch(self, rng, n):
+        raise AssertionError("the law drew data")
 
 
 def test_terminal_law_rejects_multidimensional_oracles():
     reg = RegularizationParams(eta=0.0, r=1.5)
     with pytest.raises(ValueError):
-        tusla_terminal_law(QuadraticProblem(d=2), ConstantDataSource(), lam=0.01,
-                           beta=1.0, reg=reg, theta0=0.0, n_steps=1, n_replicas=2, seed=0)
+        tusla_terminal_law(TuslaConfig(lam=0.01, beta=1.0, reg=reg), 0.0, QuadraticProblem(d=2),
+                           ConstantDataSource(), n_steps=1, n_replicas=2, seed=0)
+    # the law runs TUSLA only: any other config is a TypeError, before a draw
+    for algorithm in (SgldConfig(lam=0.01, beta=1.0), AdamConfig(alpha=0.01)):
+        with pytest.raises(TypeError, match=type(algorithm).__name__):
+            tusla_terminal_law(algorithm, 0.0, QuadraticProblem(), _NoDraws(),
+                               n_steps=1, n_replicas=2, seed=0)
 
 
 # oracle, stream and penalty for each law the bitwise test covers; u_s runs
@@ -390,7 +403,9 @@ def _law_outcome(law, problem, theta0, n_steps, n_replicas, seed):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            out = law(oracle, stream, 0.01, 4.0, reg, theta0=theta0, n_steps=n_steps,
+            # built here: the eta = 0.3 config warns that lam exceeds lambda_max
+            algorithm = TuslaConfig(lam=0.01, beta=4.0, reg=reg)
+            out = law(algorithm, theta0, oracle, stream, n_steps=n_steps,
                       n_replicas=n_replicas, seed=seed).samples.view(np.int64).tolist()
         except ValueError as e:
             out = str(e)
@@ -430,29 +445,31 @@ def test_terminal_law_drops_diverged_replicas():
     # in 11), and a replica that meets it leaves float range; the law warns
     # once with the count
     oracle, stream, reg = _LAWS["us26"]
-    kw = dict(theta0=1e6, n_replicas=3, seed=0)
+    kw = dict(algorithm=TuslaConfig(0.01, 4.0, reg), theta0=1e6, oracle=oracle, stream=stream,
+              n_replicas=3, seed=0)
     with pytest.warns(RuntimeWarning, match="2 of 3 replicas diverged"):
-        ref = reference_terminal_law(oracle, stream, 0.01, 4.0, reg, n_steps=2, **kw)
+        ref = reference_terminal_law(n_steps=2, **kw)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        law = tusla_terminal_law(oracle, stream, 0.01, 4.0, reg, n_steps=2, **kw)
+        law = tusla_terminal_law(n_steps=2, **kw)
     assert [str(w.message) for w in caught] == ["2 of 3 replicas diverged; dropped"]
     assert law.n == 1 and np.array_equal(law.samples, ref.samples)
     with pytest.warns(RuntimeWarning, match="3 of 3 replicas diverged"):
         with pytest.raises(ValueError, match="all replicas diverged"):
-            tusla_terminal_law(oracle, stream, 0.01, 4.0, reg, n_steps=5, **kw)
+            tusla_terminal_law(n_steps=5, **kw)
 
 
 @pytest.mark.parametrize("theta0", [math.nan, math.inf, -math.inf])
 def test_terminal_law_rejects_a_non_finite_start(monkeypatch, theta0):
-    # checked with lam, beta, steps and replicas, before the first step
+    # checked with steps and replicas, before the first step (TuslaConfig
+    # has checked lam and beta)
     def no_step(*args):
         raise AssertionError("the law stepped")
 
     monkeypatch.setattr(UsProblem, "evaluate_batch", no_step)
     oracle, stream, reg = _LAWS["us2"]
     with pytest.raises(ValueError, match="theta0"):
-        tusla_terminal_law(oracle, stream, 0.01, 4.0, reg, theta0=theta0, n_steps=5,
+        tusla_terminal_law(TuslaConfig(0.01, 4.0, reg), theta0, oracle, stream, n_steps=5,
                            n_replicas=4, seed=0)
 
 
@@ -466,13 +483,9 @@ def test_terminal_law_needs_evaluate_batch():
         def meta(self):
             return OracleMeta(q=1.0, rho=1.0, L1=1.0)
 
-    class NoDraws:
-        def sample_batch(self, rng, n):
-            raise AssertionError("the law drew data")
-
     with pytest.raises(ValueError, match="evaluate_batch"):
-        tusla_terminal_law(EvaluateOnly(), NoDraws(), 0.01, 4.0, RegularizationParams(0.0, 1.5),
-                           theta0=0.0, n_steps=5, n_replicas=4, seed=0)
+        tusla_terminal_law(TuslaConfig(0.01, 4.0, RegularizationParams(0.0, 1.5)), 0.0,
+                           EvaluateOnly(), _NoDraws(), n_steps=5, n_replicas=4, seed=0)
 
 
 @pytest.mark.parametrize("n_replicas", [1, 2, 3, 512, 5000])

@@ -27,6 +27,7 @@ from tusla.harness import (
     _ProblemSetup,
     _parse_value,
     export_csv,
+    law_report,
     load_config,
     main,
     run_config,
@@ -34,7 +35,7 @@ from tusla.harness import (
 )
 from tusla.diagnostics import gibbs_sampler_1d, tusla_terminal_law, wasserstein_p_1d
 from tusla.gradient_oracle import RegularizationParams
-from tusla.optimizers import RunRecord, run, scalar_route
+from tusla.optimizers import RunRecord, TuslaConfig, run, scalar_route
 from tusla.problems import UniformDataSource, UsProblem, u_s_value_batch
 
 
@@ -728,7 +729,7 @@ def test_cli_usage_errors(tmp_path, monkeypatch):
             out = tmp_path / "constants.json"
             assert main(["constants", "--problem", problem, *bad, "--out", str(out)]) == 64, bad
             assert not out.exists(), (problem, bad)
-    # the law itself rejects a non-finite --theta0, before its first step
+    # a non-finite --theta0 is rejected before the law's first step
     for bad in ("nan", "inf", "-inf"):
         for problem in ("quadratic", "us"):
             out = tmp_path / "gibbs.json"
@@ -953,6 +954,19 @@ def test_cli_gibbs(tmp_path):
     assert obj["w2_vs_gibbs"] < 0.5
     # the problem it ran: no s for the quadratic, the default penalty
     assert (obj["s"], obj["eta"], obj["r"], obj["theta0"], obj["seed"]) == (None, 0.0, 1.5, 0.0, 0)
+    # its settings are TuslaConfig's, as for tusla run: a step above
+    # lambda_max(0.01, 2) = 0.27 on u_s warns and still runs
+    out = str(tmp_path / "warned.json")
+    with pytest.warns(RuntimeWarning, match="exceeds lambda_max"):
+        assert main(["gibbs", "--problem", "us", "--lam", "0.3", "--replicas", "8",
+                     "--steps", "20", "--samples", "1000", "--out", out]) == 0
+    obj = json.loads(Path(out).read_text())
+    assert (obj["lam"], obj["replicas_used"]) == (0.3, 8)
+    # law_report runs one seed of tusla; anything else is rejected unrun
+    for cfg in (ExperimentConfig(problem="quadratic", algorithm="sgld", seeds=(0,)),
+                ExperimentConfig(problem="quadratic", algorithm="tusla", seeds=(0, 1))):
+        with pytest.raises(ValueError, match="replica law runs"):
+            law_report(cfg, 8, 1000)
 
 
 def test_cli_gibbs_us_runs_at_the_default_penalty(tmp_path):
@@ -965,8 +979,8 @@ def test_cli_gibbs_us_runs_at_the_default_penalty(tmp_path):
                      "--out", str(out)]) == 0
         obj = json.loads(out.read_text())
         law = tusla_terminal_law(
-            UsProblem(s=s), UniformDataSource(), 0.01, 4.0, RegularizationParams(0.01, r),
-            theta0=0.5, n_steps=200, n_replicas=16, seed=3,
+            TuslaConfig(0.01, 4.0, RegularizationParams(0.01, r)), 0.5, UsProblem(s=s),
+            UniformDataSource(), n_steps=200, n_replicas=16, seed=3,
         )
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([3, 9])))
         gibbs = gibbs_sampler_1d(lambda x: u_s_value_batch(x, s), 4.0, None, rng, n_draws=2000)
@@ -987,8 +1001,8 @@ def test_cli_gibbs_runs_at_an_explicit_zero_penalty(tmp_path):
     assert main(["gibbs", "--problem", "us", "--eta", "0", *common, "--out", str(out)]) == 0
     obj = json.loads(out.read_text())
     law = tusla_terminal_law(
-        UsProblem(s=2), UniformDataSource(), 0.01, 4.0, RegularizationParams(0.0, 12.0),
-        theta0=0.0, n_steps=200, n_replicas=16, seed=3,
+        TuslaConfig(0.01, 4.0, RegularizationParams(0.0, 12.0)), 0.0, UsProblem(s=2),
+        UniformDataSource(), n_steps=200, n_replicas=16, seed=3,
     )
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([3, 9])))
     gibbs = gibbs_sampler_1d(lambda x: u_s_value_batch(x, 2), 4.0, None, rng, n_draws=2000)

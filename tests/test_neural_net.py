@@ -344,13 +344,13 @@ def test_mlp_oracle_delegation():
 def test_teacher_stream():
     arch = Architecture(dims=(3, 4, 2))
     teacher = np.random.default_rng(89).normal(size=arch.param_dim)
-    stream = TeacherStream(arch, teacher, half_width=1.5)
+    stream = TeacherStream(arch, teacher)
     rng = np.random.default_rng(97)
     for _ in range(20):
         sample = stream.sample(rng)
         assert sample.shape == (4,)
         z, y = sample[:3], sample[3]
-        assert np.all(np.abs(z) <= 1.5)
+        assert np.all(np.abs(z) <= 1.0)
         assert y == ref.forward(ref.split(arch, teacher), z)
 
 
@@ -388,10 +388,10 @@ def test_kernels_match_per_sample_reference_bitwise(dims, act, log_scale, m, see
             per_pair = ref.per_probe_risks(arch, thetas, xs, eta, r)
             assert risk(arch, thetas, xs, eta, r).tobytes() == per_pair.tobytes(), k
 
-    stream = TeacherStream(arch, theta, half_width=1.5)
+    stream = TeacherStream(arch, theta)
     batch = stream.sample_batch(np.random.default_rng(seed), m)
     rng_ref, rng_one = np.random.default_rng(seed), np.random.default_rng(seed)
-    per_call = np.array([ref.teacher_sample(params, rng_ref, 1.5) for _ in range(m)])
+    per_call = np.array([ref.teacher_sample(params, rng_ref) for _ in range(m)])
     assert batch.tobytes() == per_call.tobytes()
     assert np.array([stream.sample(rng_one) for _ in range(m)]).tobytes() == batch.tobytes()
 

@@ -425,13 +425,6 @@ def test_uniform_source_statistics():
     assert abs(frac - 1.0 / 11.0) < 0.002
 
 
-def test_uniform_source_validation():
-    with pytest.raises(ValueError):
-        UniformDataSource(lo=2.0, hi=2.0)
-    with pytest.raises(ValueError):
-        UniformDataSource(lo=0.0, hi=math.inf)
-
-
 def test_constant_source():
     src = ConstantDataSource(value=(1.0, -2.0))
     rng = np.random.default_rng(0)

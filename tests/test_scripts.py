@@ -5,6 +5,8 @@ import runpy
 import sys
 from pathlib import Path
 
+from tusla.harness import main as tusla_main
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -23,3 +25,11 @@ def test_sampling_study_writes_a_row_per_lam(monkeypatch, tmp_path):
     for row in rows:
         assert set(row) == {"lam", "w2_vs_gaussian", "w2_vs_gibbs"}
         assert row["w2_vs_gaussian"] >= 0.0 and row["w2_vs_gibbs"] >= 0.0
+    # a row is tusla gibbs's report at the same point, bit for bit
+    gibbs = tmp_path / "gibbs.json"
+    assert tusla_main(["gibbs", "--problem", "quadratic", "--lam", "0.05", "--beta", "4",
+                       "--replicas", "8", "--steps", "50", "--samples", "200000",
+                       "--seed", "0", "--out", str(gibbs)]) == 0
+    report = json.loads(gibbs.read_text())
+    assert rows[1] == {"lam": 0.05, "w2_vs_gaussian": report["w2_vs_gaussian"],
+                       "w2_vs_gibbs": report["w2_vs_gibbs"]}
