@@ -42,6 +42,24 @@ INVOCATIONS = {
     "constants-us": ["constants", "--problem", "us", "--out", "{out}/constants.json"],
     "constants-quadratic": ["constants", "--problem", "quadratic",
                             "--out", "{out}/constants.json"],
+    "run-config-file": ["run", "--config", "{config}", "--seed", "5", "--out", "{out}"],
+    "run-nn-demo-json": ["run", "--preset", "nn-demo", "--set", "algorithm=tusla",
+                         "--set", "seeds=0,1", "--format", "json", "--out", "{out}"],
+}
+
+# name -> config-file text, written beside the invocation's output directory
+# as "<name>.cfg"; "{config}" is its path. Float fields carry a decimal point.
+CONFIG_FILES = {
+    "run-config-file": (
+        "# paper-s26 with TUSLA alone, two seeds and half the step size\n"
+        "\n"
+        "preset=paper-s26\n"
+        "algorithm=tusla\n"
+        "n_steps=3000\n"
+        "seeds=0,1\n"
+        "lam=0.025\n"
+        "r=none\n"
+    ),
 }
 
 
@@ -53,9 +71,12 @@ def run_all(root: Path) -> dict[str, str]:
     """Run every invocation under root; the digest of each file it wrote."""
     digests = {}
     for name, argv in INVOCATIONS.items():
-        out = root / name
+        out, config = root / name, root / f"{name}.cfg"
         out.mkdir(parents=True)
-        code = tusla_main([arg.replace("{out}", str(out)) for arg in argv])
+        if name in CONFIG_FILES:
+            config.write_text(CONFIG_FILES[name])
+        code = tusla_main([arg.replace("{out}", str(out)).replace("{config}", str(config))
+                           for arg in argv])
         if code != 0:
             raise RuntimeError(f"{name} exited with {code}")
         for path in sorted(out.iterdir()):
