@@ -30,7 +30,6 @@ import math
 import os
 import sys
 import time
-import typing
 from dataclasses import dataclass
 from typing import Optional
 
@@ -98,7 +97,7 @@ class ExperimentConfig:
     lam: float = 0.05
     beta: float = 0.05
     eta: float = 0.01
-    r: Optional[float] = None  # None: problem-appropriate default, see resolved_r
+    r: Optional[float] = None  # None: s + 10 on u_s, else q/2 + 1 for the oracle's degree q
     alpha: float = 10.0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -134,18 +133,6 @@ class ExperimentConfig:
         AdamConfig(self.alpha, self.beta1, self.beta2, self.eps)
         # the mlp fields too, which the summary records for every problem
         Architecture(self.dims, activation_by_name(self.activation))
-
-    def resolved_r(self) -> float:
-        if self.r is not None:
-            return float(self.r)
-        if self.problem == "us":
-            return float(self.s + 10)
-        if self.problem == "quadratic":
-            return 1.5
-        if self.problem == "one_neuron":
-            return 2.5
-        n = len(self.dims) - 1  # mlp: q = 2n + 2, so q/2 + 1
-        return float(n + 2)
 
     def algorithms(self) -> tuple[str, ...]:
         return _ALGOS if self.algorithm == "all" else (self.algorithm,)
@@ -217,7 +204,9 @@ class _ProblemSetup:
     """One problem as every command builds it: the oracle, the data stream,
     the penalty reg, the objective and theta* (from the oracle, where it
     declares one); theta0(seed) gives each seed's start. The objective maps
-    a record's (k, d) stack of recorded states to their k values."""
+    a record's (k, d) stack of recorded states to their k values. The penalty
+    order r is cfg.r, else s + 10 on u_s (the presets' choice), else the least
+    r that require_order admits, q/2 + 1 for the oracle's degree q."""
 
     def __init__(self, cfg: ExperimentConfig) -> None:
         self.arch: Optional[Architecture] = None
@@ -263,7 +252,8 @@ class _ProblemSetup:
             self.objective = objective
         star = getattr(self.oracle, "theta_star", None)
         self.theta_star = None if star is None else np.array([star])
-        self.reg = RegularizationParams(eta=cfg.eta, r=cfg.resolved_r())
+        default_r = cfg.s + 10 if cfg.problem == "us" else self.oracle.degree() / 2 + 1
+        self.reg = RegularizationParams(eta=cfg.eta, r=float(default_r if cfg.r is None else cfg.r))
 
     def theta0(self, seed: int) -> np.ndarray:
         if self.arch is None:
@@ -326,7 +316,8 @@ def run_config(
     """Execute every (algorithm, seed) pair of cfg; optionally write files.
 
     Files go to out_dir as ``{name}-{algorithm}-seed{seed}.{fmt}``, one per
-    chain, plus ``{name}-summary.json``, whose config is cfg as it ran.
+    chain, plus ``{name}-summary.json``, whose config is cfg as it ran: its r
+    is the penalty order the chains used, the default when cfg.r is None.
 
     The chains run as tasks: one per (algorithm, seed) on the scalar route,
     which calls ``run``, and one per algorithm on the stacked vector route,
@@ -391,7 +382,7 @@ def run_config(
         algos[algo] = _aggregate(algo, results, sum(seconds for _, seconds in mine))
     summary = RunSummary(
         name=name,
-        config=cfg,
+        config=dataclasses.replace(cfg, r=setup.reg.r),
         algorithms=algos,
         wall_time_s=time.perf_counter() - t_total,
         workers=workers,
@@ -440,30 +431,6 @@ def law_report(cfg: ExperimentConfig, n_replicas: int, n_draws: int) -> dict:
         "w2_vs_gaussian": None if sigma is None else wasserstein_to_gaussian(law, sigma, 2),
         "ks_gibbs_vs_gaussian": None if sigma is None else ks_vs_gaussian(gibbs, sigma),
     }
-
-
-def _apply_overrides(cfg: ExperimentConfig, overrides: dict) -> ExperimentConfig:
-    hints = typing.get_type_hints(ExperimentConfig)
-    unknown = set(overrides) - set(hints)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    declared = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
-    for key, val in overrides.items():
-        if not _conforms(val, hints[key]):
-            raise ValueError(f"{key} must be {declared[key]}, got {val!r}")
-    return dataclasses.replace(cfg, **overrides)
-
-
-def _conforms(val, hint) -> bool:
-    """val has the field type hint: an int passes for a float, not for a str."""
-    if typing.get_origin(hint) is typing.Union:
-        return any(_conforms(val, h) for h in typing.get_args(hint))
-    if typing.get_origin(hint) is tuple:
-        item = typing.get_args(hint)[0]
-        return isinstance(val, tuple) and all(_conforms(v, item) for v in val)
-    if hint is float:
-        return isinstance(val, (int, float))
-    return isinstance(val, hint)
 
 
 # ---------------------------------------------------------------- export
@@ -530,11 +497,9 @@ def _json_float(v):
 def summary_jsonable(summary: RunSummary) -> dict:
     """JSON form of a RunSummary. Timings are deliberately excluded so that
     identical invocations serialize byte-identically."""
-    cfg = {k: _json_float(v) for k, v in dataclasses.asdict(summary.config).items()}
-    cfg["r"] = _json_float(summary.config.resolved_r())
     return {
         "name": summary.name,
-        "config": cfg,
+        "config": {k: _json_float(v) for k, v in dataclasses.asdict(summary.config).items()},
         "algorithms": {
             algo: {
                 "n_seeds": a.n_seeds,
@@ -567,34 +532,38 @@ def _dump_json(obj, path: Optional[str]) -> None:
 # ---------------------------------------------------------------- config files
 
 
-def _parse_value(raw: str):
-    raw = raw.strip()
-    if "," in raw:
-        return tuple(_parse_value(p) for p in raw.split(","))
-    for cast in (int, float):
-        try:
-            return cast(raw)
-        except ValueError:
-            continue
-    if raw.lower() in ("none", ""):
-        return None
-    return raw
+# a field's declared type, spelled as in its annotation -> the parse of its text
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "Optional[float]": lambda raw: None if raw.lower() in ("none", "") else float(raw),
+    "tuple[int, ...]": lambda raw: tuple(int(item) for item in raw.split(",")),
+}
 
 
 def _parse_override(item: str) -> tuple[str, object]:
-    """One key=value override, as a config file line or a --set argument."""
+    """One key=value override, as a config file line or a --set argument,
+    its value parsed by the ExperimentConfig field's declared type: integer
+    text in a float field is a float. A type _PARSERS lacks raises TypeError."""
     if "=" not in item:
         raise ValueError(f"expected key=value, got {item!r}")
     key, _, raw = item.partition("=")
-    key = key.strip()
-    val = _parse_value(raw)
-    if key in ("seeds", "dims") and not isinstance(val, tuple):
-        val = (val,)
-    return key, val
+    key, raw = key.strip(), raw.strip()
+    declared = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+    if key not in declared:
+        raise ValueError(f"unknown config key {key!r}")
+    if declared[key] not in _PARSERS:
+        raise TypeError(f"no parser for {key}'s type {declared[key]}")
+    try:
+        return key, _PARSERS[declared[key]](raw)
+    except ValueError:
+        raise ValueError(f"{key} must be {declared[key]}, got {raw!r}") from None
 
 
 def load_config(path: str) -> ExperimentConfig:
-    """Flat key=value file -> ExperimentConfig ('#' comments, blank lines ok)."""
+    """Flat key=value file -> ExperimentConfig ('#' comments, blank lines ok);
+    a preset=<name> line sets the base that the other lines override."""
     overrides: dict = {}
     base = ExperimentConfig()
     with open(path) as f:
@@ -602,17 +571,17 @@ def load_config(path: str) -> ExperimentConfig:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
+            key, _, name = (part.strip() for part in line.partition("="))
             try:
-                key, val = _parse_override(line)
+                if key != "preset":
+                    overrides.update([_parse_override(line)])
+                elif name in PRESETS:
+                    base = PRESETS[name]
+                else:
+                    raise ValueError(f"unknown preset {name!r}")
             except ValueError as e:
                 raise ValueError(f"{path}:{ln}: {e}") from None
-            if key == "preset":
-                if val not in PRESETS:
-                    raise ValueError(f"{path}:{ln}: unknown preset {val!r}")
-                base = PRESETS[val]
-                continue
-            overrides[key] = val
-    return _apply_overrides(base, overrides)
+    return dataclasses.replace(base, **overrides)
 
 
 # ---------------------------------------------------------------- CLI
@@ -676,7 +645,7 @@ def _build_parser() -> _Parser:
 
 def _cmd_run(args) -> int:
     cfg = PRESETS[args.preset] if args.preset else load_config(args.config)
-    cfg = _apply_overrides(cfg, dict(_parse_override(item) for item in args.set))
+    cfg = dataclasses.replace(cfg, **dict(_parse_override(item) for item in args.set))
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seeds=tuple(range(args.seed, args.seed + len(cfg.seeds))))
     summary = run_config(cfg, name=args.preset or "custom", out_dir=args.out, fmt=args.format)
@@ -738,6 +707,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        # gibbs and constants write one file: a missing directory fails first
+        out_dir = os.path.dirname(args.out or "") or "."
+        if args.command != "run" and not os.path.isdir(out_dir):
+            raise FileNotFoundError(f"no directory {out_dir!r} to write {args.out!r} into")
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "constants":

@@ -25,7 +25,7 @@ from tusla.harness import (
     PRESETS,
     ExperimentConfig,
     _ProblemSetup,
-    _parse_value,
+    _parse_override,
     export_csv,
     law_report,
     load_config,
@@ -79,7 +79,7 @@ def test_headline_preset_parameters():
     assert cfg.lam == 0.05
     assert cfg.beta == 0.05
     assert cfg.eta == 0.01
-    assert cfg.resolved_r() == 12.0
+    assert _ProblemSetup(cfg).reg.r == 12.0
     assert cfg.alpha == 10.0
     assert (cfg.beta1, cfg.beta2, cfg.eps) == (0.9, 0.999, 1e-8)
     assert cfg.theta0 == 1e3
@@ -90,7 +90,7 @@ def test_headline_preset_parameters():
 
     steep = PRESETS["paper-s26"]
     assert steep.s == 26
-    assert steep.resolved_r() == 36.0
+    assert _ProblemSetup(steep).reg.r == 36.0
     assert steep.lam == cfg.lam and steep.beta == cfg.beta and steep.eta == cfg.eta
 
 
@@ -115,13 +115,17 @@ def test_paper_s2_tusla_spread_is_the_ou_stationary_variance():
     assert np.mean(np.abs(tail) >= 1.0) > 0.9  # the saturated branch
 
 
-def test_resolved_r_defaults():
-    assert ExperimentConfig(problem="us", s=7).resolved_r() == 17.0
-    assert ExperimentConfig(problem="quadratic").resolved_r() == 1.5
-    assert ExperimentConfig(problem="one_neuron").resolved_r() == 2.5
-    assert ExperimentConfig(problem="mlp", dims=(3, 4, 4)).resolved_r() == 4.0
-    assert ExperimentConfig(problem="mlp", dims=(1, 2)).resolved_r() == 3.0
-    assert ExperimentConfig(problem="us", r=7.5).resolved_r() == 7.5
+def test_r_defaults_follow_the_oracle_degree():
+    # s + 10 on u_s, else q/2 + 1: quadratic q = 1, one_neuron q = 3, mlp q = 2n + 2
+    def r(**kw):
+        return _ProblemSetup(ExperimentConfig(**kw)).reg.r
+
+    assert r(problem="us", s=7) == 17.0
+    assert r(problem="quadratic") == 1.5
+    assert r(problem="one_neuron") == 2.5
+    assert r(problem="mlp", dims=(3, 4, 4)) == 4.0
+    assert r(problem="mlp", dims=(1, 2)) == 3.0
+    assert r(problem="us", r=7.5) == 7.5
 
 
 def test_algorithm_selection():
@@ -402,12 +406,54 @@ def test_load_config_errors(tmp_path):
         load_config(str(bad_type))
 
 
-def test_parse_value_forms():
-    assert _parse_value("5") == 5 and isinstance(_parse_value("5"), int)
-    assert _parse_value("0.5") == 0.5
-    assert _parse_value("1,2.5,x") == (1, 2.5, "x")
-    assert _parse_value("none") is None
-    assert _parse_value("tanh") == "tanh"
+def test_parse_override_reads_each_value_by_its_field_type(tmp_path, capsys):
+    assert _parse_override("n_steps=5") == ("n_steps", 5)
+    lam = _parse_override("lam=1")[1]
+    assert lam == 1.0 and type(lam) is float
+    assert _parse_override("seeds=4") == ("seeds", (4,))
+    assert _parse_override(" dims = 3, 4 ") == ("dims", (3, 4))
+    assert _parse_override("r=none") == _parse_override("r=") == ("r", None)
+    assert _parse_override("r=7") == ("r", 7.0)
+    assert _parse_override("activation=relu") == ("activation", "relu")
+    # integer text in a float field is a float in the summary too
+    assert main(["run", "--preset", "paper-s2", "--set", "lam=1", "--set", "n_steps=2",
+                 "--set", "seeds=0", "--set", "algorithm=sgld", "--out", str(tmp_path)]) == 0
+    assert '"lam": 1.0,' in (tmp_path / "paper-s2-summary.json").read_text()
+    capsys.readouterr()
+    for bad, declared in (("n_steps=1.5", "int"), ("s=2.0", "int"),
+                          ("seeds=0,,1", "tuple[int, ...]"), ("dims=3,4.0", "tuple[int, ...]"),
+                          ("lam=abc", "float")):
+        out = tmp_path / "bad"
+        assert main(["run", "--preset", "paper-s2", "--set", bad, "--out", str(out)]) == 64, bad
+        key, _, raw = bad.partition("=")
+        assert f"{key} must be {declared}, got {raw!r}" in capsys.readouterr().err, bad
+        assert not out.exists(), bad
+
+
+def _config_text(value) -> str:
+    # a config-file value: a list as a comma list, null as none
+    if isinstance(value, (list, tuple)):
+        return ",".join(map(str, value))
+    return "none" if value is None else str(value)
+
+
+def test_the_parser_handles_every_config_field_type():
+    # each field's default, written as config text, parses back to itself
+    for field in dataclasses.fields(ExperimentConfig):
+        _, value = _parse_override(f"{field.name}={_config_text(field.default)}")
+        assert repr(value) == repr(field.default), field.name
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_a_summary_config_replays_through_load_config(tmp_path, name):
+    cfg = dataclasses.replace(PRESETS[name], n_steps=5)
+    run_config(cfg, name=name, out_dir=str(tmp_path))
+    config = json.loads((tmp_path / f"{name}-summary.json").read_text())["config"]
+    path = tmp_path / "replay.cfg"
+    path.write_text("".join(f"{k}={_config_text(v)}\n" for k, v in config.items()))
+    expected = dataclasses.replace(cfg, r=_ProblemSetup(cfg).reg.r)
+    # repr, not ==, so that an int where a float ran fails too
+    assert repr(load_config(str(path))) == repr(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +562,7 @@ _POOL_CASES = [
 
 
 def _pool_cfg(preset, overrides) -> ExperimentConfig:
-    return harness._apply_overrides(PRESETS[preset], dict(map(harness._parse_override, overrides)))
+    return dataclasses.replace(PRESETS[preset], **dict(map(_parse_override, overrides)))
 
 
 def _pool_argv(preset, overrides, fmt, out):
@@ -901,6 +947,18 @@ def test_run_and_gibbs_never_build_the_l1_grid(tmp_path, monkeypatch):
 
 def test_cli_io_error(tmp_path):
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
+
+
+@pytest.mark.parametrize("command", [["gibbs", "--problem", "quadratic"], ["constants"]])
+def test_an_unwritable_out_fails_before_any_work(tmp_path, monkeypatch, command):
+    def fail(*args, **kwargs):
+        raise AssertionError("the command computed before checking --out")
+
+    monkeypatch.setattr(harness, "tusla_terminal_law", fail)
+    monkeypatch.setattr(harness, "theory_constants", fail)
+    out = tmp_path / "missing" / "dir" / "g.json"
+    assert main([*command, "--out", str(out)]) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_constants_json(tmp_path):
