@@ -39,6 +39,12 @@ INVOCATIONS = {
     "gibbs-us-s2": ["gibbs", "--problem", "us", "--s", "2", "--out", "{out}/gibbs.json"],
     "gibbs-us-s26": ["gibbs", "--problem", "us", "--s", "26", "--out", "{out}/gibbs.json"],
     "gibbs-quadratic": ["gibbs", "--problem", "quadratic", "--out", "{out}/gibbs.json"],
+    # the quadratic with the drift's penalty switched on (the default eta is 0)
+    "gibbs-quadratic-eta": ["gibbs", "--problem", "quadratic", "--eta", "0.05",
+                            "--steps", "2000", "--out", "{out}/gibbs.json"],
+    # a u_3 law started in the wall, where d < 0 and |theta| >= 1
+    "gibbs-us-s3-wall": ["gibbs", "--problem", "us", "--s", "3", "--theta0", "-3",
+                         "--steps", "2000", "--out", "{out}/gibbs.json"],
     "constants-us": ["constants", "--problem", "us", "--out", "{out}/constants.json"],
     "constants-quadratic": ["constants", "--problem", "quadratic",
                             "--out", "{out}/constants.json"],
