@@ -27,6 +27,7 @@ from .gradient_oracle import (
     GradientOracle,
     OracleMeta,
     RegularizationParams,
+    _operand,
     lambda_max,
     overflow_safe_drift_batch,
 )
@@ -308,8 +309,11 @@ def tusla_terminal_law(
     values as in the chain loops: one sample_batch(k * n_replicas) and one
     standard_normal((k, n_replicas)) call give the values of k per-step
     calls, so the stream layout does not depend on the block size. Each
-    replica runs the TUSLA update of ``run`` with the oracle's
-    evaluate_batch and the replica drift overflow_safe_drift_batch. Their
+    replica runs the TUSLA update of ``run``: the oracle's batch_data
+    prepares a block's data once, and each step calls evaluate_batch and the
+    replica drift overflow_safe_drift_batch, whose constants are 0-d
+    operands, under one error state, held for the whole run, that ignores
+    overflow and invalid operations. Their
     numpy pows (u_s signs its odd power of |d| by copysign) agree with run's
     libm pow to an ulp or two, not bitwise; the stream layout differs too,
     so seeds are not interchangeable between the two. n_steps >= 0,
@@ -335,19 +339,20 @@ def tusla_terminal_law(
     data_rng, noise_rng = _streams(seed, ALGO_IDS["tusla"])
     thetas = np.full(n_replicas, float(theta0))
     scale = math.sqrt(2.0 * lam / beta)
+    lam_0d = _operand(lam)
     block = _block_size(n_steps, n_replicas)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n_steps, block):
             k = min(block, n_steps - start)
             xs = stream.sample_batch(data_rng, k * n_replicas)
-            xs = xs.reshape((k, n_replicas) + xs.shape[1:])
+            xs = oracle.batch_data(xs.reshape((k, n_replicas) + xs.shape[1:]))
             # scale * xi rounds elementwise as it would at the step
             xis = noise_rng.standard_normal((k, n_replicas))
             xis *= scale
             for x, xi in zip(xs, xis):
                 g = oracle.evaluate_batch(thetas, x)
                 drift = overflow_safe_drift_batch(g, thetas, lam, reg)
-                drift *= lam
+                drift *= lam_0d
                 thetas -= drift
                 thetas += xi
     finite = np.isfinite(thetas)

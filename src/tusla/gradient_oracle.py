@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any
 
 import numpy as np
@@ -56,6 +57,23 @@ def parameter_vector(values) -> ParameterVector:
     if not np.all(np.isfinite(v)):
         raise ValueError("parameter vector entries must be finite")
     return v.copy()
+
+
+def _operand(value: float) -> np.ndarray:
+    # value as a read-only 0-d float64 array: a ufunc takes it as it is, where
+    # a Python scalar costs a conversion on every call; the bits are the same
+    a = np.array(value, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
+_ONE = _operand(1.0)
+
+
+@lru_cache(maxsize=64)
+def _drift_operands(lam: float, eta: float, r: float) -> tuple:
+    # overflow_safe_drift_batch's constants 2r, -2r, eta and sqrt(lam)
+    return tuple(map(_operand, (2.0 * r, -2.0 * r, eta, math.sqrt(lam))))
 
 
 def safe_norm(v: np.ndarray) -> float:
@@ -176,8 +194,13 @@ class GradientOracle(ABC):
         raise NotImplementedError
 
     def evaluate_batch(self, thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        """Vectorized gradient over replica arrays for d == 1 problems."""
+        """G over replica arrays for d == 1 problems; xs: samples or a step of batch_data."""
         raise NotImplementedError
+
+    def batch_data(self, xs: np.ndarray):
+        """A block of samples, one row per step, in the form evaluate_batch
+        takes; the replica law calls it once per block. Default: xs itself."""
+        return xs
 
     def evaluate_rows(self, thetas: np.ndarray, xs) -> np.ndarray:
         """G at R (theta, x) pairs: row i of the (R, d) result is
@@ -235,15 +258,18 @@ def overflow_safe_drift_batch(
     numpy's scalar-exponent shortcuts round differently. Against the row
     drift, agreement is within an ulp or two, not bitwise: numpy's vectorized
     pow may round differently from libm pow. Finite for finite theta and
-    finite g (see overflow_safe_drift).
+    finite g (see overflow_safe_drift). Constants are 0-d operands made once
+    per (lam, eta, r); g and theta are only read. The caller owns the
+    floating-point error state.
     """
+    two_r, neg_two_r, eta, sq = _drift_operands(lam, reg.eta, reg.r)
     a = np.abs(theta)
-    small = a < 1.0
-    p = a ** np.where(small, 2.0 * reg.r, -2.0 * reg.r)
-    fa, w = np.where(small, 1.0, p), np.where(small, p, 1.0)
-    out = fa * g
-    out += (reg.eta * w) * theta
-    w *= math.sqrt(lam)
+    small = np.less(a, _ONE)
+    p = np.power(a, np.where(small, two_r, neg_two_r), out=a)
+    fa, w = np.where(small, _ONE, p), np.where(small, p, _ONE)
+    out = np.multiply(fa, g)
+    out += np.multiply(np.multiply(eta, w, out=p), theta, out=p)  # (eta w) theta
+    np.multiply(w, sq, out=w)
     out /= np.add(fa, w, out=w)  # fa + sqrt(lam) w, in the order the rows add
     return out
 

@@ -31,6 +31,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -392,11 +393,21 @@ def run_config(
     return summary
 
 
+@lru_cache(maxsize=4)
+def _gibbs_reference(s: Optional[int], beta: float, seed: int, n_draws: int):
+    # law_report's Gibbs draws for u_s, or the quadratic at s None, once per input
+    u = (lambda x: 0.5 * x * x) if s is None else (lambda x: u_s_value_batch(x, s))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 9])))
+    gibbs = gibbs_sampler_1d(u, beta, None, rng, n_draws=n_draws)
+    gibbs.samples.flags.writeable = False  # shared by every report at this input
+    return gibbs
+
+
 def law_report(cfg: ExperimentConfig, n_replicas: int, n_draws: int) -> dict:
     """The JSON ``tusla gibbs`` writes: n_replicas TUSLA chains of cfg at its
     one seed against n_draws Gibbs draws of exp(-beta u) (automatic support,
-    substream [seed, 9]); the quadratic adds W2 to N(0, 1/beta). Every
-    setting is checked before the law runs."""
+    substream [seed, 9], drawn once per process and input); the quadratic
+    adds W2 to N(0, 1/beta). Every setting is checked before the law runs."""
     if cfg.algorithm != "tusla":
         raise ValueError(f"the replica law runs tusla only, got {cfg.algorithm!r}")
     if len(cfg.seeds) != 1:
@@ -410,10 +421,8 @@ def law_report(cfg: ExperimentConfig, n_replicas: int, n_draws: int) -> dict:
         cfg.n_steps, n_replicas, seed,
     )
     quadratic = cfg.problem == "quadratic"
-    u = (lambda x: 0.5 * x * x) if quadratic else (lambda x: u_s_value_batch(x, cfg.s))
     sigma = 1.0 / math.sqrt(cfg.beta) if quadratic else None
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 9])))
-    gibbs = gibbs_sampler_1d(u, cfg.beta, None, rng, n_draws=n_draws)
+    gibbs = _gibbs_reference(None if quadratic else cfg.s, cfg.beta, seed, n_draws)
     return {
         "problem": cfg.problem,
         "s": cfg.s if cfg.problem == "us" else None,

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gradient_oracle import GradientOracle, OracleMeta, ParameterVector
+from .gradient_oracle import _ONE, GradientOracle, OracleMeta, ParameterVector, _operand
 
 __all__ = [
     "UniformDataSource",
@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _CENTER = 0.1  # minimizer of every u_s
+_CENTER_0D, _ZERO, _HALF, _ELEVEN, _MINUS_ONE = map(_operand, (_CENTER, 0.0, 0.5, 11.0, -1.0))
 
 
 def _guard_pow(x: float, n: int) -> float:
@@ -130,6 +131,10 @@ def _us_l1(s: int, unbiased: bool) -> float:
     return l1
 
 
+class _Multipliers(np.ndarray):
+    """UsProblem.batch_data's form of samples: their multipliers, 11 or -1."""
+
+
 @dataclass(frozen=True)
 class UsProblem(GradientOracle):
     """Oracle for u_s with the multiplier-noise gradient estimators.
@@ -160,12 +165,14 @@ class UsProblem(GradientOracle):
     # is 0, as d ** 0 == 1.0 for every d, so the term is 0.0 * 1.0
     _two_s: float = field(init=False, repr=False, compare=False)
     _odd: int = field(init=False, repr=False, compare=False)
+    _pen_operands: tuple = field(init=False, repr=False, compare=False)  # as 0-d operands
 
     def __post_init__(self) -> None:
         if not (isinstance(self.s, int) and self.s >= 0):
             raise ValueError(f"s must be a non-negative integer, got {self.s}")
         object.__setattr__(self, "_two_s", 2.0 * self.s)
         object.__setattr__(self, "_odd", 2 * self.s - 1 if self.s else 0)
+        object.__setattr__(self, "_pen_operands", (_operand(self._two_s), _operand(self._odd)))
 
     def degree(self) -> float:
         return float(max(2 * self.s, 1))
@@ -193,27 +200,48 @@ class UsProblem(GradientOracle):
         return np.array([self.evaluate_scalar(float(theta[0]), x)])
 
     def evaluate_batch(self, thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """G for samples xs or a step of batch_data's multipliers, with every
+        constant a 0-d operand. On samples it sets its own floating-point
+        error state; on multipliers the caller owns it, and must ignore
+        overflow and invalid operations as tusla_terminal_law does. thetas
+        and xs are only read."""
+        if type(xs) is not _Multipliers:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return self._gradient(thetas, self.batch_data(xs))
+        return self._gradient(thetas, xs)
+
+    def batch_data(self, xs: np.ndarray) -> np.ndarray:
+        """The multipliers 12 * 1_{x in [0, 1]} - 1 of samples xs."""
+        inside = np.greater_equal(xs, _ZERO)
+        inside &= np.less_equal(xs, _ONE)
+        return np.where(inside, _ELEVEN, _MINUS_ONE).view(_Multipliers)
+
+    def _gradient(self, thetas: np.ndarray, mult: np.ndarray) -> np.ndarray:
         # the odd power is taken on |d| and signed by copysign: numpy's pow
         # takes a slow path for negative bases, and the two forms differ by
-        # at most an ulp, on a few percent of the negative lanes. A product
-        # rounds the same in either order, so the last add and multiply run
-        # in place with the bits of mult * (bracket + pen) and mult * lin + pen
-        d = thetas - _CENTER
+        # at most an ulp, on a few percent of the negative lanes. Temporaries
+        # are reused once read; a product rounds the same in either order, so
+        # the in-place steps keep the bits of mult * (bracket + pen) and
+        # mult * lin + pen
+        d = np.subtract(thetas, _CENTER_0D)
         ad = np.abs(d)
-        s = self.s
-        mult = np.where((xs >= 0.0) & (xs <= 1.0), 11.0, -1.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            pen = 0.0 if s == 0 else 2.0 * s * np.copysign(ad ** (2 * s - 1), d)
-            inner = ad <= 1.0
-            if self.unbiased:
-                out = np.where(inner, d, np.sign(d))
-                out *= mult
-                out += pen
-                return out
-            out = np.where(inner, d * d, ad - 0.5)
-            out += pen
+        two_s, odd = self._pen_operands
+        # at s = 0 the term is 0.0 * +-1.0, which adds as 0.0 does: it is
+        # -0.0 only where d < 0, and the sum meets a -0.0 only at d = 0
+        pen = np.power(ad, odd)
+        np.multiply(two_s, np.copysign(pen, d, out=pen), out=pen)
+        inner = np.less_equal(ad, _ONE)
+        if self.unbiased:
+            out = np.sign(d)
+            np.copyto(out, d, where=inner)  # where(inner, d, sign(d))
             out *= mult
+            out += pen
             return out
+        out = np.subtract(ad, _HALF, out=ad)
+        np.copyto(out, np.multiply(d, d, out=d), where=inner)  # where(inner, d^2, |d| - 1/2)
+        out += pen
+        out *= mult
+        return out
 
     def k_mean_exact(self) -> float:
         """E[K(X)] under X ~ U[0, 11], in closed form.

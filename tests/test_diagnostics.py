@@ -29,6 +29,7 @@ from tusla.gradient_oracle import (
     OracleMeta,
     RegularizationParams,
     lambda_max,
+    overflow_safe_drift_batch,
 )
 from tusla.optimizers import AdamConfig, SgldConfig, TuslaConfig
 from tusla.problems import (
@@ -504,3 +505,44 @@ def test_pooled_law_matches_the_in_process_law_bitwise(monkeypatch, problem, n_r
         outcomes.append(_law_outcome(tusla_terminal_law, problem, -7.0, 9, n_replicas, 11))
     assert len(outcomes[0][0]) == n_replicas
     assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+
+
+# the law's kernels reuse their temporaries in place; this grid holds every
+# special value for the two branch edges |theta| = 1 and |d| = 1, an overflow
+# of the odd power or of the penalty power, and the non-finite values
+_SPECIAL = [0.0, -0.0, 5e-324, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52, 1e154, 1.7e308,
+            math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("s", [0, 2, 26])
+@pytest.mark.parametrize("unbiased", [False, True])
+def test_law_kernels_leave_their_arguments_and_return_new_buffers(s, unbiased):
+    # evaluate_batch on samples and on batch_data's multipliers, and the
+    # drift: each argument keeps its bits, and each call returns a buffer
+    # that no argument and no earlier result shares
+    values = np.array(_SPECIAL + [-v for v in _SPECIAL] + [0.1, 1.1, -0.9])
+    thetas, xs = (a.ravel() for a in np.meshgrid(values, values))
+    oracle = UsProblem(s=s, unbiased=unbiased)
+    reg = RegularizationParams(0.01, s + 10.0)
+
+    def unchanged(call, *args):
+        before = [a.copy() for a in args]
+        out = [call(*args), call(*args)]
+        for a, b in zip(args, before):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        for arr in out:
+            assert not any(np.shares_memory(arr, a) for a in args)
+        assert not np.shares_memory(out[0], out[1])
+        assert np.array_equal(out[0].view(np.int64), out[1].view(np.int64))
+        return out[0]
+
+    g = unchanged(oracle.evaluate_batch, thetas, xs)
+    block = xs.reshape(1, -1).copy()
+    (step,) = oracle.batch_data(block)
+    assert np.array_equal(block[0].view(np.int64), xs.view(np.int64))
+    assert not np.shares_memory(step, block)
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller's, as in the law
+        prepared = unchanged(oracle.evaluate_batch, thetas, step)
+        assert np.array_equal(prepared.view(np.int64), g.view(np.int64))
+        for grad in (g, thetas[::-1].copy()):
+            unchanged(lambda a, b: overflow_safe_drift_batch(a, b, 0.01, reg), grad, thetas)

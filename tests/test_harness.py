@@ -1051,6 +1051,31 @@ def test_cli_gibbs_us_runs_at_the_default_penalty(tmp_path):
         }, s
 
 
+def test_law_report_draws_one_gibbs_reference_per_input(monkeypatch):
+    # a study of two lams at one seed draws its Gibbs reference once, and
+    # each report equals the one made with a fresh draw; another s draws anew
+    cfgs = [ExperimentConfig(problem=problem, algorithm="tusla", lam=lam, beta=4.0, s=2,
+                             eta=0.0, n_steps=50, seeds=(3,))
+            for problem, lam in (("quadratic", 0.08), ("quadratic", 0.04), ("us", 0.04))]
+    fresh = []
+    for cfg in cfgs:
+        harness._gibbs_reference.cache_clear()
+        fresh.append(law_report(cfg, 16, 2000))
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return gibbs_sampler_1d(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "gibbs_sampler_1d", counted)
+    harness._gibbs_reference.cache_clear()
+    assert [law_report(cfg, 16, 2000) for cfg in cfgs] == fresh
+    assert calls == [2]
+    # the cached reference is read-only, and reading it draws nothing
+    assert not harness._gibbs_reference(None, 4.0, 3, 2000).samples.flags.writeable
+    assert calls == [2]
+
+
 def test_cli_gibbs_runs_at_an_explicit_zero_penalty(tmp_path):
     # an explicit --eta 0 runs at 0 on u_s too, and the JSON records 0; on the
     # quadratic it is the default

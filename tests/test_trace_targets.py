@@ -66,26 +66,31 @@ def _count(monkeypatch, calls: dict, owner, attr: str) -> None:
 
 def test_traced_gibbs_leaves_are_called_in_this_process(tmp_path, monkeypatch):
     # the child wraps the replica law's leaves in its own process, so the law
-    # must call them there, through the same lookups, whatever the CPU count
+    # must call them there, through the same lookups, whatever the CPU count.
+    # The data are drawn and prepared once per block, the oracle and the
+    # drift run once per step: 512 replicas step 8 per block, so 9 steps
+    # cross a block boundary
     from tusla import diagnostics, optimizers
     from tusla.problems import UniformDataSource, UsProblem
 
     calls = {}
     _count(monkeypatch, calls, diagnostics, "overflow_safe_drift_batch")
     _count(monkeypatch, calls, UsProblem, "evaluate_batch")
+    _count(monkeypatch, calls, UsProblem, "batch_data")
     _count(monkeypatch, calls, UniformDataSource, "sample_batch")
     monkeypatch.setattr(optimizers, "_usable_cpus", lambda: 2)
-    steps, replicas = 10, 4
-    assert tusla.harness.main([
-        "gibbs", "--problem", "us", "--steps", str(steps), "--replicas", str(replicas),
-        "--samples", "2000", "--out", str(tmp_path / "gibbs.json"),
-    ]) == 0
-    block = optimizers._block_size(steps, replicas)
-    assert calls == {
-        "overflow_safe_drift_batch": steps,
-        "evaluate_batch": steps,
-        "sample_batch": -(-steps // block),
-    }
+    for steps, replicas, blocks in ((10, 4, 1), (9, 512, 2)):
+        calls.update(dict.fromkeys(calls, 0))
+        assert tusla.harness.main([
+            "gibbs", "--problem", "us", "--steps", str(steps), "--replicas", str(replicas),
+            "--samples", "2000", "--out", str(tmp_path / "gibbs.json"),
+        ]) == 0
+        assert calls == {
+            "overflow_safe_drift_batch": steps,
+            "evaluate_batch": steps,
+            "batch_data": blocks,
+            "sample_batch": blocks,
+        }, (steps, replicas)
 
 
 def test_traced_nn_demo_risk_is_one_pass_per_chain(tmp_path, monkeypatch):
