@@ -31,7 +31,7 @@ from .gradient_oracle import (
     lambda_max,
     overflow_safe_drift_batch,
 )
-from .optimizers import ALGO_IDS, TuslaConfig, _block_size, _streams
+from .optimizers import TuslaConfig, _algo_id, _block_size, _streams
 
 __all__ = [
     "TheoryConstants",
@@ -149,12 +149,6 @@ class EmpiricalDistribution1D:
     @property
     def n(self) -> int:
         return int(self.samples.size)
-
-    def mean(self) -> float:
-        return float(self.samples.mean())
-
-    def var(self) -> float:
-        return float(self.samples.var())
 
 
 def _simpson_cell_masses(logw_nodes: np.ndarray, logw_mids: np.ndarray, h: float) -> np.ndarray:
@@ -310,15 +304,15 @@ def tusla_terminal_law(
     standard_normal((k, n_replicas)) call give the values of k per-step
     calls, so the stream layout does not depend on the block size. Each
     replica runs the TUSLA update of ``run``: the oracle's batch_data
-    prepares a block's data once, and each step calls evaluate_batch and the
-    replica drift overflow_safe_drift_batch, whose constants are 0-d
-    operands, under one error state, held for the whole run, that ignores
-    overflow and invalid operations. Their
+    prepares a block's data once, and each step calls evaluate_batch on a
+    step of it and the replica drift overflow_safe_drift_batch, whose
+    constants are 0-d operands. Neither sets an error state: the law holds
+    one, ignoring overflow and invalid operations, for the whole run. Their
     numpy pows (u_s signs its odd power of |d| by copysign) agree with run's
     libm pow to an ulp or two, not bitwise; the stream layout differs too,
-    so seeds are not interchangeable between the two. n_steps >= 0,
-    n_replicas >= 1, theta0 finite. Non-finite replicas are dropped with
-    one warning. The law runs in process.
+    so seeds are not interchangeable between the two. The chain is checked
+    as run checks it; n_replicas >= 1, theta0 finite. Non-finite replicas
+    are dropped with one warning. The law runs in process.
     """
     if not isinstance(algorithm, TuslaConfig):
         raise TypeError(f"the replica law runs a TuslaConfig, got {type(algorithm).__name__}")
@@ -328,15 +322,13 @@ def tusla_terminal_law(
         raise ValueError(
             f"replica integrator needs evaluate_batch, which {type(oracle).__name__} lacks"
         )
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+    algo_id = _algo_id(algorithm, oracle, n_steps, 1, math.inf)
     if n_replicas < 1:
         raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
     if not math.isfinite(theta0):
         raise ValueError(f"theta0 must be finite, got {theta0}")
     lam, beta, reg = algorithm.lam, algorithm.beta, algorithm.reg
-    reg.require_order(oracle.degree())
-    data_rng, noise_rng = _streams(seed, ALGO_IDS["tusla"])
+    data_rng, noise_rng = _streams(seed, algo_id)
     thetas = np.full(n_replicas, float(theta0))
     scale = math.sqrt(2.0 * lam / beta)
     lam_0d = _operand(lam)

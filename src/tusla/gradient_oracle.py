@@ -194,7 +194,7 @@ class GradientOracle(ABC):
         raise NotImplementedError
 
     def evaluate_batch(self, thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        """G over replica arrays for d == 1 problems; xs: samples or a step of batch_data."""
+        """G over replica arrays for d == 1 problems; xs: a step of batch_data."""
         raise NotImplementedError
 
     def batch_data(self, xs: np.ndarray):

@@ -131,10 +131,6 @@ def _us_l1(s: int, unbiased: bool) -> float:
     return l1
 
 
-class _Multipliers(np.ndarray):
-    """UsProblem.batch_data's form of samples: their multipliers, 11 or -1."""
-
-
 @dataclass(frozen=True)
 class UsProblem(GradientOracle):
     """Oracle for u_s with the multiplier-noise gradient estimators.
@@ -199,24 +195,17 @@ class UsProblem(GradientOracle):
     def evaluate(self, theta: ParameterVector, x: float) -> ParameterVector:
         return np.array([self.evaluate_scalar(float(theta[0]), x)])
 
-    def evaluate_batch(self, thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        """G for samples xs or a step of batch_data's multipliers, with every
-        constant a 0-d operand. On samples it sets its own floating-point
-        error state; on multipliers the caller owns it, and must ignore
-        overflow and invalid operations as tusla_terminal_law does. thetas
-        and xs are only read."""
-        if type(xs) is not _Multipliers:
-            with np.errstate(over="ignore", invalid="ignore"):
-                return self._gradient(thetas, self.batch_data(xs))
-        return self._gradient(thetas, xs)
-
     def batch_data(self, xs: np.ndarray) -> np.ndarray:
         """The multipliers 12 * 1_{x in [0, 1]} - 1 of samples xs."""
         inside = np.greater_equal(xs, _ZERO)
         inside &= np.less_equal(xs, _ONE)
-        return np.where(inside, _ELEVEN, _MINUS_ONE).view(_Multipliers)
+        return np.where(inside, _ELEVEN, _MINUS_ONE)
 
-    def _gradient(self, thetas: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    def evaluate_batch(self, thetas: np.ndarray, mult: np.ndarray) -> np.ndarray:
+        """G at a step of batch_data's multipliers, with every constant a 0-d
+        operand. The caller owns the floating-point error state and must
+        ignore overflow and invalid operations, as tusla_terminal_law does.
+        thetas and mult are only read."""
         # the odd power is taken on |d| and signed by copysign: numpy's pow
         # takes a slow path for negative bases, and the two forms differ by
         # at most an ulp, on a few percent of the negative lanes. Temporaries

@@ -508,7 +508,7 @@ def reference_terminal_law(
     if isinstance(oracle, UsProblem):
         evaluate_batch = lambda thetas, xs: us_evaluate_batch(oracle, thetas, xs)
     else:
-        evaluate_batch = oracle.evaluate_batch
+        evaluate_batch = lambda thetas, xs: oracle.evaluate_batch(thetas, oracle.batch_data(xs))
     data_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0])))
     noise_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 1, 0])))
     thetas = np.full(n_replicas, float(theta0))

@@ -312,7 +312,7 @@ def test_criterion_6_dissipativity():
     pos = np.logspace(-3.0, 3.0, 13)
     grid = np.concatenate([-pos[::-1], pos])
     n_draws = 4000
-    data = UniformDataSource().sample_batch(np.random.default_rng(606), n_draws)
+    data = oracle.batch_data(UniformDataSource().sample_batch(np.random.default_rng(606), n_draws))
     means, tols = {}, []
     for th in grid:
         gs = oracle.evaluate_batch(np.full(n_draws, th), data)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from _loop_reference import reference_terminal_law
+from _loop_reference import reference_terminal_law, us_evaluate_batch
 from _suites import dissipativity_check, empirical_moment
 
 from tusla import optimizers
@@ -154,7 +154,7 @@ def test_us_drift_satisfies_certified_envelope():
     def h_mean(t):
         th = float(t[0])
         xs = stream.sample_batch(rng, 500)
-        gs = prob.evaluate_batch(np.full(500, th), xs)
+        gs = prob.evaluate_batch(np.full(500, th), prob.batch_data(xs))
         pen = reg.eta * th * abs(th) ** (2.0 * reg.r)
         return np.array([float(gs.mean()) + pen])
 
@@ -197,8 +197,6 @@ def test_empirical_distribution_validation():
     d = EmpiricalDistribution1D.from_samples([3.0, 1.0, 2.0])
     assert np.array_equal(d.samples, [1.0, 2.0, 3.0])
     assert d.n == 3
-    assert math.isclose(d.mean(), 2.0)
-    assert math.isclose(d.var(), 2.0 / 3.0)
     with pytest.raises(ValueError):
         EmpiricalDistribution1D(np.array([2.0, 1.0]))
     with pytest.raises(ValueError):
@@ -211,11 +209,11 @@ def test_gibbs_sampler_recovers_gaussian():
     rng = np.random.default_rng(1)
     u = lambda x: 0.5 * x * x
     d1 = gibbs_sampler_1d(u, beta=1.0, support=None, rng=rng, n_draws=100_000)
-    assert abs(d1.mean()) < 0.015
-    assert abs(d1.var() - 1.0) < 0.02
+    assert abs(d1.samples.mean()) < 0.015
+    assert abs(d1.samples.var() - 1.0) < 0.02
     assert ks_vs_gaussian(d1, 1.0) < 0.01
     d4 = gibbs_sampler_1d(u, beta=4.0, support=None, rng=rng, n_draws=100_000)
-    assert abs(d4.var() - 0.25) < 0.01
+    assert abs(d4.samples.var() - 0.25) < 0.01
     assert wasserstein_to_gaussian(d4, 0.5, p=2) < 0.02
 
 
@@ -223,7 +221,7 @@ def test_gibbs_sampler_us_density_centers_at_minimizer():
     rng = np.random.default_rng(2)
     d = gibbs_sampler_1d(lambda x: u_s_value_batch(x, 2), beta=10.0, support=None,
                          rng=rng, n_draws=50_000)
-    assert abs(d.mean() - 0.1) < 0.02  # density is symmetric about 0.1
+    assert abs(d.samples.mean() - 0.1) < 0.02  # density is symmetric about 0.1
     assert np.all(np.abs(d.samples - 0.1) < 2.0)
 
 
@@ -350,9 +348,9 @@ def test_terminal_law_approaches_gaussian_target():
         algorithm, 0.0, QuadraticProblem(), ConstantDataSource(),
         n_steps=2000, n_replicas=64, seed=0,
     )
-    sd = math.sqrt(law.var())
+    sd = math.sqrt(law.samples.var())
     assert 0.3 <= sd <= 0.7
-    assert abs(law.mean()) < 0.3
+    assert abs(law.samples.mean()) < 0.3
 
 
 def test_terminal_law_is_deterministic():
@@ -380,6 +378,19 @@ def test_terminal_law_rejects_multidimensional_oracles():
         with pytest.raises(TypeError, match=type(algorithm).__name__):
             tusla_terminal_law(algorithm, 0.0, QuadraticProblem(), _NoDraws(),
                                n_steps=1, n_replicas=2, seed=0)
+
+
+@pytest.mark.parametrize("n_steps, n_replicas, match", [
+    (-1, 2, "n_steps must be non-negative"),
+    (1, 0, "n_replicas must be >= 1"),
+])
+def test_terminal_law_checks_its_bounds_before_a_draw(n_steps, n_replicas, match):
+    # the chain is checked as run checks it, and the replica count after it;
+    # either fails before the first block of draws
+    algorithm = TuslaConfig(lam=0.01, beta=1.0, reg=RegularizationParams(eta=0.0, r=1.5))
+    with pytest.raises(ValueError, match=match):
+        tusla_terminal_law(algorithm, 0.0, QuadraticProblem(), _NoDraws(),
+                           n_steps=n_steps, n_replicas=n_replicas, seed=0)
 
 
 # oracle, stream and penalty for each law the bitwise test covers; u_s runs
@@ -517,9 +528,9 @@ _SPECIAL = [0.0, -0.0, 5e-324, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52, 1e154, 1.7e3
 @pytest.mark.parametrize("s", [0, 2, 26])
 @pytest.mark.parametrize("unbiased", [False, True])
 def test_law_kernels_leave_their_arguments_and_return_new_buffers(s, unbiased):
-    # evaluate_batch on samples and on batch_data's multipliers, and the
-    # drift: each argument keeps its bits, and each call returns a buffer
-    # that no argument and no earlier result shares
+    # batch_data, evaluate_batch on its multipliers, and the drift: each
+    # argument keeps its bits, and each call returns a buffer that no
+    # argument and no earlier result shares
     values = np.array(_SPECIAL + [-v for v in _SPECIAL] + [0.1, 1.1, -0.9])
     thetas, xs = (a.ravel() for a in np.meshgrid(values, values))
     oracle = UsProblem(s=s, unbiased=unbiased)
@@ -536,13 +547,13 @@ def test_law_kernels_leave_their_arguments_and_return_new_buffers(s, unbiased):
         assert np.array_equal(out[0].view(np.int64), out[1].view(np.int64))
         return out[0]
 
-    g = unchanged(oracle.evaluate_batch, thetas, xs)
     block = xs.reshape(1, -1).copy()
     (step,) = oracle.batch_data(block)
     assert np.array_equal(block[0].view(np.int64), xs.view(np.int64))
     assert not np.shares_memory(step, block)
     with np.errstate(over="ignore", invalid="ignore"):  # the caller's, as in the law
-        prepared = unchanged(oracle.evaluate_batch, thetas, step)
-        assert np.array_equal(prepared.view(np.int64), g.view(np.int64))
+        g = unchanged(oracle.evaluate_batch, thetas, step)
+        want = us_evaluate_batch(oracle, thetas, xs)
+        assert np.array_equal(g.view(np.int64), want.view(np.int64))
         for grad in (g, thetas[::-1].copy()):
             unchanged(lambda a, b: overflow_safe_drift_batch(a, b, 0.01, reg), grad, thetas)

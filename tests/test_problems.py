@@ -233,7 +233,7 @@ def test_evaluate_batch_matches_scalar():
         scale = 11.0 * (d * d + d + 1.0 + pen)
         for unbiased in (False, True):
             prob = UsProblem(s=s, unbiased=unbiased)
-            batch = prob.evaluate_batch(thetas, xs)
+            batch = prob.evaluate_batch(thetas, prob.batch_data(xs))
             scalar = np.array(
                 [prob.evaluate_scalar(float(t), float(x)) for t, x in zip(thetas, xs)]
             )
@@ -254,7 +254,8 @@ def test_evaluate_batch_is_the_out_of_place_form_bitwise():
     for s in (0, 1, 2, 26):
         for unbiased in (False, True):
             prob = UsProblem(s=s, unbiased=unbiased)
-            got = prob.evaluate_batch(thetas, xs)
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = prob.evaluate_batch(thetas, prob.batch_data(xs))
             want = us_evaluate_batch(prob, thetas, xs)
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), (s, unbiased)
 
