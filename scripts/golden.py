@@ -8,7 +8,11 @@ set and compares. A change that moves bytes on purpose rewrites the file
 and names the changed artifacts in CHANGES.md.
 
     python scripts/golden.py            # rerun and compare; exit 1 on a mismatch
+    python scripts/golden.py --keep DIR # the same, and keep the artifacts in DIR
     python scripts/golden.py --write    # rewrite tests/golden/digests.json
+
+With --keep, DIR holds one directory per invocation, so the artifacts of two
+trees compare with one ``diff -r``; an invocation's directory must not exist.
 """
 import argparse
 import hashlib
@@ -73,10 +77,10 @@ def environment() -> dict:
     return {"numpy": np.__version__, "platform": platform.platform()}
 
 
-def run_all(root: Path) -> dict[str, str]:
+def run_all(root: Path, invocations: dict = INVOCATIONS) -> dict[str, str]:
     """Run every invocation under root; the digest of each file it wrote."""
     digests = {}
-    for name, argv in INVOCATIONS.items():
+    for name, argv in invocations.items():
         out, config = root / name, root / f"{name}.cfg"
         out.mkdir(parents=True)
         if name in CONFIG_FILES:
@@ -95,26 +99,32 @@ def mismatches(expected: dict[str, str], got: dict[str, str]) -> list[str]:
     return sorted(k for k in expected.keys() | got.keys() if expected.get(k) != got.get(k))
 
 
-def main() -> None:
+def main(argv=None, invocations=INVOCATIONS) -> int:
+    """The command line; compares the digests of the invocations it runs."""
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--write", action="store_true", help=f"rewrite {DIGESTS.name}")
-    args = ap.parse_args()
-    with tempfile.TemporaryDirectory() as tmp:
-        got = run_all(Path(tmp))
+    ap.add_argument("--keep", metavar="DIR", help="write the artifacts under DIR and keep them")
+    args = ap.parse_args(argv)
+    if args.keep:
+        got = run_all(Path(args.keep), invocations)
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            got = run_all(Path(tmp), invocations)
     if args.write:
         DIGESTS.parent.mkdir(parents=True, exist_ok=True)
         text = json.dumps({**environment(), "digests": got}, indent=2, sort_keys=True)
         DIGESTS.write_text(text + "\n")
         print(f"wrote {len(got)} digests to {DIGESTS}")
-        return
+        return 0
     recorded = json.loads(DIGESTS.read_text())
-    changed = mismatches(recorded["digests"], got)
+    expected = {k: v for k, v in recorded["digests"].items() if k.split("/")[0] in invocations}
+    changed = mismatches(expected, got)
     for key in changed:
         print(f"changed: {key}")
     print(f"{len(changed)} of {len(got)} artifacts differ from the digests written with "
           f"numpy {recorded['numpy']} on {recorded['platform']}")
-    sys.exit(1 if changed else 0)
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

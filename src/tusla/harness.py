@@ -66,7 +66,7 @@ from .problems import (
     UniformDataSource,
     UsProblem,
     one_neuron_value,
-    u_s_value,
+    u_s_value_array,
     u_s_value_batch,
 )
 
@@ -215,7 +215,7 @@ class _ProblemSetup:
             self.oracle = UsProblem(s=cfg.s)
             self.stream = UniformDataSource()
             self.fixed_theta0 = parameter_vector([cfg.theta0])
-            self.objective = lambda rows: [u_s_value(v, cfg.s) for v in rows[:, 0].tolist()]
+            self.objective = lambda rows: u_s_value_array(rows[:, 0], cfg.s)
         elif cfg.problem == "quadratic":
             self.oracle = QuadraticProblem(d=1)
             self.stream = ConstantDataSource(0.0)
@@ -444,7 +444,8 @@ def law_report(cfg: ExperimentConfig, n_replicas: int, n_draws: int) -> dict:
 
 # ---------------------------------------------------------------- export
 
-_FMT = "%.17g"  # shortest representation that round-trips float64
+# 17 significant digits, always: every float64 round-trips; 0.1 is 0.10000000000000001
+_FMT = b"%.17g"
 _BLOCK_ROWS = 4096  # rows formatted per write; bounds the transient Python objects
 _THETA_MAX_DIM = 8  # wider states are exported without their components
 
@@ -456,25 +457,39 @@ def export_csv(record: RunRecord, objectives: np.ndarray, path: str) -> str:
     column holds semicolon-joined components when the dimension is <= 8 and
     is empty otherwise.
 
-    Rows are formatted a block at a time: each column slice becomes Python
-    numbers with one tolist(), the slices are interleaved row-major, and one
-    %-format string with a row template per row formats the whole block.
+    Rows are bytes, formatted a block at a time: each column slice becomes
+    Python numbers with one tolist(), the slices are interleaved row-major,
+    and one %-format of a bytes row template per row formats the whole block
+    (bytes % calls the float formatter that str % calls). A 1-D record whose
+    norms are |theta| bitwise, as every record of run is, formats each norm
+    once and shares the text: the theta cell is the norm's text, after a "-"
+    where theta's sign bit is set and it is not nan (%.17g writes nan alike).
     """
-    cols = [record.step_indices, record.theta_norms]
-    theta_fmt = ""
-    if record.thetas.shape[1] <= _THETA_MAX_DIM:
-        cols.extend(record.thetas.T)
-        theta_fmt = ";".join([_FMT] * record.thetas.shape[1])
+    thetas, norms, d = record.thetas, record.theta_norms, record.thetas.shape[1]
+    shared = d == 1 and np.array_equal(norms.view(np.int64), np.abs(thetas[:, 0]).view(np.int64))
+    cols = [record.step_indices, norms]
+    if shared:
+        cols += [np.where(np.signbit(thetas[:, 0]) & ~np.isnan(thetas[:, 0]), b"-", b""), None]
+        theta_fmt = b"%b%b"
+    else:
+        theta_fmt = b""
+        if d <= _THETA_MAX_DIM:
+            cols.extend(thetas.T)
+            theta_fmt = b";".join([_FMT] * d)
     cols += [objectives, record.grad_norms]
-    row = f"%d,{_FMT},{theta_fmt},{_FMT},{_FMT}\n"
+    row = b",".join([b"%d", b"%b" if shared else _FMT, theta_fmt, _FMT, _FMT]) + b"\n"
     k, width = record.step_indices.size, len(cols)
-    with open(path, "w", newline="") as f:
-        f.write("step,theta_norm,theta,objective,grad_norm\n")
+    with open(path, "wb") as f:
+        f.write(b"step,theta_norm,theta,objective,grad_norm\n")
         for start in range(0, k, _BLOCK_ROWS):
             stop = min(start + _BLOCK_ROWS, k)
             cells = [None] * ((stop - start) * width)
             for j, col in enumerate(cols):
-                cells[j::width] = col[start:stop].tolist()
+                if col is not None:
+                    cells[j::width] = col[start:stop].tolist()
+            if shared:  # the norms' text goes into the norm and the theta cells
+                text = ((_FMT + b"\n") * (stop - start) % tuple(cells[1::width])).split(b"\n")
+                cells[1::width] = cells[3::width] = text[:-1]
             f.write((row * (stop - start)) % tuple(cells))
     return path
 

@@ -355,7 +355,8 @@ def _run_chain(
         return rec.finish(0, theta, True)
 
     block = _block_size(n_steps)
-    add = rec.add
+    # a recorded state is three appends, with no method call
+    add_idx, add_theta, add_grad = rec.idx.append, rec.thetas.append, rec.grads.append
     n = 0
     countdown = 1  # steps until the next recorded state, which is n = 0
     while n < n_steps:
@@ -369,7 +370,9 @@ def _run_chain(
             countdown -= 1
             if not countdown:
                 countdown = record_every
-                add(n, theta, norm(g))
+                add_idx(n)
+                add_theta(theta)
+                add_grad(norm(g))
             if is_tusla:
                 if nrm < 1.0:
                     t = nrm ** two_r

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -25,6 +26,7 @@ __all__ = [
     "UniformDataSource",
     "ConstantDataSource",
     "u_s_value",
+    "u_s_value_array",
     "u_s_value_batch",
     "UsProblem",
     "QuadraticProblem",
@@ -83,6 +85,21 @@ def u_s_value(theta: float, s: int) -> float:
     if abs(d) <= 1.0:
         return d * d / 22.0 + _guard_pow(d, 2 * s)
     return (abs(d) - 0.5) / 11.0 + _guard_pow(d, 2 * s)
+
+
+def u_s_value_array(theta: np.ndarray, s: int) -> np.ndarray:
+    """u_s_value of each element of a 1-D float64 array, bitwise: numpy rounds
+    the bracket as Python floats do, and the penalty |d|^(2s) is the libm pow
+    that float ** int calls on |d|. A nan theta gives the nan |d| on both
+    sides of the sum. If a penalty overflows, u_s_value takes them all."""
+    d = theta - _CENTER
+    ad = np.abs(d)
+    try:
+        pen = np.fromiter(map(math.pow, ad.tolist(), repeat(2.0 * s)), np.float64, d.size)
+    except OverflowError:
+        return np.array([u_s_value(v, s) for v in theta.tolist()], dtype=np.float64)
+    with np.errstate(over="ignore"):
+        return np.where(ad <= 1.0, d * d / 22.0, (ad - 0.5) / 11.0) + pen
 
 
 def u_s_value_batch(theta: np.ndarray, s: int) -> np.ndarray:

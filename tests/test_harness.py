@@ -256,8 +256,13 @@ def _random_cells(rng, shape, drawn):
     d=st.sampled_from([1, 2, 8, 9]),
     seed=st.integers(0, 2**32 - 1),
     drawn=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=8),
+    abs_norms=st.booleans(),
 )
-def test_export_csv_matches_per_row_reference(tmp_path_factory, n_rows, d, seed, drawn):
+def test_export_csv_matches_per_row_reference(tmp_path_factory, n_rows, d, seed, drawn,
+                                              abs_norms):
+    # abs_norms at d = 1: the norms are |theta|, as every record of run has,
+    # and export_csv formats each norm once for both cells; random norms take
+    # the general row template
     rng = np.random.default_rng(seed)
     rec = RunRecord(
         step_indices=np.sort(rng.integers(0, 2**62, size=n_rows)).astype(np.int64),
@@ -267,12 +272,35 @@ def test_export_csv_matches_per_row_reference(tmp_path_factory, n_rows, d, seed,
         diverged=False,
         divergence_step=None,
     )
+    if abs_norms and d == 1:
+        rec = dataclasses.replace(rec, theta_norms=np.abs(rec.thetas[:, 0]))
     objectives = _random_cells(rng, n_rows, drawn)
     out = tmp_path_factory.mktemp("export")
     got, want = out / "got.csv", out / "want.csv"
     assert export_csv(rec, objectives, str(got)) == str(got)
     _reference_export_csv(rec, objectives, str(want))
     assert got.read_bytes() == want.read_bytes()
+
+
+def test_export_csv_shares_the_norm_text_over_every_edge_cell(tmp_path):
+    # a d = 1 record whose norms are |theta|: nan payloads of either sign
+    # (%.17g writes nan for each), +-0, +-inf, subnormals and negatives
+    nans = np.array([0x7FF8000000000001, 0xFFF8000000000000, 0xFFF0000000000001,
+                     0x7FF4000000000000], dtype=np.uint64).view(np.float64)
+    theta = np.concatenate([np.array(_EDGE_CELLS), -np.array(_EDGE_CELLS), nans])
+    rec = RunRecord(
+        step_indices=np.arange(theta.size, dtype=np.int64),
+        theta_norms=np.abs(theta),
+        grad_norms=theta[::-1].copy(),
+        thetas=theta[:, None],
+        diverged=False,
+        divergence_step=None,
+    )
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    export_csv(rec, -theta, str(got))
+    _reference_export_csv(rec, -theta, str(want))
+    assert got.read_bytes() == want.read_bytes()
+    assert b"\n3,0,-0," in got.read_bytes()  # theta -0.0: its norm 0, then "-"
 
 
 def test_parse_csv_rejects_foreign_header(tmp_path):

@@ -28,6 +28,7 @@ from tusla.problems import (
     one_neuron_parameters,
     one_neuron_value,
     u_s_value,
+    u_s_value_array,
     u_s_value_batch,
     _guard_pow,
 )
@@ -113,6 +114,31 @@ def test_u_s_value_batch_matches_scalar():
             want = u_s_value(float(t), s)
             # numpy's vectorized pow may round differently from libm pow
             assert abs(b - want) <= 4 * np.spacing(abs(want)) + 5e-324
+
+
+def _u_s_bits(thetas: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
+    want = np.array([u_s_value(t, s) for t in thetas.tolist()], dtype=np.float64)
+    return u_s_value_array(thetas, s).view(np.int64), want.view(np.int64)
+
+
+@pytest.mark.parametrize("s", [0, 1, 2, 3, 26])
+def test_u_s_value_array_is_u_s_value_bitwise(s):
+    # random theta at each scale from 1e-3 to 1e200, one array per scale, so
+    # the scales whose penalty fits float64 take the array pass; the branch
+    # edges, +-0, +-inf and nan; and |theta| = 1e7 at s = 26, whose penalty
+    # overflows, so that the array is taken by u_s_value
+    rng = np.random.default_rng(s)
+    for scale in 10.0 ** np.arange(-3, 201):
+        got, want = _u_s_bits(rng.standard_normal(400) * scale, s)
+        np.testing.assert_array_equal(got, want, err_msg=f"s = {s}, scale {scale:g}")
+    edges = [CENTER, 1.1, -0.9, 0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan]
+    edges += [math.nextafter(t, d) for t in (1.1, -0.9) for d in (-2.0, 2.0)]
+    np.testing.assert_array_equal(*_u_s_bits(np.array(edges), s))
+    wall = np.array([1e7, -1e7, 0.5])
+    if s == 26:
+        with pytest.raises(OverflowError):
+            math.pow(1e7 - CENTER, 2 * s)
+    np.testing.assert_array_equal(*_u_s_bits(wall, s))
 
 
 def test_u_s_overflow_saturates_to_inf():
