@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import Callable, Optional
 
 import numpy as np
@@ -138,7 +137,7 @@ class EmpiricalDistribution1D:
         s = np.asarray(self.samples, dtype=np.float64)
         if s.ndim != 1 or s.size == 0:
             raise ValueError("need a non-empty 1-D sample array")
-        if np.any(np.diff(s) < 0.0):
+        if np.any(s[1:] < s[:-1]):  # neighbours, not an np.diff that may overflow
             raise ValueError("samples must be sorted ascending")
         object.__setattr__(self, "samples", s)
 
@@ -226,17 +225,22 @@ def gibbs_sampler_1d(
         raise ValueError("density mass is zero or non-finite on the support")
     cdf = np.concatenate([[0.0], np.cumsum(masses)]) / total
     cdf[-1] = 1.0
-    us = rng.random(n_draws)
-    return EmpiricalDistribution1D.from_samples(np.interp(us, cdf, nodes))
+    samples, b = rng.random(n_draws), _block_size(n_draws)
+    for i in range(0, n_draws, b):  # one buffer: the uniforms, then their inverse CDF
+        samples[i:i + b] = np.interp(samples[i:i + b], cdf, nodes)
+    samples.sort()
+    return EmpiricalDistribution1D(samples)
 
 
 def _midpoint_quantiles(sorted_vals: np.ndarray, n: int) -> np.ndarray:
     m = sorted_vals.size
     if m == n:
         return sorted_vals
-    src = (np.arange(m) + 0.5) / m
-    dst = (np.arange(n) + 0.5) / n
-    return np.interp(dst, src, sorted_vals)
+    src, dst, b = (np.arange(m) + 0.5) / m, np.arange(0.5, n), _block_size(n)
+    dst /= n  # one buffer: the levels (i + 0.5)/n, then their quantiles
+    for i in range(0, n, b):
+        dst[i:i + b] = np.interp(dst[i:i + b], src, sorted_vals)
+    return dst
 
 
 def _as_sorted(dist) -> np.ndarray:
@@ -257,15 +261,18 @@ def wasserstein_p_1d(a, b, p: int) -> float:
     n = max(sa.size, sb.size)
     qa = _midpoint_quantiles(sa, n)
     qb = _midpoint_quantiles(sb, n)
-    diff = np.abs(qa - qb)
+    # |qa - qb| goes into an operand interpolated here, never into a caller's samples
+    diff = np.subtract(qa, qb, out=qa if qa is not sa else qb if qb is not sb else None)
+    np.abs(diff, out=diff)
     if p == 1:
         return float(diff.mean())
-    return float(math.sqrt(np.mean(diff * diff)))
+    return float(math.sqrt(np.mean(np.multiply(diff, diff, out=diff))))
 
 
 def gaussian_quantiles(sigma: float, n: int) -> np.ndarray:
     """Deterministic N(0, sigma^2) representative points: quantiles at
     midpoint levels (i + 0.5)/n."""
+    from statistics import NormalDist  # loads decimal and fractions: only when called
     levels = ((np.arange(n) + 0.5) / n).tolist()
     return np.array(list(map(NormalDist().inv_cdf, levels))) * sigma
 
@@ -279,10 +286,13 @@ def wasserstein_to_gaussian(dist, sigma: float, p: int = 2) -> float:
 def ks_vs_gaussian(dist, sigma: float = 1.0) -> float:
     """One-sample Kolmogorov-Smirnov statistic against N(0, sigma^2)."""
     s = _as_sorted(dist)
-    n = s.size
-    cdf = np.array([0.5 * math.erfc(-z / math.sqrt(2.0)) for z in (s / sigma).tolist()])
-    i = np.arange(n)
-    return float(np.max(np.maximum(cdf - i / n, (i + 1) / n - cdf)))
+    n, b, peaks = s.size, _block_size(s.size), []
+    for i in range(0, n, b):  # a block of the CDF at a time; the maximum is exact
+        z = (s[i:i + b] / sigma).tolist()
+        cdf = np.fromiter((0.5 * math.erfc(-v / math.sqrt(2.0)) for v in z), np.float64, len(z))
+        k = np.arange(i, i + len(z))
+        peaks.append(np.max(np.maximum(cdf - k / n, (k + 1) / n - cdf)))
+    return float(np.max(peaks))
 
 
 def tusla_terminal_law(

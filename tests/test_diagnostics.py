@@ -10,6 +10,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from _law_reference import (
+    reference_gibbs_sampler_1d,
+    reference_ks_vs_gaussian,
+    reference_wasserstein_p_1d,
+)
 from _loop_reference import reference_terminal_law, us_evaluate_batch
 from _suites import dissipativity_check, empirical_moment
 
@@ -324,6 +329,72 @@ def test_wasserstein_triangle_inequality_equal_sizes(abc, p):
     lhs = wasserstein_p_1d(a, c, p)
     rhs = wasserstein_p_1d(a, b, p) + wasserstein_p_1d(b, c, p)
     assert lhs <= rhs * (1.0 + 1e-12) + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the law report's block forms against their one-shot references (_law_reference)
+
+
+def test_order_check_compares_neighbours_without_overflow():
+    # np.diff of sorted finite samples can overflow; comparing neighbours cannot
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sorted_ok in ([-1e308, 1e308], [-np.inf, -1e308, 1e308, np.inf], [1.0, 1.0]):
+            assert EmpiricalDistribution1D(np.array(sorted_ok)).n == len(sorted_ok)
+        for unsorted in ([1e308, -1e308], [np.inf, -np.inf], [0.0, 2.0, 1.0]):
+            with pytest.raises(ValueError, match="sorted"):
+                EmpiricalDistribution1D(np.array(unsorted))
+
+
+@pytest.mark.parametrize("support", [None, (-1.5, 2.0)])
+@pytest.mark.parametrize("n_draws", [1, 4095, 4096, 4097, 100_000])
+def test_gibbs_sampler_matches_its_one_shot_form_bitwise(n_draws, support):
+    u = lambda x: u_s_value_batch(x, 2)
+    got = gibbs_sampler_1d(u, 4.0, support, np.random.default_rng(11), n_draws)
+    want = reference_gibbs_sampler_1d(u, 4.0, support, np.random.default_rng(11), n_draws)
+    assert got.samples.tobytes() == want.samples.tobytes()
+
+
+def _read_only(values) -> EmpiricalDistribution1D:
+    # the form of law_report's cached Gibbs reference
+    dist = EmpiricalDistribution1D.from_samples(values)
+    dist.samples.flags.writeable = False
+    return dist
+
+
+def _samples(v):
+    return v.samples if isinstance(v, EmpiricalDistribution1D) else v
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("sizes", [(4097, 4097), (512, 100_000), (100_000, 512), (3, 4095)])
+def test_wasserstein_matches_its_one_shot_form_bitwise_and_keeps_its_inputs(sizes, p):
+    rng = np.random.default_rng(12)
+    a, b = rng.standard_normal(sizes[0]), rng.gamma(2.0, size=sizes[1])
+    forms = [
+        lambda v: v.copy(),  # unsorted
+        lambda v: v.tolist(),
+        EmpiricalDistribution1D.from_samples,
+        _read_only,
+    ]
+    for form_a in forms:
+        for form_b in forms:
+            x, y = form_a(a), form_b(b)
+            before = [np.array(_samples(v)) for v in (x, y)]
+            got = wasserstein_p_1d(x, y, p)
+            assert got.hex() == reference_wasserstein_p_1d(x, y, p).hex()
+            for v, old in zip((x, y), before):
+                assert np.array(_samples(v)).tobytes() == old.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 100_000])
+def test_ks_matches_its_one_shot_form_bitwise(n):
+    dist = _read_only(np.random.default_rng(13).standard_normal(n) * 1.3)
+    assert ks_vs_gaussian(dist, 1.2).hex() == reference_ks_vs_gaussian(dist, 1.2).hex()
+    raw = np.random.default_rng(14).standard_normal(n)
+    before = raw.copy()
+    assert ks_vs_gaussian(raw).hex() == reference_ks_vs_gaussian(raw).hex()
+    assert raw.tobytes() == before.tobytes()
 
 
 def test_gaussian_quantiles_and_exact_fit():

@@ -1227,3 +1227,9 @@ def test_import_does_not_load_multiprocessing():
 
 def test_import_does_not_load_scipy():
     _assert_import_skips("scipy")
+
+
+def test_import_does_not_load_statistics_or_decimal():
+    # gaussian_quantiles imports statistics, which loads decimal, when it is called
+    _assert_import_skips("statistics")
+    _assert_import_skips("decimal")
