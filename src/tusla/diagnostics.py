@@ -30,7 +30,7 @@ from .gradient_oracle import (
     lambda_max,
     overflow_safe_drift_batch,
 )
-from .optimizers import TuslaConfig, _algo_id, _block_size, _streams
+from .optimizers import TuslaConfig, _block_size, _chain_streams
 
 __all__ = [
     "TheoryConstants",
@@ -306,8 +306,10 @@ def tusla_terminal_law(
 ) -> EmpiricalDistribution1D:
     """Terminal law of the tamed update over n_replicas independent chains.
 
-    The arguments of ``optimizers.run``, in its order; a config other than
-    TuslaConfig raises TypeError. Vectorized over replicas for 1-D oracles
+    The arguments of ``optimizers.run``, in its order. run's step checks and
+    seeds the chain, so bad settings raise as in run and the law draws from
+    run's substreams; then any config but TuslaConfig raises TypeError, and
+    n_replicas >= 1, theta0 finite. Vectorized over replicas for 1-D oracles
     exposing evaluate_batch; each step draws one data sample and one
     Gaussian per replica. The draws come in blocks of k steps, at most 4096
     values as in the chain loops: one sample_batch(k * n_replicas) and one
@@ -320,10 +322,10 @@ def tusla_terminal_law(
     one, ignoring overflow and invalid operations, for the whole run. Their
     numpy pows (u_s signs its odd power of |d| by copysign) agree with run's
     libm pow to an ulp or two, not bitwise; the stream layout differs too,
-    so seeds are not interchangeable between the two. The chain is checked
-    as run checks it; n_replicas >= 1, theta0 finite. Non-finite replicas
+    so seeds are not interchangeable between the two. Non-finite replicas
     are dropped with one warning. The law runs in process.
     """
+    [(data_rng, noise_rng)] = _chain_streams(algorithm, oracle, n_steps, (seed,))
     if not isinstance(algorithm, TuslaConfig):
         raise TypeError(f"the replica law runs a TuslaConfig, got {type(algorithm).__name__}")
     if oracle.dim() != 1:
@@ -332,13 +334,11 @@ def tusla_terminal_law(
         raise ValueError(
             f"replica integrator needs evaluate_batch, which {type(oracle).__name__} lacks"
         )
-    algo_id = _algo_id(algorithm, oracle, n_steps, 1, math.inf)
     if n_replicas < 1:
         raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
     if not math.isfinite(theta0):
         raise ValueError(f"theta0 must be finite, got {theta0}")
     lam, beta, reg = algorithm.lam, algorithm.beta, algorithm.reg
-    data_rng, noise_rng = _streams(seed, algo_id)
     thetas = np.full(n_replicas, float(theta0))
     scale = math.sqrt(2.0 * lam / beta)
     lam_0d = _operand(lam)

@@ -17,17 +17,17 @@ stream.sample_batch call) and k noise rows per chain at once (k holds at
 most 4096 values and at most n_steps rows), which are the same values as k
 per-step draws. The noise is pre-scaled once per block, noise_scale * xi
 over the whole block: a float64 product rounds the same elementwise as at
-the step, so the chain keeps its bits. A one-parameter oracle with
-evaluate_scalar takes the scalar route (``scalar_route``): one chain on
-native floats with abs as the norm. Everything else takes the stacked
-vector route: ``run_seeds`` steps the chains of R seeds as the rows of one
-(R, d) array, with one evaluate_rows call and one stacked update per step,
-and ``run`` is its R = 1 case. ``run_seeds`` stacks scalar-route seeds too,
-as rows of width 1. Both loops run the update of the one-step reference
-steppers in tests/_loop_reference.py operation for operation. The stacked
-route takes its tamed drift from overflow_safe_drift, one call per step;
-the scalar route writes the same operations inline, which spares a call
-per step.
+the step, so the chain keeps its bits. ``run`` is ``run_seeds`` of one
+seed. One seed on the scalar route (``scalar_route``: a one-parameter
+oracle with evaluate_scalar) runs the scalar loop, one chain on native
+floats with abs as the norm. Every other case, two or more scalar-route
+seeds included (as rows of width 1), runs the stacked vector loop: the
+chains of R seeds step as the rows of one (R, d) array, with one
+evaluate_rows call and one stacked update per step. Both loops run the
+update of the one-step reference steppers in tests/_loop_reference.py
+operation for operation. The stacked route takes its tamed drift from
+overflow_safe_drift, one call per step; the scalar route writes the same
+operations inline, which spares a call per step.
 
 Row i of the stacked route is bitwise the single chain of seed i. Each row
 draws from its own streams. Elementwise operations round per element,
@@ -46,9 +46,10 @@ theta_norms = safe_row_norms(stack) is bitwise the loop's own norms.
 
 Seeding: one master seed per run expands to independent substreams via
 SeedSequence spawn keys: data = [seed, 0], update noise = [seed, 1, algo_id]
-with algo_id 0/1/2 for TUSLA/SGLD/ADAM. Two algorithms given the same seed
-therefore see the same data sequence but independent noise. Gaussians come
-from numpy Generator.standard_normal (PCG64 + ziggurat).
+with each config's algo_id, 0/1/2 for TUSLA/SGLD/ADAM. Two algorithms given
+the same seed therefore see the same data sequence but independent noise.
+Gaussians come from numpy Generator.standard_normal (PCG64 + ziggurat).
+One step, ``_chain_streams``, checks and seeds every chain loop.
 
 ``fork_map`` is the worker pool ``harness.run_config`` runs its chains
 through; the replica law ``diagnostics.tusla_terminal_law`` runs in process.
@@ -61,7 +62,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -83,10 +84,7 @@ __all__ = [
     "run",
     "run_seeds",
     "scalar_route",
-    "ALGO_IDS",
 ]
-
-ALGO_IDS = {"tusla": 0, "sgld": 1, "adam": 2}
 
 
 def _check_step_size(lam: float, name: str = "step size") -> None:
@@ -121,6 +119,7 @@ class TuslaConfig:
     the moment bounds are not guaranteed; it still runs.
     """
 
+    algo_id: ClassVar[int] = 0  # the update noise is substream [seed, 1, algo_id]
     lam: float
     beta: float
     reg: RegularizationParams
@@ -142,6 +141,7 @@ class TuslaConfig:
 class SgldConfig:
     """Unadjusted Langevin with the raw stochastic gradient (no taming)."""
 
+    algo_id: ClassVar[int] = 1
     lam: float
     beta: float
 
@@ -154,6 +154,7 @@ class SgldConfig:
 class AdamConfig:
     """ADAM hyperparameters (bias-corrected first/second moment EMAs)."""
 
+    algo_id: ClassVar[int] = 2
     alpha: float
     beta1: float = 0.9
     beta2: float = 0.999
@@ -239,16 +240,15 @@ def scalar_route(oracle: GradientOracle, dim: int) -> bool:
     return dim == 1 and type(oracle).evaluate_scalar is not GradientOracle.evaluate_scalar
 
 
-def _algo_id(algorithm, oracle, n_steps, record_every, divergence_threshold) -> int:
-    _check_chain(n_steps, record_every, divergence_threshold)
+def _chain_streams(algorithm, oracle, n_steps, seeds, record_every=1, threshold=math.inf) -> list:
+    """Check a chain, then each seed's (data, noise) substreams: [seed, 0] and
+    [seed, 1, algorithm.algo_id]. Every chain loop is entered through here."""
+    _check_chain(n_steps, record_every, threshold)
+    if not isinstance(algorithm, (TuslaConfig, SgldConfig, AdamConfig)):
+        raise TypeError(f"unsupported algorithm config: {type(algorithm).__name__}")
     if isinstance(algorithm, TuslaConfig):
         algorithm.reg.require_order(oracle.degree())
-        return ALGO_IDS["tusla"]
-    if isinstance(algorithm, SgldConfig):
-        return ALGO_IDS["sgld"]
-    if isinstance(algorithm, AdamConfig):
-        return ALGO_IDS["adam"]
-    raise TypeError(f"unsupported algorithm config: {type(algorithm).__name__}")
+    return [_streams(seed, algorithm.algo_id) for seed in seeds]
 
 
 def run(
@@ -264,25 +264,14 @@ def run(
     """Run one algorithm from theta0 for up to n_steps, recording every
     record_every-th state plus the initial and final (or divergent) one in
     the record's (k, d) state stack; an objective is the caller's to take.
+    This is run_seeds of the one seed rng_seed.
 
     algorithm: a TuslaConfig, SgldConfig, or AdamConfig.
     stream: data source with sample_batch(rng, n), which draws the same
         values as n calls of sample(rng).
     """
-    theta0 = parameter_vector(theta0)
-    if not scalar_route(oracle, theta0.size):
-        return run_seeds(
-            algorithm, theta0[None], oracle, stream, n_steps, (rng_seed,),
-            record_every, divergence_threshold,
-        )[0]
-    algo_id = _algo_id(algorithm, oracle, n_steps, record_every, divergence_threshold)
-    data_rng, noise_rng = _streams(rng_seed, algo_id)
-    rec = _Recorder()
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _run_chain(
-            algorithm, float(theta0[0]), oracle, stream, n_steps,
-            data_rng, noise_rng, record_every, divergence_threshold, rec,
-        )
+    return run_seeds(algorithm, [theta0], oracle, stream, n_steps, (rng_seed,),
+                     record_every, divergence_threshold)[0]
 
 
 def run_seeds(
@@ -297,19 +286,22 @@ def run_seeds(
 ) -> list[RunRecord]:
     """One record per seed: row i of theta0s run with rng seed seeds[i].
 
-    Record i is bitwise run(algorithm, theta0s[i], ..., seeds[i], ...). On
-    either route every seed steps as one row of an (R, d) block, with one
-    evaluate_rows call and one stacked update per step.
+    One seed on the scalar route runs the scalar loop. Every other case
+    steps each seed as one row of an (R, d) block, with one evaluate_rows
+    call and one stacked update per step; record i is bitwise the run of
+    theta0s[i] with seed seeds[i].
     """
     theta0s = np.array([parameter_vector(t) for t in theta0s])
     if theta0s.ndim != 2 or len(theta0s) != len(seeds) or len(seeds) == 0:
         raise ValueError(
             f"need one theta0 row of a common size per seed, got {theta0s.shape} for {len(seeds)} seeds"
         )
-    algo_id = _algo_id(algorithm, oracle, n_steps, record_every, divergence_threshold)
-    streams = [_streams(seed, algo_id) for seed in seeds]
+    streams = _chain_streams(algorithm, oracle, n_steps, seeds, record_every, divergence_threshold)
     recs = [_Recorder() for _ in seeds]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if len(seeds) == 1 and scalar_route(oracle, theta0s.shape[1]):
+            return [_run_chain(algorithm, float(theta0s[0, 0]), oracle, stream, n_steps,
+                               *streams[0], record_every, divergence_threshold, recs[0])]
         return _run_rows(
             algorithm, theta0s, oracle, stream, n_steps,
             streams, record_every, divergence_threshold, recs,

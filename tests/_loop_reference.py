@@ -43,7 +43,6 @@ from tusla.gradient_oracle import (
     safe_norm,
 )
 from tusla.optimizers import (
-    ALGO_IDS,
     AdamConfig,
     RunRecord,
     SgldConfig,
@@ -294,8 +293,8 @@ def reference_run(
 ) -> RunRecord:
     """``run`` through the per-step loops (no argument validation)."""
     theta0 = parameter_vector(theta0)
-    name = {TuslaConfig: "tusla", SgldConfig: "sgld", AdamConfig: "adam"}[type(algorithm)]
-    algo_id = ALGO_IDS[name]
+    # the update noise's substream is [seed, 1, algo_id], algo_id 0/1/2 for TUSLA/SGLD/ADAM
+    algo_id = {TuslaConfig: 0, SgldConfig: 1, AdamConfig: 2}[type(algorithm)]
     data_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([rng_seed, 0])))
     noise_rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence([rng_seed, 1, algo_id]))

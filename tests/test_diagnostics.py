@@ -36,7 +36,7 @@ from tusla.gradient_oracle import (
     lambda_max,
     overflow_safe_drift_batch,
 )
-from tusla.optimizers import AdamConfig, SgldConfig, TuslaConfig
+from tusla.optimizers import AdamConfig, SgldConfig, TuslaConfig, run, run_seeds
 from tusla.problems import (
     ConstantDataSource,
     OneNeuronProblem,
@@ -433,7 +433,7 @@ def test_terminal_law_is_deterministic():
 
 
 class _NoDraws:
-    """A stream for laws that must fail before their first draw."""
+    """A stream for chains that must fail before their first draw."""
 
     def sample_batch(self, rng, n):
         raise AssertionError("the law drew data")
@@ -462,6 +462,42 @@ def test_terminal_law_checks_its_bounds_before_a_draw(n_steps, n_replicas, match
     with pytest.raises(ValueError, match=match):
         tusla_terminal_law(algorithm, 0.0, QuadraticProblem(), _NoDraws(),
                            n_steps=n_steps, n_replicas=n_replicas, seed=0)
+
+
+_TUSLA_S2 = TuslaConfig(lam=0.01, beta=1.0, reg=RegularizationParams(0.01, 12.0))
+# algorithm, n_steps, record_every, divergence threshold, exception
+_BAD_CHAINS = {
+    "negative-steps": (_TUSLA_S2, -1, 1, 1e10, ValueError),
+    # q = 4 for s = 2 demands r >= 3
+    "penalty-order": (TuslaConfig(lam=0.01, beta=1.0, reg=RegularizationParams(0.01, 2.5)),
+                      1, 1, 1e10, ValueError),
+    "not-a-config": (object(), 1, 1, 1e10, TypeError),
+    "record-every-0": (_TUSLA_S2, 1, 0, 1e10, ValueError),
+    "threshold-0": (_TUSLA_S2, 1, 1, 0.0, ValueError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_CHAINS))
+def test_every_chain_loop_rejects_a_bad_chain_alike(case):
+    # run, run_seeds of one and of two seeds and the replica law check a
+    # chain in one step: the same exception type and message, before a draw;
+    # the law takes no record_every or threshold
+    algorithm, n_steps, record_every, threshold, error = _BAD_CHAINS[case]
+    oracle, stream = UsProblem(s=2), _NoDraws()
+    chain = dict(record_every=record_every, divergence_threshold=threshold)
+    calls = [
+        lambda: run(algorithm, [0.5], oracle, stream, n_steps, 0, **chain),
+        lambda: run_seeds(algorithm, [[0.5]], oracle, stream, n_steps, (0,), **chain),
+        lambda: run_seeds(algorithm, [[0.5], [0.5]], oracle, stream, n_steps, (0, 1), **chain),
+    ]
+    if (record_every, threshold) == (1, 1e10):
+        calls.append(lambda: tusla_terminal_law(algorithm, 0.5, oracle, stream, n_steps, 4, 0))
+    raised = set()
+    for call in calls:
+        with pytest.raises(error) as info:
+            call()
+        raised.add((type(info.value), str(info.value)))
+    assert len(raised) == 1, raised
 
 
 # oracle, stream and penalty for each law the bitwise test covers; u_s runs

@@ -33,7 +33,12 @@ from tusla.harness import (
     run_config,
     summary_jsonable,
 )
-from tusla.diagnostics import gibbs_sampler_1d, tusla_terminal_law, wasserstein_p_1d
+from tusla.diagnostics import (
+    gibbs_sampler_1d,
+    ks_vs_gaussian,
+    tusla_terminal_law,
+    wasserstein_p_1d,
+)
 from tusla.gradient_oracle import RegularizationParams
 from tusla.optimizers import RunRecord, TuslaConfig, run, scalar_route
 from tusla.problems import UniformDataSource, UsProblem, u_s_value_batch
@@ -1081,7 +1086,8 @@ def test_cli_gibbs_us_runs_at_the_default_penalty(tmp_path):
 
 def test_law_report_draws_one_gibbs_reference_per_input(monkeypatch):
     # a study of two lams at one seed draws its Gibbs reference once, and
-    # each report equals the one made with a fresh draw; another s draws anew
+    # takes the quadratic's KS statistic once; each report equals the one
+    # made with a fresh draw; another s draws anew, and u_s takes no KS
     cfgs = [ExperimentConfig(problem=problem, algorithm="tusla", lam=lam, beta=4.0, s=2,
                              eta=0.0, n_steps=50, seeds=(3,))
             for problem, lam in (("quadratic", 0.08), ("quadratic", 0.04), ("us", 0.04))]
@@ -1089,19 +1095,24 @@ def test_law_report_draws_one_gibbs_reference_per_input(monkeypatch):
     for cfg in cfgs:
         harness._gibbs_reference.cache_clear()
         fresh.append(law_report(cfg, 16, 2000))
-    calls = [0]
+    calls = {gibbs_sampler_1d: 0, ks_vs_gaussian: 0}
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return gibbs_sampler_1d(*args, **kwargs)
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(harness, "gibbs_sampler_1d", counted)
+    monkeypatch.setattr(harness, "gibbs_sampler_1d", counted(gibbs_sampler_1d))
+    monkeypatch.setattr(harness, "ks_vs_gaussian", counted(ks_vs_gaussian))
     harness._gibbs_reference.cache_clear()
     assert [law_report(cfg, 16, 2000) for cfg in cfgs] == fresh
-    assert calls == [2]
+    assert list(calls.values()) == [2, 1]
     # the cached reference is read-only, and reading it draws nothing
-    assert not harness._gibbs_reference(None, 4.0, 3, 2000).samples.flags.writeable
-    assert calls == [2]
+    gibbs, ks = harness._gibbs_reference(None, 4.0, 3, 2000)
+    assert not gibbs.samples.flags.writeable
+    assert ks == fresh[0]["ks_gibbs_vs_gaussian"] == ks_vs_gaussian(gibbs, 0.5)
+    assert list(calls.values()) == [2, 1]
 
 
 def test_cli_gibbs_runs_at_an_explicit_zero_penalty(tmp_path):

@@ -25,15 +25,16 @@ from _loop_reference import (
 )
 from _suites import empirical_moment, growth_envelope
 
+from tusla import optimizers
 from tusla.gradient_oracle import (
     GradientOracle,
     OracleMeta,
     RegularizationParams,
+    overflow_safe_drift,
     safe_row_norms,
 )
 from tusla.harness import ExperimentConfig, _ProblemSetup
 from tusla.optimizers import (
-    ALGO_IDS,
     AdamConfig,
     SgldConfig,
     TuslaConfig,
@@ -93,9 +94,12 @@ def _data_rng(seed):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0])))
 
 
+_ALGO_IDS = {"tusla": 0, "sgld": 1, "adam": 2}  # the documented noise substreams
+
+
 def _noise_rng(seed, algo):
     return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([seed, 1, ALGO_IDS[algo]]))
+        np.random.PCG64(np.random.SeedSequence([seed, 1, _ALGO_IDS[algo]]))
     )
 
 
@@ -367,9 +371,9 @@ def test_reference_cases_reach_their_targets():
 # threshold, first seed). Row i starts from scale_i * the route's base theta
 # and runs with seed first_seed + i. The routes are the nn-demo network
 # (MlpOracle, d = 32, 128-row blocks), the two-parameter neuron, VectorOnlyUs
-# (d = 1) and UsProblem, whose run() takes the scalar route while run_seeds
-# stacks it as d = 1 rows; all but the network have no evaluate_rows of their
-# own, so they go through the stacked default.
+# (d = 1) and UsProblem, whose one seed takes the scalar route while two or
+# more stack as d = 1 rows; all but the network have no evaluate_rows of
+# their own, so they go through the stacked default.
 _MLP = Architecture((3, 4, 4))
 _STACKED_ROUTES = {
     "mlp": (
@@ -797,3 +801,27 @@ def test_run_enforces_penalty_order():
     cfg = TuslaConfig(lam=0.01, beta=1.0, reg=RegularizationParams(eta=0.01, r=1.0))
     with pytest.raises(ValueError):
         run(cfg, [0.0], UsProblem(s=2), UniformDataSource(), n_steps=1, rng_seed=0)
+
+
+def test_run_seeds_sends_one_scalar_seed_to_the_scalar_loop(monkeypatch):
+    # one seed of TUSLA on u_s runs the scalar loop, whose drift is inline;
+    # two seeds stack, with one overflow_safe_drift call per step; either way
+    # each record is bitwise the run of its seed and the per-step reference
+    cfg, n_steps, theta0s, seeds = TuslaConfig(0.01, 1.0, _REG_S2), 300, [[1.5], [-0.5]], (3, 4)
+    oracle, stream = UsProblem(s=2), UniformDataSource()
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return overflow_safe_drift(*args, **kwargs)
+
+    monkeypatch.setattr(optimizers, "overflow_safe_drift", counted)
+    singles = [run(cfg, t, oracle, stream, n_steps, s) for t, s in zip(theta0s, seeds)]
+    assert calls == [0]
+    for r, drift_calls in ((1, 0), (2, n_steps)):
+        calls[0] = 0
+        recs = run_seeds(cfg, theta0s[:r], oracle, stream, n_steps, seeds[:r])
+        assert calls == [drift_calls]
+        for rec, single, t, s in zip(recs, singles, theta0s, seeds):
+            assert not rec.diverged and records_equal(rec, single)
+            assert records_equal(rec, reference_run(cfg, t, oracle, stream, n_steps, s))
