@@ -39,7 +39,6 @@ __all__ = [
     "gibbs_sampler_1d",
     "wasserstein_p_1d",
     "gaussian_quantiles",
-    "wasserstein_to_gaussian",
     "ks_vs_gaussian",
     "tusla_terminal_law",
 ]
@@ -249,14 +248,13 @@ def _as_sorted(dist) -> np.ndarray:
     return np.sort(np.asarray(dist, dtype=np.float64))
 
 
-def wasserstein_p_1d(a, b, p: int) -> float:
-    """Order-p Wasserstein distance between two 1-D sample sets (p in {1, 2}).
+def wasserstein_p_1d(a, b) -> tuple[float, float]:
+    """(W1, W2) between two 1-D sample sets, both from one alignment.
 
     Equal sizes use the exact order-statistics coupling; unequal sizes are
-    aligned by midpoint-quantile interpolation at the larger size.
+    aligned by midpoint-quantile interpolation at the larger size. W2 to
+    N(0, sigma^2) is the second element against gaussian_quantiles(sigma, n).
     """
-    if p not in (1, 2):
-        raise ValueError(f"p must be 1 or 2, got {p}")
     sa, sb = _as_sorted(a), _as_sorted(b)
     n = max(sa.size, sb.size)
     qa = _midpoint_quantiles(sa, n)
@@ -264,9 +262,8 @@ def wasserstein_p_1d(a, b, p: int) -> float:
     # |qa - qb| goes into an operand interpolated here, never into a caller's samples
     diff = np.subtract(qa, qb, out=qa if qa is not sa else qb if qb is not sb else None)
     np.abs(diff, out=diff)
-    if p == 1:
-        return float(diff.mean())
-    return float(math.sqrt(np.mean(np.multiply(diff, diff, out=diff))))
+    w1 = float(diff.mean())
+    return w1, float(math.sqrt(np.mean(np.multiply(diff, diff, out=diff))))
 
 
 def gaussian_quantiles(sigma: float, n: int) -> np.ndarray:
@@ -275,12 +272,6 @@ def gaussian_quantiles(sigma: float, n: int) -> np.ndarray:
     from statistics import NormalDist  # loads decimal and fractions: only when called
     levels = ((np.arange(n) + 0.5) / n).tolist()
     return np.array(list(map(NormalDist().inv_cdf, levels))) * sigma
-
-
-def wasserstein_to_gaussian(dist, sigma: float, p: int = 2) -> float:
-    """W_p between a sample set and N(0, sigma^2) via analytic quantiles."""
-    s = _as_sorted(dist)
-    return wasserstein_p_1d(s, gaussian_quantiles(sigma, s.size), p)
 
 
 def ks_vs_gaussian(dist, sigma: float = 1.0) -> float:

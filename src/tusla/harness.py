@@ -37,12 +37,12 @@ from typing import Optional
 import numpy as np
 
 from .diagnostics import (
+    gaussian_quantiles,
     gibbs_sampler_1d,
     ks_vs_gaussian,
     theory_constants,
     tusla_terminal_law,
     wasserstein_p_1d,
-    wasserstein_to_gaussian,
 )
 from .gradient_oracle import RegularizationParams, parameter_vector, safe_norm
 from .neural_net import Architecture, MlpOracle, TeacherStream, activation_by_name, risk
@@ -424,6 +424,7 @@ def law_report(cfg: ExperimentConfig, n_replicas: int, n_draws: int) -> dict:
     quadratic = cfg.problem == "quadratic"
     sigma = 1.0 / math.sqrt(cfg.beta) if quadratic else None
     gibbs, ks = _gibbs_reference(None if quadratic else cfg.s, cfg.beta, seed, n_draws)
+    w1, w2 = wasserstein_p_1d(law, gibbs)
     return {
         "problem": cfg.problem,
         "s": cfg.s if cfg.problem == "us" else None,
@@ -436,9 +437,10 @@ def law_report(cfg: ExperimentConfig, n_replicas: int, n_draws: int) -> dict:
         "replicas": n_replicas,
         "steps": cfg.n_steps,
         "replicas_used": law.n,
-        "w1_vs_gibbs": wasserstein_p_1d(law, gibbs, 1),
-        "w2_vs_gibbs": wasserstein_p_1d(law, gibbs, 2),
-        "w2_vs_gaussian": None if sigma is None else wasserstein_to_gaussian(law, sigma, 2),
+        "w1_vs_gibbs": w1,
+        "w2_vs_gibbs": w2,
+        "w2_vs_gaussian": None if sigma is None
+        else wasserstein_p_1d(law, gaussian_quantiles(sigma, law.n))[1],
         "ks_gibbs_vs_gaussian": ks,
     }
 

@@ -48,12 +48,12 @@ from _suites import (
     sqr_growth_violations,
 )
 from tusla.diagnostics import (
+    gaussian_quantiles,
     gibbs_sampler_1d,
     ks_vs_gaussian,
     theory_constants,
     tusla_terminal_law,
     wasserstein_p_1d,
-    wasserstein_to_gaussian,
 )
 from tusla.gradient_oracle import RegularizationParams
 from tusla.harness import PRESETS, run_config
@@ -363,19 +363,15 @@ def test_criterion_7_sampling_quality():
     quad, feed = QuadraticProblem(), ConstantDataSource()
     sigma = 0.5  # Gibbs law of u(x) = x^2/2 at beta = 4 is N(0, 1/beta)
 
-    law = tusla_terminal_law(TuslaConfig(lam=0.01, beta=4.0, reg=reg), 0.0, quad, feed,
-                             n_steps=20_000, n_replicas=512, seed=0)
-    w2_main = wasserstein_to_gaussian(law, sigma, p=2)
+    def w2_to_gaussian(lam, seed):
+        law = tusla_terminal_law(TuslaConfig(lam=lam, beta=4.0, reg=reg), 0.0, quad, feed,
+                                 n_steps=20_000, n_replicas=512, seed=seed)
+        return wasserstein_p_1d(law, gaussian_quantiles(sigma, law.n))[1]
+
+    w2_main = w2_to_gaussian(0.01, 0)
 
     def mean_w2(lam):
-        vals = [
-            wasserstein_to_gaussian(
-                tusla_terminal_law(TuslaConfig(lam=lam, beta=4.0, reg=reg), 0.0, quad, feed,
-                                   n_steps=20_000, n_replicas=512, seed=seed),
-                sigma, p=2)
-            for seed in (0, 1, 2)
-        ]
-        return float(np.mean(vals))
+        return float(np.mean([w2_to_gaussian(lam, seed) for seed in (0, 1, 2)]))
 
     w2_coarse = mean_w2(0.04)
     w2_fine = mean_w2(0.0025)
@@ -420,7 +416,7 @@ def test_criterion_9_estimator_correctness():
         ([0.0, 1.0, 2.0], [5.0, 6.0, 7.0], 1, 5.0),
     ]
     exact = all(
-        wasserstein_p_1d(np.array(xs), np.array(ys), p) == want
+        wasserstein_p_1d(np.array(xs), np.array(ys))[p - 1] == want
         for xs, ys, p, want in fixtures
     )
     dist = gibbs_sampler_1d(lambda x: 0.5 * x * x, beta=1.0, support=(-10.0, 10.0),

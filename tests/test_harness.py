@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import _mlp_reference as ref
 import tusla
-from tusla import harness, optimizers
+from tusla import diagnostics, harness, optimizers
 from tusla.harness import (
     PRESETS,
     ExperimentConfig,
@@ -1075,11 +1075,11 @@ def test_cli_gibbs_us_runs_at_the_default_penalty(tmp_path):
         )
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([3, 9])))
         gibbs = gibbs_sampler_1d(lambda x: u_s_value_batch(x, s), 4.0, None, rng, n_draws=2000)
+        w1, w2 = wasserstein_p_1d(law, gibbs)
         assert obj == {
             "problem": "us", "s": s, "eta": 0.01, "r": r, "theta0": 0.5, "seed": 3,
             "beta": 4.0, "lam": 0.01, "replicas": 16, "steps": 200, "replicas_used": 16,
-            "w1_vs_gibbs": wasserstein_p_1d(law, gibbs, 1),
-            "w2_vs_gibbs": wasserstein_p_1d(law, gibbs, 2),
+            "w1_vs_gibbs": w1, "w2_vs_gibbs": w2,
             "w2_vs_gaussian": None, "ks_gibbs_vs_gaussian": None,
         }, s
 
@@ -1115,6 +1115,25 @@ def test_law_report_draws_one_gibbs_reference_per_input(monkeypatch):
     assert list(calls.values()) == [2, 1]
 
 
+@pytest.mark.parametrize("problem", ["us", "quadratic"])
+def test_law_report_aligns_the_law_with_its_gibbs_reference_once(monkeypatch, problem):
+    # W1 and W2 to the Gibbs draws share one interpolation of the law's quantiles;
+    # the quadratic's W2 to N(0, 1/beta) takes quantiles of the law's own size
+    cfg = ExperimentConfig(problem=problem, algorithm="tusla", lam=0.04, beta=4.0, s=2,
+                           eta=0.0, n_steps=50, seeds=(3,))
+    interpolating = []
+    midpoint_quantiles = diagnostics._midpoint_quantiles
+
+    def counted(sorted_vals, n):
+        if sorted_vals.size != n:
+            interpolating.append((sorted_vals.size, n))
+        return midpoint_quantiles(sorted_vals, n)
+
+    monkeypatch.setattr(diagnostics, "_midpoint_quantiles", counted)
+    law_report(cfg, 16, 2000)
+    assert interpolating == [(16, 2000)]
+
+
 def test_cli_gibbs_runs_at_an_explicit_zero_penalty(tmp_path):
     # an explicit --eta 0 runs at 0 on u_s too, and the JSON records 0; on the
     # quadratic it is the default
@@ -1129,7 +1148,7 @@ def test_cli_gibbs_runs_at_an_explicit_zero_penalty(tmp_path):
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([3, 9])))
     gibbs = gibbs_sampler_1d(lambda x: u_s_value_batch(x, 2), 4.0, None, rng, n_draws=2000)
     assert obj["eta"] == 0.0 and obj["r"] == 12.0
-    assert obj["w1_vs_gibbs"] == wasserstein_p_1d(law, gibbs, 1)
+    assert obj["w1_vs_gibbs"] == wasserstein_p_1d(law, gibbs)[0]
     quadratic = [tmp_path / "q-default.json", tmp_path / "q0.json"]
     assert main(["gibbs", *common, "--out", str(quadratic[0])]) == 0
     assert main(["gibbs", "--eta", "0", *common, "--out", str(quadratic[1])]) == 0
