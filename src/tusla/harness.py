@@ -242,15 +242,11 @@ class _ProblemSetup:
             )
             probe = self.stream.sample_batch(probe_rng, 32)
 
-            def objective(rows, _arch=arch, _probe=probe):
-                # one risk call pairs each recorded theta with a copy of the
-                # probe; the mean of a state's 32 contiguous risks is bitwise
-                # that of its own 32-row stack
-                k, m = len(rows), len(_probe)
-                pairs = risk(_arch, rows, np.tile(_probe, (k, 1)), 0.0, 1.0)
-                return pairs.reshape(k, m).mean(axis=1)
-
-            self.objective = objective
+            # one risk call takes every recorded theta on every probe row; a
+            # state's mean over its row of 32 is bitwise its own probe mean
+            self.objective = lambda rows, _arch=arch, _probe=probe: risk(
+                _arch, rows, _probe, 0.0, 1.0
+            ).mean(axis=1)
         star = getattr(self.oracle, "theta_star", None)
         self.theta_star = None if star is None else np.array([star])
         default_r = cfg.s + 10 if cfg.problem == "us" else self.oracle.degree() / 2 + 1

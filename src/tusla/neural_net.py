@@ -36,7 +36,8 @@ from typing import Callable
 
 import numpy as np
 
-from .gradient_oracle import GradientOracle, OracleMeta, safe_norm, safe_row_norms
+from .gradient_oracle import GradientOracle, OracleMeta, safe_row_norms
+from .problems import _guard_pow
 
 __all__ = [
     "ActivationSpec",
@@ -205,44 +206,39 @@ def _split_rows(xs, d0: int) -> tuple[np.ndarray, np.ndarray]:
 _RISK_BLOCK = 512  # (theta, sample) pairs per stacked pass; bounds its temporaries
 
 
-def risk(arch: Architecture, theta, x, eta: float, r: float):
-    """(y - f(z))^2 + eta/(2(r+1)) |theta|^(2(r+1)) at the flat theta.
+def risk(arch: Architecture, thetas, xs, eta: float, r: float) -> np.ndarray:
+    """(y - f(z))^2 + eta/(2(r+1)) |theta|^(2(r+1)) for every flat theta row
+    on every packed sample row.
 
-    x packs one sample (z, y), and the risk is a float; or x is a stack of m
-    packed samples, one per row, and the m risks come back as an array.
-    theta is one flat vector for every sample, or a stack of k, shape
-    (k, param_dim), for m = k g samples: row i pairs with samples i g to
-    i g + g - 1 (k = m pairs them row by row). A stack runs through the
-    forward pass in blocks of whole groups of at most _RISK_BLOCK pairs (one
-    group when g is larger) and is never copied to (m, param_dim). Each row
-    is bitwise the single-pair risk.
+    thetas is a stack of k flat theta rows, shape (k, param_dim), and xs a
+    stack of m samples (z, y), shape (m, d_0 + 1). Entry (i, j) of the
+    (k, m) result is the risk of theta row i on sample j, bitwise the single
+    pair's risk. The forward pass takes max(1, _RISK_BLOCK // m) theta rows
+    at a time, each repeated m times, so no stack is ever copied to
+    (k m, param_dim). A penalty or squared residual past DBL_MAX is inf,
+    with no warning.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    xs = np.asarray(x, dtype=np.float64)
-    zs, ys = _split_rows(xs if xs.ndim == 2 else xs.reshape(1, -1), arch.dims[0])
-    if theta.ndim == 1:
-        f = _forward(arch, *arch._views(theta), zs)[0]
-    elif theta.ndim == 2 and xs.ndim == 2 and len(theta) and len(zs) % len(theta) == 0:
-        g = len(zs) // len(theta)
-        per = max(1, _RISK_BLOCK // g)  # theta rows per pass
-        f = np.empty(len(zs))
-        for a in range(0, len(theta), per):
-            views = arch._views(np.repeat(theta[a : a + per], g, axis=0))
-            f[a * g : (a + per) * g] = _forward(arch, *views, zs[a * g : (a + per) * g])[0]
-    else:
-        raise ValueError(f"theta must be one flat vector, or k of them for k g samples; "
-                         f"got shapes {theta.shape} and {xs.shape}")
-    resid = ys - f
-    out = resid * resid
-    if eta != 0.0:
-        p = 2.0 * (r + 1.0)
-        # libm pow on native floats, the one-theta case's pow, per theta row
-        if theta.ndim == 1:
-            t = safe_norm(theta) ** p
-        else:
-            t = np.repeat([n ** p for n in safe_row_norms(theta).tolist()], g)
-        out = out + eta / (2.0 * (r + 1.0)) * t
-    return float(out[0]) if xs.ndim < 2 else out
+    thetas = np.asarray(thetas, dtype=np.float64)
+    zs, ys = _split_rows(xs, arch.dims[0])
+    m = len(zs)
+    if thetas.ndim != 2 or not m:
+        raise ValueError(f"need (k, {arch.param_dim}) theta rows and at least one sample, "
+                         f"got shapes {thetas.shape} and {zs.shape}")
+    per = max(1, _RISK_BLOCK // m)  # theta rows per pass
+    tiled = np.tile(zs, (per, 1))
+    out = np.empty((len(thetas), m))
+    with np.errstate(over="ignore"):
+        for a in range(0, len(thetas), per):
+            block = np.repeat(thetas[a : a + per], m, axis=0)
+            f = _forward(arch, *arch._views(block), tiled[: len(block)])[0]
+            out[a : a + per] = ys - f.reshape(-1, m)
+        out *= out
+        if eta != 0.0:
+            p = 2.0 * (r + 1.0)
+            # libm pow on native floats per theta row, saturating to inf
+            pen = [_guard_pow(n, p) for n in safe_row_norms(thetas).tolist()]
+            out += eta / p * np.array(pen)[:, None]
+    return out
 
 
 def lipschitz_constants(arch: Architecture) -> OracleMeta:

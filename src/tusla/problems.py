@@ -43,7 +43,7 @@ _CENTER_0D, _ZERO, _HALF, _ELEVEN, _MINUS_ONE = map(_operand, (_CENTER, 0.0, 0.5
 def _guard_pow(x: float, n: int) -> float:
     # Python float ** raises OverflowError instead of returning inf; the
     # optimizers rely on inf/nan propagation to detect divergence, so
-    # saturate with the correct sign (all callers pass integer n).
+    # saturate with the correct sign (n is an integer wherever x < 0).
     try:
         return x ** n
     except OverflowError:

@@ -160,12 +160,7 @@ class ReferenceTeacherStream:
         return np.array([self.sample(rng) for _ in range(n)])
 
 
-def per_probe_risks(arch: Architecture, theta, xs, eta: float, r: float) -> np.ndarray:
-    """risk over a stack of samples as one reference call per row; theta is
-    one flat vector for every row, or a stack of k, row i for the g = m/k
-    samples i g .. i g + g - 1."""
-    if np.ndim(theta) == 1:
-        thetas = [theta] * len(xs)
-    else:
-        thetas = np.repeat(theta, len(xs) // len(theta), axis=0)
-    return np.array([risk(split(arch, t), x, eta, r) for t, x in zip(thetas, xs)])
+def per_probe_risks(arch: Architecture, thetas, xs, eta: float, r: float) -> np.ndarray:
+    """risk of every flat theta row on every sample row, shape (k, m), as
+    one reference call per pair."""
+    return np.array([[risk(split(arch, t), x, eta, r) for x in xs] for t in thetas])

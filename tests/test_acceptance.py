@@ -221,8 +221,8 @@ def test_criterion_4_mlp_gradient_exactness():
         eta, r = 0.1, float(n + 2)
         ga = MlpOracle(arch).evaluate(flat, x)
         ha = ref.gradient_h(ref.split(arch, flat), x, eta, r).flatten()
-        gf = _fd_gradient(lambda v: risk(arch, v, x, 0.0, r), flat)
-        hf = _fd_gradient(lambda v: risk(arch, v, x, eta, r), flat)
+        gf = _fd_gradient(lambda v: risk(arch, v[None], x[None], 0.0, r)[0, 0], flat)
+        hf = _fd_gradient(lambda v: risk(arch, v[None], x[None], eta, r)[0, 0], flat)
         worst_g = max(worst_g, _rel_err(ga, gf))
         worst_h = max(worst_h, _rel_err(ha, hf))
     elapsed = time.perf_counter() - t0

@@ -72,12 +72,14 @@ def test_grad_f_hand_values():
 def test_risk_hand_values():
     arch, theta = _tiny_net()
     x = np.array([0.5, ref.forward(ref.split(arch, theta), [0.5])])
-    assert risk(arch, theta, x, 0.0, 1.0) == 0.0
-    assert risk(arch, np.zeros(arch.param_dim), np.array([0.4, 3.0]), 0.0, 1.0) == 9.0
+    x1 = np.array([0.4, 3.0])
+    # every theta row on every sample row: zero parameters give y^2 anywhere
+    got = risk(arch, np.stack([theta, np.zeros(arch.param_dim)]), np.stack([x, x1]), 0.0, 1.0)
+    assert got.tolist() == [[0.0, ref.risk(ref.split(arch, theta), x1, 0.0, 1.0)], [x[1] ** 2, 9.0]]
     # unit-norm parameters isolate the penalty term
-    x2 = np.array([0.7, 0.0])  # f = tanh(0) = 0 = y
+    x2 = np.array([[0.7, 0.0]])  # f = tanh(0) = 0 = y
     eta, r = 0.3, 2.0
-    assert risk(arch, np.array([1.0, 0.0]), x2, eta, r) == eta / (2.0 * (r + 1.0))
+    assert risk(arch, np.array([[1.0, 0.0]]), x2, eta, r).tolist() == [[eta / (2.0 * (r + 1.0))]]
 
 
 def test_gradient_g_matches_finite_difference():
@@ -95,7 +97,8 @@ def test_gradient_g_matches_finite_difference():
                 e = np.zeros_like(theta)
                 e[j] = h
                 fd[j] = (
-                    risk(arch, theta + e, x, 0.0, 1.0) - risk(arch, theta - e, x, 0.0, 1.0)
+                    risk(arch, (theta + e)[None], x[None], 0.0, 1.0)[0, 0]
+                    - risk(arch, (theta - e)[None], x[None], 0.0, 1.0)[0, 0]
                 ) / (2.0 * h)
             assert np.allclose(g, fd, rtol=1e-5, atol=1e-7)
 
@@ -114,7 +117,8 @@ def test_gradient_h_matches_finite_difference_of_penalized_risk():
             e = np.zeros_like(theta)
             e[j] = step
             fd[j] = (
-                risk(arch, theta + e, x, eta, r) - risk(arch, theta - e, x, eta, r)
+                risk(arch, (theta + e)[None], x[None], eta, r)[0, 0]
+                - risk(arch, (theta - e)[None], x[None], eta, r)[0, 0]
             ) / (2.0 * step)
         assert np.allclose(hvec, fd, rtol=1e-5, atol=1e-7)
 
@@ -165,16 +169,18 @@ def test_container_validation():
         with pytest.raises(ValueError):
             arch._views(bad)
         with pytest.raises(ValueError):
-            risk(arch, bad, np.zeros(3), 0.0, 1.0)
+            risk(arch, bad, np.zeros((1, 3)), 0.0, 1.0)
     thetas = np.zeros((2, arch.param_dim))
     with pytest.raises(ValueError):
-        risk(arch, thetas, np.zeros((3, 3)), 0.0, 1.0)  # 3 samples in 2 equal groups
+        risk(arch, thetas[0], np.zeros((1, 3)), 0.0, 1.0)  # one flat theta is not a stack
     with pytest.raises(ValueError):
-        risk(arch, thetas, np.zeros(3), 0.0, 1.0)  # a theta stack needs a sample stack
-    with pytest.raises(ValueError):
-        risk(arch, thetas[:0], np.zeros((0, 3)), 0.0, 1.0)
-    assert risk(arch, thetas, np.zeros((2, 3)), 0.0, 1.0).shape == (2,)
-    assert risk(arch, thetas, np.zeros((6, 3)), 0.0, 1.0).shape == (6,)
+        risk(arch, thetas, np.zeros(3), 0.0, 1.0)  # one packed sample is not a stack
+    for k in (0, 2):  # no samples is a ValueError for any k, no ZeroDivisionError
+        with pytest.raises(ValueError):
+            risk(arch, thetas[:k], np.zeros((0, 3)), 0.0, 1.0)
+    assert risk(arch, thetas, np.zeros((3, 3)), 0.0, 1.0).shape == (2, 3)
+    assert risk(arch, thetas, np.zeros((6, 3)), 0.01, 1.0).shape == (2, 6)
+    assert risk(arch, thetas[:0], np.zeros((6, 3)), 0.01, 1.0).shape == (0, 6)
     with pytest.raises(ValueError):
         Architecture(dims=(4,))
     with pytest.raises(ValueError):
@@ -377,16 +383,14 @@ def test_kernels_match_per_sample_reference_bitwise(dims, act, log_scale, m, see
     want = ref.gradient_g(params, x).flatten()
     assert MlpOracle(arch).evaluate(theta, x).tobytes() == want.tobytes()
 
-    # theta stacks of k rows, each paired with m/k consecutive samples
+    # stacks of k theta rows, each on all m samples
     scales = rng.uniform(0.5, 2.0, size=(m, 1))
     for eta, r in ((0.0, 1.0), (0.01, 2.5)):
-        per_probe = np.array([ref.risk(params, row, eta, r) for row in xs])
-        assert risk(arch, theta, xs, eta, r).tobytes() == per_probe.tobytes()
-        assert risk(arch, theta, x, eta, r) == per_probe[0]
-        for k in {1, m, m // 2 if m % 2 == 0 else m}:
+        for k in {1, 2, m}:
             thetas = theta * scales[:k]
-            per_pair = ref.per_probe_risks(arch, thetas, xs, eta, r)
-            assert risk(arch, thetas, xs, eta, r).tobytes() == per_pair.tobytes(), k
+            want = ref.per_probe_risks(arch, thetas, xs, eta, r)
+            assert want.shape == (len(thetas), m)
+            assert risk(arch, thetas, xs, eta, r).tobytes() == want.tobytes(), k
 
     stream = TeacherStream(arch, theta)
     batch = stream.sample_batch(np.random.default_rng(seed), m)
@@ -431,27 +435,42 @@ def test_evaluate_rows_rejects_misshapen_rows():
         oracle.evaluate_rows(np.zeros((2, d + 1)), np.zeros((2, d0 + 1)))
 
 
-@pytest.mark.parametrize("k,g", [(2 * neural_net._RISK_BLOCK + 7, 1), (70, 32), (3, 1500)])
-def test_paired_risk_rows_do_not_depend_on_the_block(k, g):
-    # more pairs than one stacked pass takes, in groups of g samples per
-    # theta: every row is its single pair's risk, whichever block it is in
+@pytest.mark.parametrize("k,m", [(2 * neural_net._RISK_BLOCK + 7, 1), (70, 32), (3, 1500)])
+def test_paired_risk_rows_do_not_depend_on_the_block(k, m):
+    # more pairs than one stacked pass takes: every entry at a block's edge
+    # is its single pair's risk, whichever block it is in
     arch = Architecture((3, 4, 4))
     rng = np.random.default_rng(5)
-    m = k * g
     thetas = rng.normal(size=(k, arch.param_dim))
     xs = np.column_stack([rng.uniform(-1.0, 1.0, size=(m, 3)), rng.normal(size=m)])
     got = risk(arch, thetas, xs, 0.01, 2.0)
-    assert got.shape == (m,)
-    per = max(1, neural_net._RISK_BLOCK // g)  # theta rows per block
-    for i in sorted({0, per * g - 1, per * g, m - 1}):
-        assert got[i] == risk(arch, thetas[i // g], xs[i], 0.01, 2.0), i
+    assert got.shape == (k, m)
+    per = max(1, neural_net._RISK_BLOCK // m)  # theta rows per block
+    for i in sorted({0, per - 1, per, k - 1} & set(range(k))):
+        for j in sorted({0, m - 1}):
+            assert got[i, j] == risk(arch, thetas[i : i + 1], xs[j : j + 1], 0.01, 2.0)[0, 0], (i, j)
+
+
+@pytest.mark.parametrize("eta,scale", [(0.01, 1e200), (0.0, 1e200), (0.0, 1e308), (0.01, 1e308)])
+def test_risk_beyond_dbl_max_is_inf_without_a_warning(eta, scale):
+    # the penalty's |theta|^(2(r+1)) past DBL_MAX (a float ** OverflowError),
+    # a squared residual past it, and a forward pass whose matmul overflows
+    # all give inf, with no warning; the finite row keeps its bits
+    arch = Architecture((3, 4, 4))
+    rng = np.random.default_rng(9)
+    xs = np.column_stack([rng.uniform(0.1, 1.0, size=(5, 3)), rng.normal(size=5)])
+    p = arch.param_dim
+    thetas = np.stack([rng.normal(size=p), np.full(p, scale), np.full(p, -scale)])
+    got = risk(arch, thetas, xs, eta, 2.0)
+    assert np.all(got[1:] == math.inf)
+    assert got[:1].tobytes() == ref.per_probe_risks(arch, thetas[:1], xs, eta, 2.0).tobytes()
 
 
 def test_risk_rejects_misshapen_samples():
     arch, theta = _tiny_net()
     with pytest.raises(ValueError):
-        risk(arch, theta, np.zeros(3), 0.0, 1.0)
+        risk(arch, theta[None], np.zeros((1, 3)), 0.0, 1.0)
     with pytest.raises(ValueError):
-        risk(arch, theta, np.zeros((4, 3)), 0.0, 1.0)
+        risk(arch, theta[None], np.zeros((4, 1)), 0.0, 1.0)
     with pytest.raises(ValueError):
         MlpOracle(arch).evaluate(np.zeros(3), np.zeros(2))
