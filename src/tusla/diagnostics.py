@@ -11,7 +11,8 @@ Two groups:
   <theta, h(theta)> >= A |theta|^2 - B is test code (``tests/_suites.py``).
 * 1-D law tooling: an inverse-CDF Gibbs sampler for densities proportional
   to exp(-beta u), order-statistics Wasserstein distances, and a vectorized
-  replica integrator for terminal laws of the tamed Langevin update.
+  replica integrator for terminal laws of the tamed Langevin update. Laws
+  and Gibbs draws are sorted 1-D float64 arrays.
 """
 from __future__ import annotations
 
@@ -35,7 +36,6 @@ from .optimizers import TuslaConfig, _block_size, _chain_streams
 __all__ = [
     "TheoryConstants",
     "theory_constants",
-    "EmpiricalDistribution1D",
     "gibbs_sampler_1d",
     "wasserstein_p_1d",
     "gaussian_quantiles",
@@ -126,29 +126,6 @@ def theory_constants(
     )
 
 
-@dataclass(frozen=True)
-class EmpiricalDistribution1D:
-    """Sorted sample set standing in for a 1-D law."""
-
-    samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        s = np.asarray(self.samples, dtype=np.float64)
-        if s.ndim != 1 or s.size == 0:
-            raise ValueError("need a non-empty 1-D sample array")
-        if np.any(s[1:] < s[:-1]):  # neighbours, not an np.diff that may overflow
-            raise ValueError("samples must be sorted ascending")
-        object.__setattr__(self, "samples", s)
-
-    @classmethod
-    def from_samples(cls, values) -> "EmpiricalDistribution1D":
-        return cls(np.sort(np.asarray(values, dtype=np.float64)))
-
-    @property
-    def n(self) -> int:
-        return int(self.samples.size)
-
-
 def _simpson_cell_masses(logw_nodes: np.ndarray, logw_mids: np.ndarray, h: float) -> np.ndarray:
     # per-cell Simpson (h/6)(f_i + 4 f_mid + f_{i+1}), stabilized by the
     # global log-max so the peak has weight 1 exactly
@@ -167,8 +144,8 @@ def gibbs_sampler_1d(
     support: Optional[tuple[float, float]],
     rng: np.random.Generator,
     n_draws: int,
-) -> EmpiricalDistribution1D:
-    """Draw n_draws samples from the density proportional to exp(-beta u(x)).
+) -> np.ndarray:
+    """n_draws draws, sorted, from the density proportional to exp(-beta u(x)).
 
     u must accept a float64 array and return elementwise values. support
     None starts from [-20, 20] and doubles the span until the boundary
@@ -228,7 +205,7 @@ def gibbs_sampler_1d(
     for i in range(0, n_draws, b):  # one buffer: the uniforms, then their inverse CDF
         samples[i:i + b] = np.interp(samples[i:i + b], cdf, nodes)
     samples.sort()
-    return EmpiricalDistribution1D(samples)
+    return samples
 
 
 def _midpoint_quantiles(sorted_vals: np.ndarray, n: int) -> np.ndarray:
@@ -242,17 +219,21 @@ def _midpoint_quantiles(sorted_vals: np.ndarray, n: int) -> np.ndarray:
     return dst
 
 
-def _as_sorted(dist) -> np.ndarray:
-    if isinstance(dist, EmpiricalDistribution1D):
-        return dist.samples
-    return np.sort(np.asarray(dist, dtype=np.float64))
+def _as_sorted(values) -> np.ndarray:
+    s = np.asarray(values, dtype=np.float64)
+    if s.ndim != 1 or s.size == 0:
+        raise ValueError("need a non-empty 1-D sample array")
+    # neighbours, not an np.diff that may overflow; sorted input is not copied
+    return np.sort(s) if np.any(s[1:] < s[:-1]) else s
 
 
 def wasserstein_p_1d(a, b) -> tuple[float, float]:
     """(W1, W2) between two 1-D sample sets, both from one alignment.
 
-    Equal sizes use the exact order-statistics coupling; unequal sizes are
-    aligned by midpoint-quantile interpolation at the larger size. W2 to
+    a and b are non-empty 1-D sample arrays, else ValueError; an unsorted
+    one is sorted into a copy, and neither is written. Equal sizes use the
+    exact order-statistics coupling; unequal sizes are aligned by
+    midpoint-quantile interpolation at the larger size. W2 to
     N(0, sigma^2) is the second element against gaussian_quantiles(sigma, n).
     """
     sa, sb = _as_sorted(a), _as_sorted(b)
@@ -274,9 +255,10 @@ def gaussian_quantiles(sigma: float, n: int) -> np.ndarray:
     return np.array(list(map(NormalDist().inv_cdf, levels))) * sigma
 
 
-def ks_vs_gaussian(dist, sigma: float = 1.0) -> float:
-    """One-sample Kolmogorov-Smirnov statistic against N(0, sigma^2)."""
-    s = _as_sorted(dist)
+def ks_vs_gaussian(samples, sigma: float = 1.0) -> float:
+    """One-sample Kolmogorov-Smirnov statistic against N(0, sigma^2), of
+    samples read as wasserstein_p_1d reads them."""
+    s = _as_sorted(samples)
     n, b, peaks = s.size, _block_size(s.size), []
     for i in range(0, n, b):  # a block of the CDF at a time; the maximum is exact
         z = (s[i:i + b] / sigma).tolist()
@@ -294,8 +276,8 @@ def tusla_terminal_law(
     n_steps: int,
     n_replicas: int,
     seed: int,
-) -> EmpiricalDistribution1D:
-    """Terminal law of the tamed update over n_replicas independent chains.
+) -> np.ndarray:
+    """Sorted terminal law of the tamed update over n_replicas chains.
 
     The arguments of ``optimizers.run``, in its order. run's step checks and
     seeds the chain, so bad settings raise as in run and the law draws from
@@ -358,4 +340,4 @@ def tusla_terminal_law(
         thetas = thetas[finite]
     if thetas.size == 0:
         raise ValueError("all replicas diverged")
-    return EmpiricalDistribution1D.from_samples(thetas)
+    return np.sort(thetas)

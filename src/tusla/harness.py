@@ -396,7 +396,7 @@ def _gibbs_reference(s: Optional[int], beta: float, seed: int, n_draws: int):
     u = (lambda x: 0.5 * x * x) if s is None else (lambda x: u_s_value_batch(x, s))
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 9])))
     gibbs = gibbs_sampler_1d(u, beta, None, rng, n_draws=n_draws)
-    gibbs.samples.flags.writeable = False  # shared by every report at this input
+    gibbs.flags.writeable = False  # shared by every report at this input
     return gibbs, None if s is not None else ks_vs_gaussian(gibbs, 1.0 / math.sqrt(beta))
 
 
@@ -432,11 +432,11 @@ def law_report(cfg: ExperimentConfig, n_replicas: int, n_draws: int) -> dict:
         "lam": cfg.lam,
         "replicas": n_replicas,
         "steps": cfg.n_steps,
-        "replicas_used": law.n,
+        "replicas_used": law.size,
         "w1_vs_gibbs": w1,
         "w2_vs_gibbs": w2,
         "w2_vs_gaussian": None if sigma is None
-        else wasserstein_p_1d(law, gaussian_quantiles(sigma, law.n))[1],
+        else wasserstein_p_1d(law, gaussian_quantiles(sigma, law.size))[1],
         "ks_gibbs_vs_gaussian": ks,
     }
 

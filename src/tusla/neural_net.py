@@ -215,8 +215,8 @@ def risk(arch: Architecture, thetas, xs, eta: float, r: float) -> np.ndarray:
     (k, m) result is the risk of theta row i on sample j, bitwise the single
     pair's risk. The forward pass takes max(1, _RISK_BLOCK // m) theta rows
     at a time, each repeated m times, so no stack is ever copied to
-    (k m, param_dim). A penalty or squared residual past DBL_MAX is inf,
-    with no warning.
+    (k m, param_dim). A penalty or squared residual past DBL_MAX is inf; a
+    row holding inf, nan or near-DBL_MAX values may give nan. Neither warns.
     """
     thetas = np.asarray(thetas, dtype=np.float64)
     zs, ys = _split_rows(xs, arch.dims[0])
@@ -227,7 +227,7 @@ def risk(arch: Architecture, thetas, xs, eta: float, r: float) -> np.ndarray:
     per = max(1, _RISK_BLOCK // m)  # theta rows per pass
     tiled = np.tile(zs, (per, 1))
     out = np.empty((len(thetas), m))
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for a in range(0, len(thetas), per):
             block = np.repeat(thetas[a : a + per], m, axis=0)
             f = _forward(arch, *arch._views(block), tiled[: len(block)])[0]

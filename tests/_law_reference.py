@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from tusla.diagnostics import EmpiricalDistribution1D, _simpson_cell_masses
+from tusla.diagnostics import _simpson_cell_masses
 
 CELLS = 1 << 14
 
@@ -26,7 +26,7 @@ def reference_gibbs_sampler_1d(
     support: Optional[tuple[float, float]],
     rng: np.random.Generator,
     n_draws: int,
-) -> EmpiricalDistribution1D:
+) -> np.ndarray:
     auto = support is None
     lo, hi = (-20.0, 20.0) if auto else (float(support[0]), float(support[1]))
 
@@ -50,7 +50,7 @@ def reference_gibbs_sampler_1d(
     cdf = np.concatenate([[0.0], np.cumsum(masses)]) / float(masses.sum())
     cdf[-1] = 1.0
     us = rng.random(n_draws)
-    return EmpiricalDistribution1D.from_samples(np.interp(us, cdf, nodes))
+    return np.sort(np.interp(us, cdf, nodes))
 
 
 def _midpoint_quantiles(sorted_vals: np.ndarray, n: int) -> np.ndarray:
@@ -62,10 +62,8 @@ def _midpoint_quantiles(sorted_vals: np.ndarray, n: int) -> np.ndarray:
     return np.interp(dst, src, sorted_vals)
 
 
-def _as_sorted(dist) -> np.ndarray:
-    if isinstance(dist, EmpiricalDistribution1D):
-        return dist.samples
-    return np.sort(np.asarray(dist, dtype=np.float64))
+def _as_sorted(values) -> np.ndarray:
+    return np.sort(np.asarray(values, dtype=np.float64))
 
 
 def reference_wasserstein_p_1d(a, b, p: int) -> float:
@@ -77,8 +75,8 @@ def reference_wasserstein_p_1d(a, b, p: int) -> float:
     return float(math.sqrt(np.mean(diff * diff)))
 
 
-def reference_ks_vs_gaussian(dist, sigma: float = 1.0) -> float:
-    s = _as_sorted(dist)
+def reference_ks_vs_gaussian(samples, sigma: float = 1.0) -> float:
+    s = _as_sorted(samples)
     n = s.size
     cdf = np.array([0.5 * math.erfc(-z / math.sqrt(2.0)) for z in (s / sigma).tolist()])
     i = np.arange(n)

@@ -33,7 +33,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from tusla.diagnostics import EmpiricalDistribution1D
 from tusla.gradient_oracle import (
     GradientOracle,
     ParameterVector,
@@ -496,7 +495,7 @@ def reference_terminal_law(
     n_steps: int,
     n_replicas: int,
     seed: int,
-) -> EmpiricalDistribution1D:
+) -> np.ndarray:
     """``tusla_terminal_law`` as a per-step loop: one data draw and one noise
     draw per step, the two-power drift and, for u_s, the out-of-place
     gradient."""
@@ -528,4 +527,4 @@ def reference_terminal_law(
         thetas = thetas[finite]
     if thetas.size == 0:
         raise ValueError("all replicas diverged")
-    return EmpiricalDistribution1D.from_samples(thetas)
+    return np.sort(thetas)

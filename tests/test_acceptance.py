@@ -366,7 +366,7 @@ def test_criterion_7_sampling_quality():
     def w2_to_gaussian(lam, seed):
         law = tusla_terminal_law(TuslaConfig(lam=lam, beta=4.0, reg=reg), 0.0, quad, feed,
                                  n_steps=20_000, n_replicas=512, seed=seed)
-        return wasserstein_p_1d(law, gaussian_quantiles(sigma, law.n))[1]
+        return wasserstein_p_1d(law, gaussian_quantiles(sigma, law.size))[1]
 
     w2_main = w2_to_gaussian(0.01, 0)
 

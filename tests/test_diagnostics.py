@@ -20,7 +20,7 @@ from _suites import dissipativity_check, empirical_moment
 
 from tusla import optimizers
 from tusla.diagnostics import (
-    EmpiricalDistribution1D,
+    _as_sorted,
     gaussian_quantiles,
     gibbs_sampler_1d,
     ks_vs_gaussian,
@@ -197,44 +197,72 @@ def test_empirical_moment_running_mean():
 # empirical distributions and the Gibbs sampler
 
 
-def test_empirical_distribution_validation():
-    d = EmpiricalDistribution1D.from_samples([3.0, 1.0, 2.0])
-    assert np.array_equal(d.samples, [1.0, 2.0, 3.0])
-    assert d.n == 3
-    with pytest.raises(ValueError):
-        EmpiricalDistribution1D(np.array([2.0, 1.0]))
-    with pytest.raises(ValueError):
-        EmpiricalDistribution1D(np.array([]))
-    with pytest.raises(ValueError):
-        EmpiricalDistribution1D(np.zeros((2, 2)))
+_NOT_SAMPLES = [np.array([]), [], np.float64(1.0), 1.0, np.zeros((2, 2)), [[1.0], [2.0]]]
+
+
+@pytest.mark.parametrize("bad", _NOT_SAMPLES,
+                         ids=["empty", "empty-list", "0-d", "float", "2-d", "2-d-list"])
+def test_distances_reject_what_is_not_a_non_empty_1d_sample_array(bad):
+    # one ValueError from the one reader, before any numpy warning or
+    # reduction error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: wasserstein_p_1d(bad, [0.0, 1.0]),
+                     lambda: wasserstein_p_1d([0.0, 1.0], bad),
+                     lambda: ks_vs_gaussian(bad)):
+            with pytest.raises(ValueError, match="non-empty 1-D sample array"):
+                call()
+
+
+def test_sorted_samples_are_read_as_they_are_and_others_are_sorted():
+    # the order check compares neighbours, so no np.diff can overflow, and
+    # sorted input is the reader's result itself, never a copy
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ok in ([-1e308, 1e308], [-np.inf, -1e308, 1e308, np.inf], [1.0, 1.0], [2.0]):
+            s = np.array(ok)
+            assert _as_sorted(s) is s
+        for unsorted in ([1e308, -1e308], [np.inf, -np.inf], [0.0, 2.0, 1.0], [3.0, 1.0, 2.0]):
+            s = np.array(unsorted)
+            got = _as_sorted(s)
+            assert got is not s and got.tobytes() == np.sort(s).tobytes()
+            assert s.tobytes() == np.array(unsorted).tobytes()
+        assert _as_sorted([3, 1, 2]).tobytes() == np.array([1.0, 2.0, 3.0]).tobytes()
+
+
+def _is_law(v) -> bool:
+    # a sorted 1-D float64 array, which the distances read without a copy
+    return (type(v) is np.ndarray and v.dtype == np.float64 and v.ndim == 1
+            and _as_sorted(v) is v)
 
 
 def test_gibbs_sampler_recovers_gaussian():
     rng = np.random.default_rng(1)
     u = lambda x: 0.5 * x * x
     d1 = gibbs_sampler_1d(u, beta=1.0, support=None, rng=rng, n_draws=100_000)
-    assert abs(d1.samples.mean()) < 0.015
-    assert abs(d1.samples.var() - 1.0) < 0.02
+    assert _is_law(d1) and d1.size == 100_000
+    assert abs(d1.mean()) < 0.015
+    assert abs(d1.var() - 1.0) < 0.02
     assert ks_vs_gaussian(d1, 1.0) < 0.01
     d4 = gibbs_sampler_1d(u, beta=4.0, support=None, rng=rng, n_draws=100_000)
-    assert abs(d4.samples.var() - 0.25) < 0.01
-    assert wasserstein_p_1d(d4, gaussian_quantiles(0.5, d4.n))[1] < 0.02
+    assert abs(d4.var() - 0.25) < 0.01
+    assert wasserstein_p_1d(d4, gaussian_quantiles(0.5, d4.size))[1] < 0.02
 
 
 def test_gibbs_sampler_us_density_centers_at_minimizer():
     rng = np.random.default_rng(2)
     d = gibbs_sampler_1d(lambda x: u_s_value_batch(x, 2), beta=10.0, support=None,
                          rng=rng, n_draws=50_000)
-    assert abs(d.samples.mean() - 0.1) < 0.02  # density is symmetric about 0.1
-    assert np.all(np.abs(d.samples - 0.1) < 2.0)
+    assert abs(d.mean() - 0.1) < 0.02  # density is symmetric about 0.1
+    assert np.all(np.abs(d - 0.1) < 2.0)
 
 
 def test_gibbs_sampler_explicit_support():
     rng = np.random.default_rng(3)
     d = gibbs_sampler_1d(lambda x: 0.5 * x * x, beta=2.0, support=(-1.0, 1.25),
                          rng=rng, n_draws=5_000)
-    assert d.samples.min() >= -1.0
-    assert d.samples.max() <= 1.25
+    assert d.min() >= -1.0
+    assert d.max() <= 1.25
 
 
 def test_gibbs_sampler_validation():
@@ -325,35 +353,20 @@ def test_wasserstein_triangle_inequality_equal_sizes(abc):
 # the law report's block forms against their one-shot references (_law_reference)
 
 
-def test_order_check_compares_neighbours_without_overflow():
-    # np.diff of sorted finite samples can overflow; comparing neighbours cannot
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for sorted_ok in ([-1e308, 1e308], [-np.inf, -1e308, 1e308, np.inf], [1.0, 1.0]):
-            assert EmpiricalDistribution1D(np.array(sorted_ok)).n == len(sorted_ok)
-        for unsorted in ([1e308, -1e308], [np.inf, -np.inf], [0.0, 2.0, 1.0]):
-            with pytest.raises(ValueError, match="sorted"):
-                EmpiricalDistribution1D(np.array(unsorted))
-
-
 @pytest.mark.parametrize("support", [None, (-1.5, 2.0)])
 @pytest.mark.parametrize("n_draws", [1, 4095, 4096, 4097, 100_000])
 def test_gibbs_sampler_matches_its_one_shot_form_bitwise(n_draws, support):
     u = lambda x: u_s_value_batch(x, 2)
     got = gibbs_sampler_1d(u, 4.0, support, np.random.default_rng(11), n_draws)
     want = reference_gibbs_sampler_1d(u, 4.0, support, np.random.default_rng(11), n_draws)
-    assert got.samples.tobytes() == want.samples.tobytes()
+    assert _is_law(got) and got.tobytes() == want.tobytes()
 
 
-def _read_only(values) -> EmpiricalDistribution1D:
+def _read_only(values) -> np.ndarray:
     # the form of law_report's cached Gibbs reference
-    dist = EmpiricalDistribution1D.from_samples(values)
-    dist.samples.flags.writeable = False
-    return dist
-
-
-def _samples(v):
-    return v.samples if isinstance(v, EmpiricalDistribution1D) else v
+    law = np.sort(values)
+    law.flags.writeable = False
+    return law
 
 
 @pytest.mark.parametrize("sizes", [
@@ -366,17 +379,17 @@ def test_wasserstein_matches_its_one_shot_form_bitwise_and_keeps_its_inputs(size
     forms = [
         lambda v: v.copy(),  # unsorted
         lambda v: v.tolist(),
-        EmpiricalDistribution1D.from_samples,
+        np.sort,
         _read_only,
     ]
     for form_a in forms:
         for form_b in forms:
             x, y = form_a(a), form_b(b)
-            before = [np.array(_samples(v)) for v in (x, y)]
+            before = [np.array(v) for v in (x, y)]
             got = [w.hex() for w in wasserstein_p_1d(x, y)]
             assert got == [reference_wasserstein_p_1d(x, y, p).hex() for p in (1, 2)]
             for v, old in zip((x, y), before):
-                assert np.array(_samples(v)).tobytes() == old.tobytes()
+                assert np.array(v).tobytes() == old.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 100_000])
@@ -410,9 +423,10 @@ def test_terminal_law_approaches_gaussian_target():
         algorithm, 0.0, QuadraticProblem(), ConstantDataSource(),
         n_steps=2000, n_replicas=64, seed=0,
     )
-    sd = math.sqrt(law.samples.var())
+    assert _is_law(law) and law.size == 64
+    sd = math.sqrt(law.var())
     assert 0.3 <= sd <= 0.7
-    assert abs(law.samples.mean()) < 0.3
+    assert abs(law.mean()) < 0.3
 
 
 def test_terminal_law_is_deterministic():
@@ -420,7 +434,7 @@ def test_terminal_law_is_deterministic():
     kw = dict(n_steps=50, n_replicas=16)
     a = tusla_terminal_law(algorithm, 0.0, QuadraticProblem(), ConstantDataSource(), seed=9, **kw)
     b = tusla_terminal_law(algorithm, 0.0, QuadraticProblem(), ConstantDataSource(), seed=9, **kw)
-    assert np.array_equal(a.samples, b.samples)
+    assert np.array_equal(a, b)
 
 
 class _NoDraws:
@@ -516,7 +530,7 @@ def _law_outcome(law, problem, theta0, n_steps, n_replicas, seed):
             # built here: the eta = 0.3 config warns that lam exceeds lambda_max
             algorithm = TuslaConfig(lam=0.01, beta=4.0, reg=reg)
             out = law(algorithm, theta0, oracle, stream, n_steps=n_steps,
-                      n_replicas=n_replicas, seed=seed).samples.view(np.int64).tolist()
+                      n_replicas=n_replicas, seed=seed).view(np.int64).tolist()
         except ValueError as e:
             out = str(e)
     return out, [(w.category, str(w.message)) for w in caught]
@@ -563,7 +577,7 @@ def test_terminal_law_drops_diverged_replicas():
         warnings.simplefilter("always")
         law = tusla_terminal_law(n_steps=2, **kw)
     assert [str(w.message) for w in caught] == ["2 of 3 replicas diverged; dropped"]
-    assert law.n == 1 and np.array_equal(law.samples, ref.samples)
+    assert law.size == 1 and np.array_equal(law, ref)
     with pytest.warns(RuntimeWarning, match="3 of 3 replicas diverged"):
         with pytest.raises(ValueError, match="all replicas diverged"):
             tusla_terminal_law(n_steps=5, **kw)

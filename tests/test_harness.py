@@ -1110,7 +1110,7 @@ def test_law_report_draws_one_gibbs_reference_per_input(monkeypatch):
     assert list(calls.values()) == [2, 1]
     # the cached reference is read-only, and reading it draws nothing
     gibbs, ks = harness._gibbs_reference(None, 4.0, 3, 2000)
-    assert not gibbs.samples.flags.writeable
+    assert not gibbs.flags.writeable
     assert ks == fresh[0]["ks_gibbs_vs_gaussian"] == ks_vs_gaussian(gibbs, 0.5)
     assert list(calls.values()) == [2, 1]
 

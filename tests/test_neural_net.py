@@ -6,6 +6,7 @@ The hand-value fixtures run on the per-sample reference forms in
 (``test_kernels_match_per_sample_reference_bitwise``); the bound checkers
 are in ``_suites.py``."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -464,6 +465,27 @@ def test_risk_beyond_dbl_max_is_inf_without_a_warning(eta, scale):
     got = risk(arch, thetas, xs, eta, 2.0)
     assert np.all(got[1:] == math.inf)
     assert got[:1].tobytes() == ref.per_probe_risks(arch, thetas[:1], xs, eta, 2.0).tobytes()
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.01])
+def test_risk_of_non_finite_rows_warns_nothing_and_keeps_finite_rows(eta):
+    # inf * 0 in the first layer, and inf - inf inside a layer's product on
+    # mixed-sign inputs, are invalid operations: they give nan, with no
+    # warning, and the finite rows between them keep their bits
+    arch = Architecture((3, 4, 4))
+    rng = np.random.default_rng(10)
+    xs = np.column_stack([rng.uniform(-1.0, 1.0, size=(6, 3)), rng.normal(size=6)])
+    p = arch.param_dim
+    big = 1e308 * rng.choice([-1.0, 1.0], size=p)
+    thetas = np.stack([rng.normal(size=p), np.full(p, np.inf), np.full(p, np.nan),
+                       rng.normal(size=p), big, -big, np.full(p, -np.inf), rng.normal(size=p)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = risk(arch, thetas, xs, eta, 2.0)
+    assert np.all(np.isnan(got[2]))
+    finite = [0, 3, 7]
+    want = ref.per_probe_risks(arch, thetas[finite], xs, eta, 2.0)
+    assert got[finite].tobytes() == want.tobytes()
 
 
 def test_risk_rejects_misshapen_samples():
