@@ -17,6 +17,7 @@ Two groups:
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -136,6 +137,7 @@ def _simpson_cell_masses(logw_nodes: np.ndarray, logw_mids: np.ndarray, h: float
 
 
 _GIBBS_CELLS = 1 << 14  # gibbs_sampler_1d's quadrature cells
+_LAW_CHUNK = 1 << 15  # values in one chunk of tusla_terminal_law's draws
 
 
 def gibbs_sampler_1d(
@@ -283,20 +285,18 @@ def tusla_terminal_law(
     seeds the chain, so bad settings raise as in run and the law draws from
     run's substreams; then any config but TuslaConfig raises TypeError, and
     n_replicas >= 1, theta0 finite. Vectorized over replicas for 1-D oracles
-    exposing evaluate_batch; each step draws one data sample and one
-    Gaussian per replica. The draws come in blocks of k steps, at most 4096
-    values as in the chain loops: one sample_batch(k * n_replicas) and one
-    standard_normal((k, n_replicas)) call give the values of k per-step
-    calls, so the stream layout does not depend on the block size. Each
-    replica runs the TUSLA update of ``run``: the oracle's batch_data
-    prepares a block's data once, and each step calls evaluate_batch on a
-    step of it and the replica drift overflow_safe_drift_batch, whose
-    constants are 0-d operands. Neither sets an error state: the law holds
-    one, ignoring overflow and invalid operations, for the whole run. Their
-    numpy pows (u_s signs its odd power of |d| by copysign) agree with run's
-    libm pow to an ulp or two, not bitwise; the stream layout differs too,
-    so seeds are not interchangeable between the two. Non-finite replicas
-    are dropped with one warning. The law runs in process.
+    with evaluate_batch. A producer thread makes every draw, in chunks of k
+    steps, at most _LAW_CHUNK values: sample_batch(k * n_replicas), its
+    batch_data and standard_normal((k, n_replicas)) give the values of k
+    per-step draws, one datum and one Gaussian per replica, so the stream
+    layout does not depend on the chunk size. A one-place queue hands the
+    chunks over; the producer's errors raise here, a stepping error stops it,
+    and it is joined before the law returns. Each replica runs run's TUSLA
+    update: a step is evaluate_batch and overflow_safe_drift_batch, with 0-d
+    constants, under one error state of the law's that ignores overflow and
+    invalid operations. Their numpy pows agree with run's libm pow to an ulp
+    or two, not bitwise, and the stream layout differs, so seeds are not
+    interchangeable. Non-finite replicas are dropped with one warning.
     """
     [(data_rng, noise_rng)] = _chain_streams(algorithm, oracle, n_steps, (seed,))
     if not isinstance(algorithm, TuslaConfig):
@@ -315,21 +315,45 @@ def tusla_terminal_law(
     thetas = np.full(n_replicas, float(theta0))
     scale = math.sqrt(2.0 * lam / beta)
     lam_0d = _operand(lam)
-    block = _block_size(n_steps, n_replicas)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n_steps, block):
-            k = min(block, n_steps - start)
-            xs = stream.sample_batch(data_rng, k * n_replicas)
-            xs = oracle.batch_data(xs.reshape((k, n_replicas) + xs.shape[1:]))
-            # scale * xi rounds elementwise as it would at the step
-            xis = noise_rng.standard_normal((k, n_replicas))
-            xis *= scale
-            for x, xi in zip(xs, xis):
-                g = oracle.evaluate_batch(thetas, x)
-                drift = overflow_safe_drift_batch(g, thetas, lam, reg)
-                drift *= lam_0d
-                thetas -= drift
-                thetas += xi
+    starts = range(0, n_steps, max(1, min(_LAW_CHUNK // n_replicas, n_steps)))
+
+    def draw():  # the producer, the only user of the two generators
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                for start in starts:
+                    if stop.is_set():
+                        return
+                    k = min(starts.step, n_steps - start)
+                    xs = stream.sample_batch(data_rng, k * n_replicas)
+                    xs = oracle.batch_data(xs.reshape((k, n_replicas) + xs.shape[1:]))
+                    # scale * xi rounds elementwise as it would at the step
+                    xis = noise_rng.standard_normal((k, n_replicas))
+                    xis *= scale
+                    chunks.put((xs, xis))
+        except BaseException as e:  # handed over, and raised in the caller
+            chunks.put(e)
+
+    if n_steps:
+        import queue
+        chunks, stop = queue.Queue(maxsize=1), threading.Event()
+        (producer := threading.Thread(target=draw, name="tusla-law-draws")).start()
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in starts:
+                    chunk = chunks.get()
+                    if isinstance(chunk, BaseException):
+                        raise chunk
+                    for x, xi in zip(*chunk):
+                        g = oracle.evaluate_batch(thetas, x)
+                        drift = overflow_safe_drift_batch(g, thetas, lam, reg)
+                        drift *= lam_0d
+                        thetas -= drift
+                        thetas += xi
+        finally:
+            stop.set()
+            if chunks.full():  # a stopped producer puts at most one more chunk
+                chunks.get_nowait()
+            producer.join()
     finite = np.isfinite(thetas)
     if not np.all(finite):
         warnings.warn(

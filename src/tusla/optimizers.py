@@ -52,7 +52,8 @@ Gaussians come from numpy Generator.standard_normal (PCG64 + ziggurat).
 One step, ``_chain_streams``, checks and seeds every chain loop.
 
 ``fork_map`` is the worker pool ``harness.run_config`` runs its chains
-through; the replica law ``diagnostics.tusla_terminal_law`` runs in process.
+through; the replica law ``diagnostics.tusla_terminal_law`` forks nothing and
+draws its data and noise on a thread of its own.
 """
 from __future__ import annotations
 

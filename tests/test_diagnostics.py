@@ -2,6 +2,8 @@
 sampling, Wasserstein distances, and the replica integrator."""
 import math
 import os
+import threading
+import time
 import warnings
 from types import SimpleNamespace
 
@@ -18,7 +20,7 @@ from _law_reference import (
 from _loop_reference import reference_terminal_law, us_evaluate_batch
 from _suites import dissipativity_check, empirical_moment
 
-from tusla import optimizers
+from tusla import diagnostics, optimizers
 from tusla.diagnostics import (
     _as_sorted,
     gaussian_quantiles,
@@ -462,7 +464,7 @@ def test_terminal_law_rejects_multidimensional_oracles():
 ])
 def test_terminal_law_checks_its_bounds_before_a_draw(n_steps, n_replicas, match):
     # the chain is checked as run checks it, and the replica count after it;
-    # either fails before the first block of draws
+    # either fails before the first chunk of draws
     algorithm = TuslaConfig(lam=0.01, beta=1.0, reg=RegularizationParams(eta=0.0, r=1.5))
     with pytest.raises(ValueError, match=match):
         tusla_terminal_law(algorithm, 0.0, QuadraticProblem(), _NoDraws(),
@@ -537,11 +539,12 @@ def _law_outcome(law, problem, theta0, n_steps, n_replicas, seed):
 
 
 @settings(max_examples=30, deadline=None)
-# 512 replicas step 8 per block, so 4097 steps end on a one-step block; more
-# than 4096 replicas step one per block; from 1e6 the s = 26 oracle overflows,
-# and some or all replicas are dropped with a warning
+# 512 replicas step 64 per chunk, so 65 and 4097 steps end on a one-step
+# chunk; 5000 replicas step 6 per chunk, so 7 steps do; from 1e6 the s = 26
+# oracle overflows, and some or all replicas are dropped with a warning
 @example("us2", 0.0, 4097, 512, 0)
-@example("us3-unbiased", -7.0, 9, 5000, 1)
+@example("us26", 1e6, 65, 512, 6)
+@example("us3-unbiased", -7.0, 7, 5000, 1)
 @example("quadratic-eta", 1e3, 4097, 3, 2)
 @example("us26", 1e6, 9, 3, 3)
 @example("us26", 1e6, 7, 3, 0)
@@ -550,7 +553,7 @@ def _law_outcome(law, problem, theta0, n_steps, n_replicas, seed):
 @given(
     problem=st.sampled_from(sorted(_LAWS)),
     theta0=st.sampled_from([0.0, -7.0, 1e3, 1e6]),
-    n_steps=st.sampled_from([0, 1, 7, 8, 9, 4097]),
+    n_steps=st.sampled_from([0, 1, 7, 8, 9, 65, 4097]),
     n_replicas=st.sampled_from([1, 3, 512, 5000]),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -599,7 +602,7 @@ def test_terminal_law_rejects_a_non_finite_start(monkeypatch, theta0):
 
 def test_terminal_law_needs_evaluate_batch():
     # a 1-D oracle with only evaluate: the law names the missing method
-    # before it draws a block, instead of failing inside its first step
+    # before it draws a chunk, instead of failing inside its first step
     class EvaluateOnly(GradientOracle):
         def evaluate(self, theta, x):
             return np.array(theta, dtype=np.float64)
@@ -624,10 +627,104 @@ def test_pooled_law_matches_the_in_process_law_bitwise(monkeypatch, problem, n_r
     outcomes = []
     for cpus in (1, 2, 3):
         monkeypatch.setattr(optimizers, "_usable_cpus", lambda: cpus)
-        # 9 steps at -7: 512 replicas step 8 per block, 5000 one per block
+        # 9 steps at -7: 5000 replicas step 6 per chunk, fewer take one chunk
         outcomes.append(_law_outcome(tusla_terminal_law, problem, -7.0, 9, n_replicas, 11))
     assert len(outcomes[0][0]) == n_replicas
     assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+
+
+@pytest.mark.parametrize("problem, theta0", [("us2", 0.0), ("us26", 1e6), ("quadratic-eta", 0.0)])
+def test_the_chunk_size_does_not_change_the_law(monkeypatch, problem, theta0):
+    # the producer draws k steps per chunk in one call per generator, the
+    # values of k per-step calls: one step per chunk (the floor of a chunk
+    # below n_replicas values), 7 steps, the default of 64 and one chunk for
+    # all 65 steps give the same bits and the same drop warning
+    n_steps, n_replicas = 65, 512
+    assert n_steps > diagnostics._LAW_CHUNK // n_replicas
+    outcomes = []
+    for chunk in (1, 7 * n_replicas, diagnostics._LAW_CHUNK, n_steps * n_replicas + 1):
+        monkeypatch.setattr(diagnostics, "_LAW_CHUNK", chunk)
+        outcomes.append(_law_outcome(tusla_terminal_law, problem, theta0, n_steps, n_replicas, 7))
+    assert all(outcome == outcomes[0] for outcome in outcomes[1:])
+    dropped = [message for _, message in outcomes[0][1] if "diverged" in message]
+    assert bool(dropped) == (problem == "us26"), outcomes[0]
+
+
+class _CountingStream:
+    """UniformDataSource's draws, counted; the call numbered fail_at raises."""
+
+    def __init__(self, fail_at=None):
+        self.calls, self.fail_at, self.error = 0, fail_at, RuntimeError("the stream failed")
+
+    def sample_batch(self, rng, n):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise self.error
+        return UniformDataSource().sample_batch(rng, n)
+
+
+def _law_of(stream, n_steps=300, **kw):
+    # 512 replicas step 64 per chunk, so 300 steps take 5 chunks
+    args = dict(algorithm=TuslaConfig(0.01, 4.0, _LAWS["us2"][2]), theta0=0.0,
+                oracle=UsProblem(s=2), stream=stream, n_steps=n_steps, n_replicas=512, seed=0)
+    return tusla_terminal_law(**{**args, **kw})
+
+
+def test_a_producer_error_is_raised_by_the_law():
+    threads, stream = threading.active_count(), _CountingStream(fail_at=2)
+    with pytest.raises(RuntimeError) as info:
+        _law_of(stream)
+    assert info.value is stream.error and stream.calls == 2
+    assert threading.active_count() == threads
+
+
+def test_a_stepping_error_stops_the_producer(monkeypatch):
+    # at step 70 the law steps chunk 2; the producer has put chunk 3 and,
+    # with chunk 4 drawn, waits on the full queue. The error is the law's,
+    # and the producer stops there: it draws no fifth chunk
+    threads, stream, steps = threading.active_count(), _CountingStream(), [0]
+    evaluate_batch, error = UsProblem.evaluate_batch, RuntimeError("step 70 failed")
+
+    def failing(self, thetas, x):
+        steps[0] += 1
+        if steps[0] == 70:
+            deadline = time.monotonic() + 30.0
+            while stream.calls < 4 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            raise error
+        return evaluate_batch(self, thetas, x)
+
+    monkeypatch.setattr(UsProblem, "evaluate_batch", failing)
+    with pytest.raises(RuntimeError) as info:
+        _law_of(stream)
+    assert info.value is error and stream.calls == 4
+    assert threading.active_count() == threads
+
+
+_NO_THREAD_CASES = {
+    "no-steps": (dict(n_steps=0), None),
+    "negative-steps": (dict(n_steps=-1), ValueError),
+    "no-replicas": (dict(n_replicas=0), ValueError),
+    "non-finite-start": (dict(theta0=math.nan), ValueError),
+    "not-tusla": (dict(algorithm=SgldConfig(lam=0.01, beta=1.0)), TypeError),
+    "two-dimensional": (dict(oracle=QuadraticProblem(d=2)), ValueError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NO_THREAD_CASES))
+def test_the_law_starts_no_thread_without_a_step_to_take(monkeypatch, case):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("the law started a thread")
+
+    monkeypatch.setattr(diagnostics, "threading",
+                        SimpleNamespace(Thread=no_thread, Event=threading.Event))
+    threads, (kw, error) = threading.active_count(), _NO_THREAD_CASES[case]
+    if error is None:
+        assert np.array_equal(_law_of(_NoDraws(), **kw), np.zeros(512))
+    else:
+        with pytest.raises(error):
+            _law_of(_NoDraws(), **kw)
+    assert threading.active_count() == threads
 
 
 # the law's kernels reuse their temporaries in place; this grid holds every

@@ -67,9 +67,9 @@ def _count(monkeypatch, calls: dict, owner, attr: str) -> None:
 def test_traced_gibbs_leaves_are_called_in_this_process(tmp_path, monkeypatch):
     # the child wraps the replica law's leaves in its own process, so the law
     # must call them there, through the same lookups, whatever the CPU count.
-    # The data are drawn and prepared once per block, the oracle and the
-    # drift run once per step: 512 replicas step 8 per block, so 9 steps
-    # cross a block boundary
+    # The data are drawn and prepared once per chunk, on the law's producer
+    # thread, the oracle and the drift once per step: 512 replicas step 64
+    # per chunk, so 65 steps cross a chunk boundary
     from tusla import diagnostics, optimizers
     from tusla.problems import UniformDataSource, UsProblem
 
@@ -79,7 +79,7 @@ def test_traced_gibbs_leaves_are_called_in_this_process(tmp_path, monkeypatch):
     _count(monkeypatch, calls, UsProblem, "batch_data")
     _count(monkeypatch, calls, UniformDataSource, "sample_batch")
     monkeypatch.setattr(optimizers, "_usable_cpus", lambda: 2)
-    for steps, replicas, blocks in ((10, 4, 1), (9, 512, 2)):
+    for steps, replicas, blocks in ((10, 4, 1), (65, 512, 2)):
         calls.update(dict.fromkeys(calls, 0))
         assert tusla.harness.main([
             "gibbs", "--problem", "us", "--steps", str(steps), "--replicas", str(replicas),
