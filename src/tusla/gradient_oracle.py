@@ -185,9 +185,9 @@ class GradientOracle(ABC):
         an oracle whose L1 is costly to compute returns q without it."""
         return self.meta().q
 
-    # Optional fast paths. The optimizers take evaluate_scalar when it is
-    # there and evaluate_rows otherwise; the replica law needs evaluate_batch
-    # and has no fallback (tusla_terminal_law checks for it).
+    # Optional fast paths. The optimizers take evaluate_scalar on a dim() 1
+    # oracle that has it (scalar_route), else evaluate_rows; the replica law
+    # needs evaluate_batch and has no fallback (tusla_terminal_law checks).
 
     def evaluate_scalar(self, theta: float, x: DataSample) -> float:
         """Scalar gradient for d == 1 problems; hot-loop fast path."""

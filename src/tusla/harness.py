@@ -44,7 +44,7 @@ from .diagnostics import (
     tusla_terminal_law,
     wasserstein_p_1d,
 )
-from .gradient_oracle import RegularizationParams, parameter_vector, safe_norm
+from .gradient_oracle import RegularizationParams, safe_norm
 from .neural_net import Architecture, MlpOracle, TeacherStream, activation_by_name, risk
 from .optimizers import (
     AdamConfig,
@@ -214,17 +214,14 @@ class _ProblemSetup:
         if cfg.problem == "us":
             self.oracle = UsProblem(s=cfg.s)
             self.stream = UniformDataSource()
-            self.fixed_theta0 = parameter_vector([cfg.theta0])
             self.objective = lambda rows: u_s_value_array(rows[:, 0], cfg.s)
         elif cfg.problem == "quadratic":
             self.oracle = QuadraticProblem(d=1)
             self.stream = ConstantDataSource(0.0)
-            self.fixed_theta0 = parameter_vector([cfg.theta0])
             self.objective = lambda rows: [0.5 * v ** 2 for v in rows[:, 0].tolist()]
         elif cfg.problem == "one_neuron":
             self.oracle = OneNeuronProblem(eta=cfg.eta)
             self.stream = ConstantDataSource(np.array([1.0, 0.0]))
-            self.fixed_theta0 = parameter_vector([cfg.theta0, cfg.theta0])
             eta = cfg.eta
             self.objective = lambda rows: [
                 one_neuron_value(v[0], v[1], 1.0, 0.0, eta) for v in rows.tolist()
@@ -247,6 +244,7 @@ class _ProblemSetup:
             self.objective = lambda rows, _arch=arch, _probe=probe: risk(
                 _arch, rows, _probe, 0.0, 1.0
             ).mean(axis=1)
+        self.fixed_theta0 = np.full(self.oracle.dim(), float(cfg.theta0))
         star = getattr(self.oracle, "theta_star", None)
         self.theta_star = None if star is None else np.array([star])
         default_r = cfg.s + 10 if cfg.problem == "us" else self.oracle.degree() / 2 + 1
@@ -316,10 +314,11 @@ def run_config(
     chain, plus ``{name}-summary.json``, whose config is cfg as it ran: its r
     is the penalty order the chains used, the default when cfg.r is None.
 
-    The chains run as tasks: one per (algorithm, seed) on the scalar route,
-    which calls ``run``, and one per algorithm on the stacked vector route,
-    which calls ``run_seeds`` over all seeds. A task writes its own files and
-    returns its ``SeedResult``s and seconds; records never cross a pipe.
+    The chains run as tasks, routed by ``scalar_route``: one per (algorithm,
+    seed) calling ``run`` on the scalar route, and one per algorithm calling
+    ``run_seeds`` over all seeds on the stacked route. A task writes its own
+    files and returns its ``SeedResult``s and seconds; records never cross a
+    pipe.
     ``AlgoSummary.wall_time_s`` is the summed task seconds of its chains.
 
     The tasks go to ``optimizers.fork_map``: min(usable CPUs, tasks) forked
@@ -340,7 +339,7 @@ def run_config(
     algorithms = {algo: setup.algo_config(cfg, algo) for algo in cfg.algorithms()}
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-    stacked = not scalar_route(setup.oracle, setup.theta0(seeds[0]).size)
+    stacked = not scalar_route(setup.oracle)
     chain = dict(record_every=cfg.record_every, divergence_threshold=cfg.divergence_threshold)
 
     def run_task(task: tuple) -> tuple[list[SeedResult], float]:

@@ -17,14 +17,13 @@ stream.sample_batch call) and k noise rows per chain at once (k holds at
 most 4096 values and at most n_steps rows), which are the same values as k
 per-step draws. The noise is pre-scaled once per block, noise_scale * xi
 over the whole block: a float64 product rounds the same elementwise as at
-the step, so the chain keeps its bits. ``run`` is ``run_seeds`` of one
-seed. One seed on the scalar route (``scalar_route``: a one-parameter
-oracle with evaluate_scalar) runs the scalar loop, one chain on native
-floats with abs as the norm. Every other case, two or more scalar-route
-seeds included (as rows of width 1), runs the stacked vector loop: the
-chains of R seeds step as the rows of one (R, d) array, with one
-evaluate_rows call and one stacked update per step. Both loops run the
-update of the one-step reference steppers in tests/_loop_reference.py
+the step, so the chain keeps its bits. ``run`` is ``run_seeds`` of one seed.
+The oracle alone picks the loop (``scalar_route``). A one-parameter oracle
+with evaluate_scalar runs its seeds one after another on the scalar loop, on
+native floats with abs as the norm. Every other oracle runs the stacked
+vector loop: the chains of R seeds step as the rows of one (R, d) array,
+with one evaluate_rows call and one stacked update per step. Both loops run
+the update of the one-step reference steppers in tests/_loop_reference.py
 operation for operation. The stacked route takes its tamed drift from
 overflow_safe_drift, one call per step; the scalar route writes the same
 operations inline, which spares a call per step.
@@ -234,11 +233,11 @@ class _Recorder:
         )
 
 
-def scalar_route(oracle: GradientOracle, dim: int) -> bool:
-    """True when a chain of this dimension runs on native floats: a
-    one-parameter oracle with evaluate_scalar. Every other chain takes the
-    stacked vector route."""
-    return dim == 1 and type(oracle).evaluate_scalar is not GradientOracle.evaluate_scalar
+def scalar_route(oracle: GradientOracle) -> bool:
+    """True when the oracle's chains run on native floats: a one-parameter
+    oracle with evaluate_scalar. This is the one routing rule; every other
+    oracle's chains take the stacked vector route."""
+    return oracle.dim() == 1 and type(oracle).evaluate_scalar is not GradientOracle.evaluate_scalar
 
 
 def _chain_streams(algorithm, oracle, n_steps, seeds, record_every=1, threshold=math.inf) -> list:
@@ -285,24 +284,25 @@ def run_seeds(
     record_every: int = 1,
     divergence_threshold: float = 1e10,
 ) -> list[RunRecord]:
-    """One record per seed: row i of theta0s run with rng seed seeds[i].
-
-    One seed on the scalar route runs the scalar loop. Every other case
-    steps each seed as one row of an (R, d) block, with one evaluate_rows
-    call and one stacked update per step; record i is bitwise the run of
-    theta0s[i] with seed seeds[i].
+    """One record per seed: row i of theta0s (the oracle's dim() entries)
+    run with rng seed seeds[i]. A scalar-route oracle runs the seeds on the
+    scalar loop one after another; any other steps them as the rows of an
+    (R, d) block, one evaluate_rows call and one stacked update per step.
+    Record i is bitwise the run of theta0s[i] with seed seeds[i].
     """
     theta0s = np.array([parameter_vector(t) for t in theta0s])
-    if theta0s.ndim != 2 or len(theta0s) != len(seeds) or len(seeds) == 0:
+    if len(seeds) == 0 or theta0s.shape != (len(seeds), oracle.dim()):
         raise ValueError(
-            f"need one theta0 row of a common size per seed, got {theta0s.shape} for {len(seeds)} seeds"
+            f"need one theta0 row of the oracle's size {oracle.dim()} per seed, "
+            f"got {theta0s.shape} for {len(seeds)} seeds"
         )
     streams = _chain_streams(algorithm, oracle, n_steps, seeds, record_every, divergence_threshold)
     recs = [_Recorder() for _ in seeds]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if len(seeds) == 1 and scalar_route(oracle, theta0s.shape[1]):
-            return [_run_chain(algorithm, float(theta0s[0, 0]), oracle, stream, n_steps,
-                               *streams[0], record_every, divergence_threshold, recs[0])]
+        if scalar_route(oracle):
+            return [_run_chain(algorithm, theta, oracle, stream, n_steps,
+                               *rngs, record_every, divergence_threshold, rec)
+                    for theta, rngs, rec in zip(theta0s[:, 0].tolist(), streams, recs)]
         return _run_rows(
             algorithm, theta0s, oracle, stream, n_steps,
             streams, record_every, divergence_threshold, recs,

@@ -357,7 +357,7 @@ def test_run_config_calls_each_objective_once_per_record(tmp_path, monkeypatch, 
     cfg = PRESETS[preset]
     chains = [(algo, seed) for algo in cfg.algorithms() for seed in (0, 1)]
     assert len(calls) == len(records) == len(chains) == 6
-    assert scalar_route(_ProblemSetup(cfg).oracle, records[0].thetas.shape[1]) == (route == "run")
+    assert scalar_route(_ProblemSetup(cfg).oracle) == (route == "run")
     summary = json.loads((tmp_path / f"{preset}-summary.json").read_text())
     for (algo, seed), (stack, values), rec in zip(chains, calls, records):
         assert stack is rec.thetas and stack.shape == (rec.n_recorded, rec.thetas.shape[1])
@@ -367,6 +367,19 @@ def test_run_config_calls_each_objective_once_per_record(tmp_path, monkeypatch, 
         assert cols["objective"].tobytes() == values.tobytes(), (algo, seed)
         final = summary["algorithms"][algo]["per_seed"][seed]["final_objective"]
         assert final == values[-1], (algo, seed)
+
+
+@pytest.mark.parametrize("problem,scalar", [
+    ("us", True), ("quadratic", True), ("one_neuron", False), ("mlp", False),
+])
+def test_the_oracle_alone_picks_each_problems_route(problem, scalar):
+    # every seed's start has the oracle's width, so run_seeds accepts it
+    setup = _ProblemSetup(ExperimentConfig(problem=problem, theta0=2.0))
+    assert scalar_route(setup.oracle) is scalar
+    for seed in (0, 1):
+        assert setup.theta0(seed).shape == (setup.oracle.dim(),)
+    if problem != "mlp":  # the network draws its start; the others start at theta0
+        assert setup.theta0(0).tolist() == [2.0] * setup.oracle.dim()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

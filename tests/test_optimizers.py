@@ -55,10 +55,14 @@ from tusla.problems import (
 
 
 class ConstantGradient(GradientOracle):
-    """G(theta, x) = c regardless of inputs; for hand-computed fixtures."""
+    """G(theta, x) = c regardless of inputs, on d parameters; for
+    hand-computed fixtures."""
 
-    def __init__(self, c: float) -> None:
-        self.c = float(c)
+    def __init__(self, c: float, d: int = 1) -> None:
+        self.c, self.d = float(c), d
+
+    def dim(self) -> int:
+        return self.d
 
     def evaluate(self, theta, x):
         return np.full_like(np.asarray(theta, dtype=np.float64), self.c)
@@ -369,11 +373,11 @@ def test_reference_cases_reach_their_targets():
 # run_seeds() against per-seed run() and the per-step loops: (route,
 # algorithm, per-row theta0 scales, n_steps, record_every, divergence
 # threshold, first seed). Row i starts from scale_i * the route's base theta
-# and runs with seed first_seed + i. The routes are the nn-demo network
-# (MlpOracle, d = 32, 128-row blocks), the two-parameter neuron, VectorOnlyUs
-# (d = 1) and UsProblem, whose one seed takes the scalar route while two or
-# more stack as d = 1 rows; all but the network have no evaluate_rows of
-# their own, so they go through the stacked default.
+# and runs with seed first_seed + i. The routes are the oracles that stack:
+# the nn-demo network (MlpOracle, d = 32, 128-row blocks), the two-parameter
+# neuron and VectorOnlyUs, the width-1 stacked case (u_s without
+# evaluate_scalar); all but the network have no evaluate_rows of their own,
+# so they go through the stacked default.
 _MLP = Architecture((3, 4, 4))
 _STACKED_ROUTES = {
     "mlp": (
@@ -384,7 +388,6 @@ _STACKED_ROUTES = {
     ),
     "neuron": (OneNeuronProblem, PairStream, _REG_NEURON, np.array([1.0, -1.0])),
     "vector": (lambda: VectorOnlyUs(s=2), UniformDataSource, _REG_S2, np.array([1.0])),
-    "scalar": (lambda: UsProblem(s=2), UniformDataSource, _REG_S2, np.array([1.0])),
 }
 _NN_SCALES = (1.0, 0.3, 3.0, 1.0, 0.0, 1.0, 0.3, 1.0)
 _STACKED_CASES = {
@@ -612,7 +615,14 @@ def test_initial_state_beyond_threshold():
 
 
 class NanGradient(GradientOracle):
-    """G = nan on both routes, so the first step's norm is nan."""
+    """G = nan on d parameters, so the first step's norm is nan; d = 1 takes
+    the scalar route, any wider d the stacked one."""
+
+    def __init__(self, d: int) -> None:
+        self.d = d
+
+    def dim(self) -> int:
+        return self.d
 
     def evaluate(self, theta, x):
         return np.full_like(np.asarray(theta, dtype=np.float64), math.nan)
@@ -672,7 +682,7 @@ def test_infinite_threshold_runs_from_dbl_max(theta0):
     for rec in _run_both(_SGLD, theta0, oracle, stream, 3, 1e10):
         assert rec.diverged and rec.divergence_step == 0
     # an infinite norm still diverges: the s = 26 gradient is inf at 1e7
-    oracle = UsProblem(s=26) if len(theta0) == 1 else ConstantGradient(math.inf)
+    oracle = UsProblem(s=26) if len(theta0) == 1 else ConstantGradient(math.inf, 2)
     for rec in _run_both(_SGLD, [1e7] * len(theta0), oracle, UniformDataSource(), 3, math.inf):
         assert rec.diverged and rec.divergence_step == 1 and rec.theta_norms[-1] == math.inf
 
@@ -682,7 +692,8 @@ def test_infinite_threshold_runs_from_dbl_max(theta0):
 def test_nan_norm_diverges(theta0, threshold):
     # a width-1 norm is abs, so nan; safe_row_norms gives a wider nan row inf
     want = math.isnan if len(theta0) == 1 else math.isinf
-    for rec in _run_both(_SGLD, theta0, NanGradient(), ConstantDataSource(0.0), 5, threshold):
+    oracle = NanGradient(len(theta0))
+    for rec in _run_both(_SGLD, theta0, oracle, ConstantDataSource(0.0), 5, threshold):
         assert rec.diverged and rec.divergence_step == 1
         assert want(rec.theta_norms[-1]) and np.all(np.isnan(rec.final_theta))
 
@@ -803,12 +814,20 @@ def test_run_enforces_penalty_order():
         run(cfg, [0.0], UsProblem(s=2), UniformDataSource(), n_steps=1, rng_seed=0)
 
 
-def test_run_seeds_sends_one_scalar_seed_to_the_scalar_loop(monkeypatch):
-    # one seed of TUSLA on u_s runs the scalar loop, whose drift is inline;
-    # two seeds stack, with one overflow_safe_drift call per step; either way
-    # each record is bitwise the run of its seed and the per-step reference
-    cfg, n_steps, theta0s, seeds = TuslaConfig(0.01, 1.0, _REG_S2), 300, [[1.5], [-0.5]], (3, 4)
-    oracle, stream = UsProblem(s=2), UniformDataSource()
+@pytest.mark.parametrize("r", [1, 2, 8])
+@pytest.mark.parametrize("problem", ["us", "quadratic"])
+def test_run_seeds_runs_every_scalar_route_seed_on_the_scalar_loop(monkeypatch, problem, r):
+    # the oracle alone picks the loop: any number of seeds of u_s or the 1-D
+    # quadratic runs the scalar loop, whose drift is inline, so no
+    # overflow_safe_drift call; each record is bitwise the run of its seed
+    # and the per-step reference
+    if problem == "us":
+        oracle, stream = UsProblem(s=2), UniformDataSource()
+    else:
+        oracle, stream = QuadraticProblem(d=1), ConstantDataSource(0.0)
+    cfg, n_steps = TuslaConfig(0.01, 1.0, _REG_S2), 300
+    theta0s = [[1.5 - 0.5 * i] for i in range(r)]
+    seeds = tuple(range(3, 3 + r))
     calls = [0]
 
     def counted(*args, **kwargs):
@@ -816,12 +835,28 @@ def test_run_seeds_sends_one_scalar_seed_to_the_scalar_loop(monkeypatch):
         return overflow_safe_drift(*args, **kwargs)
 
     monkeypatch.setattr(optimizers, "overflow_safe_drift", counted)
+    recs = run_seeds(cfg, theta0s, oracle, stream, n_steps, seeds)
     singles = [run(cfg, t, oracle, stream, n_steps, s) for t, s in zip(theta0s, seeds)]
-    assert calls == [0]
-    for r, drift_calls in ((1, 0), (2, n_steps)):
-        calls[0] = 0
-        recs = run_seeds(cfg, theta0s[:r], oracle, stream, n_steps, seeds[:r])
-        assert calls == [drift_calls]
-        for rec, single, t, s in zip(recs, singles, theta0s, seeds):
-            assert not rec.diverged and records_equal(rec, single)
-            assert records_equal(rec, reference_run(cfg, t, oracle, stream, n_steps, s))
+    assert calls == [0] and len(recs) == r
+    for rec, single, t, s in zip(recs, singles, theta0s, seeds):
+        assert not rec.diverged and records_equal(rec, single)
+        assert records_equal(rec, reference_run(cfg, t, oracle, stream, n_steps, s))
+
+
+@pytest.mark.parametrize("make_oracle,theta0", [
+    (lambda: UsProblem(s=2), [1.0, 2.0]),
+    (lambda: QuadraticProblem(d=3), [1.0]),
+    (OneNeuronProblem, [1.0]),
+], ids=["us", "quadratic-d3", "one-neuron"])
+def test_theta0_of_another_width_than_the_oracle_is_refused(make_oracle, theta0):
+    # refused before any draw: a stream whose every draw fails is never called
+    class NoDraws:
+        def sample_batch(self, rng, n):
+            raise AssertionError("drew data")
+
+    oracle = make_oracle()
+    size = f"size {oracle.dim()} "
+    with pytest.raises(ValueError, match=size):
+        run(_SGLD, theta0, oracle, NoDraws(), 5, 0)
+    with pytest.raises(ValueError, match=size):
+        run_seeds(_SGLD, [theta0, theta0], oracle, NoDraws(), 5, (0, 1))
