@@ -294,9 +294,10 @@ def tusla_terminal_law(
     and it is joined before the law returns. Each replica runs run's TUSLA
     update: a step is evaluate_batch and overflow_safe_drift_batch, with 0-d
     constants, under one error state of the law's that ignores overflow and
-    invalid operations. Their numpy pows agree with run's libm pow to an ulp
-    or two, not bitwise, and the stream layout differs, so seeds are not
-    interchangeable. Non-finite replicas are dropped with one warning.
+    invalid operations. Its drift is bitwise a width-1 stacked row's; run's
+    scalar loop takes libm's pow, within an ulp or two of numpy's, and the
+    stream layout differs, so seeds are not interchangeable. Non-finite
+    replicas are dropped with one warning.
     """
     [(data_rng, noise_rng)] = _chain_streams(algorithm, oracle, n_steps, (seed,))
     if not isinstance(algorithm, TuslaConfig):

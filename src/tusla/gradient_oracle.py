@@ -72,7 +72,7 @@ _ONE = _operand(1.0)
 
 @lru_cache(maxsize=64)
 def _drift_operands(lam: float, eta: float, r: float) -> tuple:
-    # overflow_safe_drift_batch's constants 2r, -2r, eta and sqrt(lam)
+    # _tamed's constants 2r, -2r, eta and sqrt(lam)
     return tuple(map(_operand, (2.0 * r, -2.0 * r, eta, math.sqrt(lam))))
 
 
@@ -214,12 +214,13 @@ def overflow_safe_drift(
     """H_lam(theta, x) per row, overflow-safe for any finite theta, given finite g.
 
     theta is one vector (d,) or an (R, d) stack, g has its shape, and norms
-    holds each row's safe_norm, one float per row. Both branches are one
-    expression, (a g + b theta) / c, with per-row factors from a libm pow on
-    the float norm: (1, eta t, 1 + sqrt(lam) t) below |theta| = 1 and
-    (ti, eta, ti + sqrt(lam)) from there on; 1.0 * g is exact. Agrees with
-    the plain two-stage form (regularize, then tame) wherever that form is
-    finite; tests/_loop_reference.py keeps it as the reference.
+    holds each row's safe_norm, one float per row. It is the replica drift's
+    expression (overflow_safe_drift_batch) with each row's norm in place of
+    |theta| on every element of the row, so a row's drift is the same
+    whatever rows share its call, and a width-1 row is bitwise the replica
+    drift at that theta. Agrees with the plain two-stage form (regularize,
+    then tame) wherever that form is finite; tests/_loop_reference.py keeps
+    it as the reference.
 
     The guard tames |theta|^(2r), not the oracle. Where the oracle itself
     overflows, g = +-inf; once |theta|^(-2r) has underflowed to 0 the large
@@ -231,46 +232,40 @@ def overflow_safe_drift(
     """
     if lam <= 0.0 or not math.isfinite(lam):
         raise ValueError(f"lam must be a positive finite step size, got {lam}")
-    eta, two_r, sq = reg.eta, 2.0 * reg.r, math.sqrt(lam)
-    abc = []
-    for a in norms:
-        if a < 1.0:
-            t = a ** two_r
-            abc.append((1.0, eta * t, 1.0 + sq * t))
-        else:
-            ti = a ** -two_r
-            abc.append((ti, eta, ti + sq))
-    fa, fb, fc = np.array(abc).T.reshape((3,) + theta.shape[:-1] + (1,))
-    return (fa * g + fb * theta) / fc
+    a = np.repeat(np.asarray(norms, dtype=np.float64), theta.shape[-1])
+    return _tamed(g, theta, a.reshape(theta.shape), lam, reg)
 
 
 def overflow_safe_drift_batch(
     g: np.ndarray, theta: np.ndarray, lam: float, reg: RegularizationParams
 ) -> np.ndarray:
-    """Elementwise H_lam over replica arrays of scalar parameters.
-
-    overflow_safe_drift's expression, (a g + eta w theta) / (a + sqrt(lam) w),
-    with per-element factors from one power per element: p = |theta|^(2r)
-    below |theta| = 1 gives a = 1, w = p, and p = |theta|^(-2r) from there on
-    gives a = p, w = 1, so p lies in [0, 1] or is nan. For r >= 1.5 (every r
-    that require_order admits) each element is bitwise the form with one
-    clamped power per branch (tests/_loop_reference.py); at 2r in {0.5, 1, 2}
-    numpy's scalar-exponent shortcuts round differently. Against the row
-    drift, agreement is within an ulp or two, not bitwise: numpy's vectorized
-    pow may round differently from libm pow. Finite for finite theta and
-    finite g (see overflow_safe_drift). Constants are 0-d operands made once
-    per (lam, eta, r); g and theta are only read. The caller owns the
-    floating-point error state.
+    """Elementwise H_lam over replica arrays of scalar parameters: the drift
+    with |theta| as each element's norm. Finite for finite theta and finite g
+    (see overflow_safe_drift). The caller owns the floating-point error state.
     """
+    return _tamed(g, theta, np.abs(theta), lam, reg)
+
+
+def _tamed(g, theta, a, lam, reg):
+    # H_lam as (fa g + eta w theta) / (fa + sqrt(lam) w), given a fresh
+    # float64 array a of theta's shape that holds each element's norm and is
+    # used as scratch. One power per element builds both branches: p =
+    # norm^(2r) below norm 1 gives fa = 1, w = p, and p = norm^(-2r) from
+    # there on gives fa = p, w = 1, so p lies in [0, 1] or is nan. For
+    # r >= 1.5 (every r that require_order admits) each element is bitwise
+    # the form with one clamped power per branch (tests/_loop_reference.py);
+    # at 2r in {0.5, 1, 2} numpy's scalar-exponent shortcuts round
+    # differently. numpy's pow may also round apart from the libm pow of
+    # run's scalar loop. Constants are 0-d operands made once per
+    # (lam, eta, r); g and theta are only read.
     two_r, neg_two_r, eta, sq = _drift_operands(lam, reg.eta, reg.r)
-    a = np.abs(theta)
     small = np.less(a, _ONE)
     p = np.power(a, np.where(small, two_r, neg_two_r), out=a)
     fa, w = np.where(small, _ONE, p), np.where(small, p, _ONE)
     out = np.multiply(fa, g)
     out += np.multiply(np.multiply(eta, w, out=p), theta, out=p)  # (eta w) theta
     np.multiply(w, sq, out=w)
-    out /= np.add(fa, w, out=w)  # fa + sqrt(lam) w, in the order the rows add
+    out /= np.add(fa, w, out=w)  # fa + sqrt(lam) w, as run's scalar loop adds
     return out
 
 

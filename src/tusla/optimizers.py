@@ -26,17 +26,19 @@ with one evaluate_rows call and one stacked update per step. Both loops run
 the update of the one-step reference steppers in tests/_loop_reference.py
 operation for operation. The stacked route takes its tamed drift from
 overflow_safe_drift, one call per step; the scalar route writes the same
-operations inline, which spares a call per step.
+operations inline on native floats, which spares a call per step.
 
 Row i of the stacked route is bitwise the single chain of seed i. Each row
 draws from its own streams. Elementwise operations round per element,
 whatever the shape, so only the reductions and the powers need care. The
 row norms are safe_row_norms, safe_norm's branches per row with the dot
 taken as a stacked BLAS dot. overflow_safe_drift takes each row's TUSLA
-factor |theta|^(+-2r) as a libm pow on that native-float norm, as on the
-scalar route; numpy's vector pow rounds differently in a few percent of
-elements. A row that diverges is finished at its own step and leaves the
-block.
+factor |theta|^(+-2r) as numpy's pow of the row's norm on every element of
+the row, and numpy's pow gives an element the same bits whatever the array's
+length or the element's offset. The scalar route takes libm's pow on the
+native-float norm, which rounds differently in a few percent of elements,
+so the two loops' TUSLA chains agree to ulps, not bitwise. A row that
+diverges is finished at its own step and leaves the block.
 
 Recording: the loops record only what they alone know, each recorded
 state's step, theta and |G|, plus the divergence. ``_Recorder.finish``

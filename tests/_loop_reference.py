@@ -2,13 +2,14 @@
 
 The one-step forms are the specification of the update: the plain two-stage
 drift (``regularized_gradient`` then ``tamed_gradient``), the scalar drift
-``overflow_safe_drift_scalar``, and the steppers ``tusla_step``, ``sgld_step``
-and ``adam_step`` with their ``AdamState``. ``records_equal`` compares two
-records bit for bit.
+``overflow_safe_drift_scalar``, the one-row drift ``row_drift_two_power``
+(one clamped numpy power per branch, chosen by np.where), and the steppers
+``tusla_step``, ``sgld_step`` and ``adam_step`` with their ``AdamState``.
+``records_equal`` compares two records bit for bit.
 
 The per-step loops are the two loops ``run`` used before its routes were
 merged: a scalar loop on native floats with the drift inlined, and a vector
-loop that calls ``overflow_safe_drift``. Each draws one data value and one
+loop whose drift is ``row_drift_two_power``. Each draws one data value and one
 unscaled noise value per step from a buffer and multiplies the noise by
 sqrt(2 lam / beta) at the step. ``reference_run`` replays a whole ``run``
 through them, into ``ReferenceRecorder``, which keeps the norm each loop
@@ -37,7 +38,6 @@ from tusla.gradient_oracle import (
     GradientOracle,
     ParameterVector,
     RegularizationParams,
-    overflow_safe_drift,
     parameter_vector,
     safe_norm,
 )
@@ -59,7 +59,7 @@ def regularized_gradient(
     """H(theta, x) = G + eta * theta * |theta|^(2r).
 
     Plain formula, no overflow protection: |theta|^(2r) saturates to inf for
-    large arguments under IEEE semantics. Use ``overflow_safe_drift`` for the
+    large arguments under IEEE semantics. ``overflow_safe_drift`` is the
     drift actually stepped on.
     """
     if reg.eta == 0.0:
@@ -79,9 +79,11 @@ def tamed_gradient(
 def overflow_safe_drift_scalar(
     g: float, theta: float, lam: float, eta: float, r: float
 ) -> float:
-    """Scalar H_lam, bitwise overflow_safe_drift on one-element arrays.
+    """Scalar H_lam, as ``run``'s scalar loop inlines it.
 
-    ``run`` inlines the same operations in its loop (shared by both routes).
+    The array drifts take the same operations per element, but numpy's pow
+    may round |theta|^(+-2r) differently from this libm pow, so they agree
+    with it to a few ulps of the terms, not bitwise.
 
     Never forms a power of |theta| larger than 1: the |theta| >= 1 branch
     multiplies numerator and denominator by |theta|^(-2r), which underflows
@@ -94,6 +96,29 @@ def overflow_safe_drift_scalar(
         return (g + (eta * t) * theta) / (1.0 + math.sqrt(lam) * t)
     ti = a ** (-2.0 * r)
     return (ti * g + eta * theta) / (ti + math.sqrt(lam))
+
+
+def row_drift_two_power(
+    g: np.ndarray, theta: np.ndarray, norm: float, lam: float, reg: RegularizationParams
+) -> np.ndarray:
+    """The drift of one row theta whose norm is norm, with one clamped power
+    per branch: each element takes the row's norm in place of its |theta|,
+    as ``overflow_safe_drift_batch_two_power`` takes |theta|. Bitwise
+    ``overflow_safe_drift`` for r >= 1.5."""
+    return _two_power_drift(g, theta, np.full(theta.shape, norm), lam, reg)
+
+
+def _two_power_drift(g, theta, a, lam, reg):
+    # a holds each element's norm: the row's, or the element's own |theta|
+    sq = math.sqrt(lam)
+    small = a < 1.0
+    # np.where evaluates both branches; clamp each branch's power argument so
+    # the inactive branch cannot raise or generate spurious inf.
+    t = np.where(small, a, 0.0) ** (2.0 * reg.r)
+    ti = np.where(small, 1.0, a) ** (-2.0 * reg.r)
+    low = (g + (reg.eta * t) * theta) / (1.0 + sq * t)
+    high = (ti * g + reg.eta * theta) / (ti + sq)
+    return np.where(small, low, high)
 
 
 @dataclass(frozen=True)
@@ -133,7 +158,7 @@ def tusla_step(
 ) -> ParameterVector:
     """theta - lam * H_lam(theta, x) + sqrt(2 lam / beta) * xi."""
     g = oracle.evaluate(theta, x)
-    drift = overflow_safe_drift(g, theta, [safe_norm(theta)], cfg.lam, cfg.reg)
+    drift = row_drift_two_power(g, theta, safe_norm(theta), cfg.lam, cfg.reg)
     return theta - cfg.lam * drift + math.sqrt(2.0 * cfg.lam / cfg.beta) * xi
 
 
@@ -422,7 +447,7 @@ def _run_vector(
         else:
             xi = noise.next()
             if is_tusla:
-                drift = overflow_safe_drift(g, theta, [nrm], lam, algorithm.reg)
+                drift = row_drift_two_power(g, theta, nrm, lam, algorithm.reg)
                 theta = theta - lam * drift + noise_scale * xi
             else:
                 theta = theta - lam * g + noise_scale * xi
@@ -444,16 +469,7 @@ def overflow_safe_drift_batch_two_power(
 ) -> np.ndarray:
     """The replica drift with one clamped power per branch, as it was before
     ``overflow_safe_drift_batch`` built both branches from one power."""
-    a = np.abs(theta)
-    sq = math.sqrt(lam)
-    small = a < 1.0
-    # np.where evaluates both branches; clamp each branch's power argument so
-    # the inactive branch cannot raise or generate spurious inf.
-    t = np.where(small, a, 0.0) ** (2.0 * reg.r)
-    ti = np.where(small, 1.0, a) ** (-2.0 * reg.r)
-    low = (g + (reg.eta * t) * theta) / (1.0 + sq * t)
-    high = (ti * g + reg.eta * theta) / (ti + sq)
-    return np.where(small, low, high)
+    return _two_power_drift(g, theta, np.abs(theta), lam, reg)
 
 
 def us_odd_power(d: np.ndarray, e: int) -> np.ndarray:
