@@ -255,9 +255,10 @@ def _tamed(g, theta, a, lam, reg):
     # r >= 1.5 (every r that require_order admits) each element is bitwise
     # the form with one clamped power per branch (tests/_loop_reference.py);
     # at 2r in {0.5, 1, 2} numpy's scalar-exponent shortcuts round
-    # differently. numpy's pow may also round apart from the libm pow of
-    # run's scalar loop. Constants are 0-d operands made once per
-    # (lam, eta, r); g and theta are only read.
+    # differently, and they also fire on a one-element array, so there an
+    # element's bits depend on the array's length. numpy's pow may also
+    # round apart from the libm pow of run's scalar loop. Constants are 0-d
+    # operands made once per (lam, eta, r); g and theta are only read.
     two_r, neg_two_r, eta, sq = _drift_operands(lam, reg.eta, reg.r)
     small = np.less(a, _ONE)
     p = np.power(a, np.where(small, two_r, neg_two_r), out=a)

@@ -8,11 +8,12 @@ or JSON per chain plus one JSON summary, and returns the in-memory
 ``tusla`` config against its Gibbs reference, for ``tusla gibbs``.
 
 Chains are independent: each draws from its own seeded streams, so the order
-in which they run never affects a result. ``run_config`` therefore runs them
-side by side in forked worker processes (its docstring says how). Workers
-write the chains' files and return only their ``SeedResult``s; the parent
-aggregates those in (algorithm, seed) order and writes the summary, so every
-file has the bytes of a serial run.
+in which they run, and which chains share a stacked block, never affects a
+result. ``run_config`` therefore runs them side by side in forked worker
+processes (its docstring says how). Workers write the chains' files and
+return only their ``SeedResult``s; the parent aggregates those in
+(algorithm, seed) order and writes the summary, so every file has the bytes
+of a serial run.
 
 Determinism contract: the same invocation produces byte-identical CSV and
 JSON files, whatever the worker count. Wall-clock timings are therefore
@@ -36,6 +37,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import optimizers
 from .diagnostics import (
     gaussian_quantiles,
     gibbs_sampler_1d,
@@ -315,11 +317,13 @@ def run_config(
     is the penalty order the chains used, the default when cfg.r is None.
 
     The chains run as tasks, routed by ``scalar_route``: one per (algorithm,
-    seed) calling ``run`` on the scalar route, and one per algorithm calling
-    ``run_seeds`` over all seeds on the stacked route. A task writes its own
-    files and returns its ``SeedResult``s and seconds; records never cross a
-    pipe.
-    ``AlgoSummary.wall_time_s`` is the summed task seconds of its chains.
+    seed) calling ``run`` on the scalar route. On the stacked route the
+    (algorithm, seed) rows, in that order, are cut into min(usable CPUs,
+    algorithms) contiguous blocks of near-equal size, each one task calling
+    ``run_seeds`` with a config per row. A task writes its own files and
+    returns its ``SeedResult``s and seconds; records never cross a pipe.
+    ``AlgoSummary.wall_time_s`` sums its chains' seconds, a task's seconds
+    shared equally over its rows.
 
     The tasks go to ``optimizers.fork_map``: min(usable CPUs, tasks) forked
     workers, which inherit the job (oracle, stream, objective) without
@@ -342,18 +346,18 @@ def run_config(
     stacked = not scalar_route(setup.oracle)
     chain = dict(record_every=cfg.record_every, divergence_threshold=cfg.divergence_threshold)
 
-    def run_task(task: tuple) -> tuple[list[SeedResult], float]:
-        # one task's chains, their files written; its results and seconds
+    def run_task(rows: tuple) -> tuple[list[SeedResult], float]:
+        # one task's (algorithm, seed) chains, their files written; its results and seconds
         t0 = time.perf_counter()
-        algo, task_seeds = task
-        algorithm, loop = algorithms[algo], (setup.oracle, setup.stream, cfg.n_steps)
+        configs, task_seeds = [algorithms[a] for a, _ in rows], [seed for _, seed in rows]
         theta0s = [setup.theta0(seed) for seed in task_seeds]
+        loop = (setup.oracle, setup.stream, cfg.n_steps)
         if stacked:
-            records = run_seeds(algorithm, theta0s, *loop, task_seeds, **chain)
+            records = run_seeds(configs, theta0s, *loop, task_seeds, **chain)
         else:
-            records = [run(algorithm, theta0s[0], *loop, task_seeds[0], **chain)]
+            records = [run(configs[0], theta0s[0], *loop, task_seeds[0], **chain)]
         results = []
-        for seed, record in zip(task_seeds, records):
+        for (algo, seed), record in zip(rows, records):
             # one objective call per record, on its (k, d) stack of states
             objectives = np.asarray(setup.objective(record.thetas), dtype=np.float64)
             results.append(_seed_result(setup, seed, record, objectives))
@@ -365,17 +369,22 @@ def run_config(
                     _export_record_json(record, objectives, f"{stem}.json")
         return results, time.perf_counter() - t0
 
-    if stacked:  # every seed as one row of an (R, d) block
-        tasks = [(algo, seeds) for algo in algorithms]
+    rows = [(algo, seed) for algo in algorithms for seed in seeds]
+    if stacked:  # contiguous (R, d) blocks, at most one per algorithm
+        n_blocks = min(optimizers._usable_cpus(), len(algorithms))
+        cuts = [i * len(rows) // n_blocks for i in range(n_blocks + 1)]
+        tasks = [tuple(rows[a:b]) for a, b in zip(cuts, cuts[1:])]
     else:
-        tasks = [(algo, (seed,)) for algo in algorithms for seed in seeds]
+        tasks = [(row,) for row in rows]
     outcomes, workers = fork_map(run_task, tasks)
 
+    # results in (algorithm, seed) order; a task's seconds shared over its rows
+    results = [r for task_results, _ in outcomes for r in task_results]
+    seconds = [s / len(task) for task, (_, s) in zip(tasks, outcomes) for _ in task]
     algos: dict[str, AlgoSummary] = {}
-    for algo in algorithms:
-        mine = [out for (a, _), out in zip(tasks, outcomes) if a == algo]
-        results = [r for task_results, _ in mine for r in task_results]
-        algos[algo] = _aggregate(algo, results, sum(seconds for _, seconds in mine))
+    for i, algo in enumerate(algorithms):
+        mine = slice(i * len(seeds), (i + 1) * len(seeds))
+        algos[algo] = _aggregate(algo, results[mine], sum(seconds[mine]))
     summary = RunSummary(
         name=name,
         config=dataclasses.replace(cfg, r=setup.reg.r),

@@ -15,18 +15,20 @@ propagate to the check.
 There are two loops, both stepped in blocks. A block draws k data rows (one
 stream.sample_batch call) and k noise rows per chain at once (k holds at
 most 4096 values and at most n_steps rows), which are the same values as k
-per-step draws. The noise is pre-scaled once per block, noise_scale * xi
-over the whole block: a float64 product rounds the same elementwise as at
-the step, so the chain keeps its bits. ``run`` is ``run_seeds`` of one seed.
+per-step draws. A chain's noise is pre-scaled once per block, noise_scale *
+xi: a float64 product rounds the same elementwise as at the step, so the
+chain keeps its bits. ``run`` is ``run_seeds`` of one seed.
 The oracle alone picks the loop (``scalar_route``). A one-parameter oracle
 with evaluate_scalar runs its seeds one after another on the scalar loop, on
 native floats with abs as the norm. Every other oracle runs the stacked
-vector loop: the chains of R seeds step as the rows of one (R, d) array,
-with one evaluate_rows call and one stacked update per step. Both loops run
-the update of the one-step reference steppers in tests/_loop_reference.py
-operation for operation. The stacked route takes its tamed drift from
-overflow_safe_drift, one call per step; the scalar route writes the same
-operations inline on native floats, which spares a call per step.
+vector loop: the chains of R seeds, each under its own config, step as the
+rows of one (R, d) array, with one evaluate_rows and one safe_row_norms call
+per step, and one update per contiguous run of rows that share a config.
+Both loops run the update of the one-step reference steppers in
+tests/_loop_reference.py operation for operation. A stacked TUSLA run takes
+its tamed drift from overflow_safe_drift, one call per step; the scalar
+route writes the same operations inline on native floats, which spares a
+call per step.
 
 Row i of the stacked route is bitwise the single chain of seed i. Each row
 draws from its own streams. Elementwise operations round per element,
@@ -287,28 +289,40 @@ def run_seeds(
     divergence_threshold: float = 1e10,
 ) -> list[RunRecord]:
     """One record per seed: row i of theta0s (the oracle's dim() entries)
-    run with rng seed seeds[i]. A scalar-route oracle runs the seeds on the
-    scalar loop one after another; any other steps them as the rows of an
-    (R, d) block, one evaluate_rows call and one stacked update per step.
-    Record i is bitwise the run of theta0s[i] with seed seeds[i].
+    run with rng seed seeds[i]. algorithm is one config for every seed, or a
+    list or tuple of one config per seed. A scalar-route oracle runs the
+    seeds on the scalar loop one after another; any other steps them as the
+    rows of an (R, d) block, one evaluate_rows call per step and one update
+    per contiguous run of rows that share a config. Record i is bitwise the
+    run of theta0s[i] with seed seeds[i] under its own config.
     """
+    configs = list(algorithm) if isinstance(algorithm, (list, tuple)) else [algorithm] * len(seeds)
     theta0s = np.array([parameter_vector(t) for t in theta0s])
-    if len(seeds) == 0 or theta0s.shape != (len(seeds), oracle.dim()):
+    n = len(seeds)
+    if n == 0 or len(configs) != n or theta0s.shape != (n, oracle.dim()):
         raise ValueError(
-            f"need one theta0 row of the oracle's size {oracle.dim()} per seed, "
-            f"got {theta0s.shape} for {len(seeds)} seeds"
+            f"need one config and one theta0 row of the oracle's size {oracle.dim()} per "
+            f"seed, got {len(configs)} configs and {theta0s.shape} for {n} seeds"
         )
-    streams = _chain_streams(algorithm, oracle, n_steps, seeds, record_every, divergence_threshold)
+    streams = [rngs for a, b, cfg in _runs(configs) for rngs in _chain_streams(
+        cfg, oracle, n_steps, seeds[a:b], record_every, divergence_threshold)]
     recs = [_Recorder() for _ in seeds]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if scalar_route(oracle):
-            return [_run_chain(algorithm, theta, oracle, stream, n_steps,
+            return [_run_chain(cfg, theta, oracle, stream, n_steps,
                                *rngs, record_every, divergence_threshold, rec)
-                    for theta, rngs, rec in zip(theta0s[:, 0].tolist(), streams, recs)]
+                    for cfg, theta, rngs, rec
+                    in zip(configs, theta0s[:, 0].tolist(), streams, recs)]
         return _run_rows(
-            algorithm, theta0s, oracle, stream, n_steps,
+            configs, theta0s, oracle, stream, n_steps,
             streams, record_every, divergence_threshold, recs,
         )
+
+
+def _runs(configs: list) -> list[tuple[int, int, object]]:
+    # the contiguous runs of equal configs, as (start, stop, config)
+    cuts = [0, *(i for i in range(1, len(configs)) if configs[i] != configs[i - 1]), len(configs)]
+    return [(a, b, configs[a]) for a, b in zip(cuts, cuts[1:])]
 
 
 def _block_size(n_steps: int, width: int = 1) -> int:
@@ -396,27 +410,25 @@ def _run_chain(
 
 
 def _run_rows(
-    algorithm, thetas: np.ndarray, oracle, stream, n_steps,
+    configs: list, thetas: np.ndarray, oracle, stream, n_steps,
     streams, record_every, threshold, recs: list[_Recorder],
 ) -> list[RunRecord]:
     # The stacked vector route: row i of thetas is chain live[i], which draws
-    # from its own streams and records into recs[live[i]]. Every operation is
-    # the single chain's, per row (see the module docstring). A chain that
-    # diverges is finished at its step and its row leaves the block.
+    # from its own streams, steps under configs[live[i]] and records into
+    # recs[live[i]]. Every operation is the single chain's, per row (see the
+    # module docstring). A chain that diverges is finished at its step and
+    # its row leaves the block.
     out: list = [None] * len(recs)
     live = list(range(len(recs)))
     d = thetas.shape[1]
-    is_adam = isinstance(algorithm, AdamConfig)
-    is_tusla = isinstance(algorithm, TuslaConfig)
-    if is_adam:
-        alpha, b1, b2, eps = algorithm.alpha, algorithm.beta1, algorithm.beta2, algorithm.eps
-        m = np.zeros_like(thetas)
-        v = np.zeros_like(thetas)
-    else:
-        lam = algorithm.lam
-        noise_scale = math.sqrt(2.0 * lam / algorithm.beta)
-        noise_rngs = [noise_rng for _, noise_rng in streams]
+    runs = _runs(configs)
+    # ADAM's moments, per row (unused on Langevin rows); the noise scale per
+    # chain, None on ADAM's, which draw no noise
+    m, v = np.zeros_like(thetas), np.zeros_like(thetas)
+    scales = [None if isinstance(cfg, AdamConfig) else math.sqrt(2.0 * cfg.lam / cfg.beta)
+              for cfg in configs]
     data_rngs = [data_rng for data_rng, _ in streams]
+    noise_rngs = [noise_rng for _, noise_rng in streams]
     evaluate = oracle.evaluate_rows
     limit = min(threshold, sys.float_info.max)
 
@@ -433,43 +445,45 @@ def _run_rows(
             if not keep:
                 return out
             live = [live[i] for i in keep]
+            runs = _runs([configs[c] for c in live])
             nrms = [nrms[i] for i in keep]
-            thetas = thetas[keep]
-            if is_adam:
-                m, v = m[keep], v[keep]
+            thetas, m, v = thetas[keep], m[keep], v[keep]
             if xs is not None:
-                xs = xs[:, keep]
-                if not is_adam:
-                    xis = xis[:, keep]
+                xs, xis = xs[:, keep], xis[:, keep]
         if n == n_steps:
             break
         if n % block == 0:
             # k data rows and k noise rows per chain, the same draws as k
             # per-step calls, stacked along axis 1: xs[j] holds step j's
             # sample of every live chain; noise is pre-scaled as on the
-            # scalar route
+            # scalar route, and an ADAM row's is zero
             k = min(block, n_steps - n)
             xs = np.stack([stream.sample_batch(data_rngs[c], k) for c in live], axis=1)
-            if not is_adam:
-                xis = noise_scale * np.stack(
-                    [noise_rngs[c].standard_normal((k, d)) for c in live], axis=1
-                )
+            xis = np.stack([
+                np.zeros((k, d)) if scales[c] is None
+                else scales[c] * noise_rngs[c].standard_normal((k, d)) for c in live
+            ], axis=1)
         j = n % block
         g = evaluate(thetas, _rows(xs[j]))
         if n % record_every == 0:
             gnorms = safe_row_norms(g).tolist()
             for i, c in enumerate(live):
                 recs[c].add(n, thetas[i], gnorms[i])
-        if is_adam:
-            m = b1 * m + (1.0 - b1) * g
-            v = b2 * v + (1.0 - b2) * (g * g)
-            mhat = m / (1.0 - b1 ** (n + 1))
-            vhat = v / (1.0 - b2 ** (n + 1))
-            thetas = thetas - alpha * (mhat / (np.sqrt(vhat) + eps))
-        else:
-            if is_tusla:
-                g = overflow_safe_drift(g, thetas, nrms, lam, algorithm.reg)
-            thetas = thetas - lam * g + xis[j]
+        steps = []
+        for a, b, cfg in runs:
+            theta, grad = thetas[a:b], g[a:b]
+            if isinstance(cfg, AdamConfig):
+                b1, b2 = cfg.beta1, cfg.beta2
+                mr = m[a:b] = b1 * m[a:b] + (1.0 - b1) * grad
+                vr = v[a:b] = b2 * v[a:b] + (1.0 - b2) * (grad * grad)
+                mhat = mr / (1.0 - b1 ** (n + 1))
+                vhat = vr / (1.0 - b2 ** (n + 1))
+                steps.append(theta - cfg.alpha * (mhat / (np.sqrt(vhat) + cfg.eps)))
+            else:
+                if isinstance(cfg, TuslaConfig):
+                    grad = overflow_safe_drift(grad, theta, nrms[a:b], cfg.lam, cfg.reg)
+                steps.append(theta - cfg.lam * grad + xis[j, a:b])
+        thetas = steps[0] if len(steps) == 1 else np.concatenate(steps)
         n += 1
         nrms = safe_row_norms(thetas).tolist()
     for i, c in enumerate(live):

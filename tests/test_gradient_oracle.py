@@ -376,7 +376,7 @@ def test_drift_agrees_with_two_stage_form(d, data, lam, eta, r):
     ),
     lam=st.floats(1e-4, 1.0),
     eta=st.floats(0.0, 0.9),
-    r=st.floats(1.0, 12.0),
+    r=st.floats(1.5, 12.0),  # every r that require_order admits
 )
 @settings(max_examples=200, deadline=None)
 def test_drift_scalar_vector_batch_identical_bits(g, theta, lam, eta, r):
@@ -389,6 +389,19 @@ def test_drift_scalar_vector_batch_identical_bits(g, theta, lam, eta, r):
     # numpy's vectorized array power can round differently from libm pow,
     # so the scalar form is only pinned to a few ulps of the term magnitudes
     assert _drift_close(v[0], s, g, theta, lam, eta, r)
+
+
+def test_drift_of_one_element_at_r_1_is_the_documented_exception():
+    # _tamed's caveat: at 2r = 2 numpy's exponent shortcut fires on a
+    # one-element array, so its element rounds apart from the same element
+    # of a longer call; r = 1 lies below every order require_order admits
+    reg = RegularizationParams(eta=0.5, r=1.0)
+    one = overflow_safe_drift_batch(np.array([0.0]), np.array([-0.1]), 1.0, reg)
+    two = overflow_safe_drift_batch(np.array([0.0, 0.0]), np.array([-0.1, -0.1]), 1.0, reg)
+    assert one[0].hex() == "-0x1.038c6b78247fdp-11"
+    assert two.tolist() == [float.fromhex("-0x1.038c6b78247fcp-11")] * 2
+    row = overflow_safe_drift(np.array([0.0]), np.array([-0.1]), [0.1], 1.0, reg)
+    assert row.tolist() == one.tolist()  # the row drift shares the expression
 
 
 def _drift_close(got, want, g, theta, lam, eta, r, ulps=8):

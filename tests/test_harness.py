@@ -595,9 +595,9 @@ def test_divergent_seeds_are_excluded_from_aggregates():
 
 # (preset, --set overrides, the chain function its tasks call): the scalar
 # route runs one task per chain, paper-s2 with its SGLD chains diverging at
-# step 2 and gibbs-quadratic with TUSLA alone; the stacked route runs one task
-# per algorithm, nn-demo on the MLP and its one_neuron variant on a constant
-# 2-vector sample
+# step 2 and gibbs-quadratic with TUSLA alone; the stacked route runs one
+# block per usable CPU and at most one per algorithm, nn-demo on the MLP and
+# its one_neuron variant on a constant 2-vector sample
 _POOL_CASES = [
     pytest.param("paper-s2", ("seeds=0,1,2", "n_steps=300"), "run", id="scalar"),
     pytest.param("gibbs-quadratic", ("seeds=0,1,2", "n_steps=300"), "run", id="scalar-tusla"),
@@ -628,6 +628,20 @@ def _count_calls(monkeypatch, attr) -> list:
     return calls
 
 
+def _observe_pool(monkeypatch) -> list:
+    # the (tasks, outcomes) of each run_config's fork_map call
+    seen = []
+    real = harness.fork_map
+
+    def observed(fn, tasks):
+        outcomes, workers = real(fn, tasks)
+        seen.append((tasks, outcomes))
+        return outcomes, workers
+
+    monkeypatch.setattr(harness, "fork_map", observed)
+    return seen
+
+
 def _raiser(exc_type, *args):
     def fail(*_args, **_kwargs):
         raise exc_type(*args, f"raised in pid {os.getpid()}")
@@ -643,6 +657,7 @@ def test_pool_artifacts_match_an_in_process_run(
     cfg = _pool_cfg(preset, overrides)
     n_chains = len(cfg.algorithms()) * len(cfg.seeds)
     calls = _count_calls(monkeypatch, chain)
+    pool = _observe_pool(monkeypatch)
     monkeypatch.setattr(optimizers, "_usable_cpus", lambda: 2)
     assert main(_pool_argv(preset, overrides, fmt, tmp_path / "pool")) == 0
     assert "(2 workers)" in capsys.readouterr().out
@@ -650,8 +665,14 @@ def test_pool_artifacts_match_an_in_process_run(
     monkeypatch.setattr(optimizers, "_usable_cpus", lambda: 1)
     assert main(_pool_argv(preset, overrides, fmt, tmp_path / "serial")) == 0
     assert "(1 worker)" in capsys.readouterr().out
-    # one task per chain on the scalar route, one per algorithm when stacked
-    assert len(calls) == (n_chains if chain == "run" else len(cfg.algorithms()))
+    # one task per chain on the scalar route; on the stacked route one block
+    # per usable CPU, at most one per algorithm: min(2, algorithms) pooled
+    # and 1 in process
+    tasks = [len(tasks) for tasks, _ in pool]
+    if chain == "run":
+        assert tasks == [n_chains, n_chains] and len(calls) == n_chains
+    else:
+        assert tasks == [min(2, len(cfg.algorithms())), 1] and len(calls) == 1
     names = sorted(os.listdir(tmp_path / "pool"))
     assert names == sorted(os.listdir(tmp_path / "serial")) and len(names) == n_chains + 1
     for fname in names:
@@ -705,11 +726,41 @@ def test_a_worker_that_dies_fails_the_run(monkeypatch):
         run_config(_small_cfg())
 
 
-def test_single_task_config_runs_in_process(tmp_path, monkeypatch):
-    calls = _count_calls(monkeypatch, "run")
+# one chain on the scalar route; on the stacked route one algorithm's seeds,
+# which stay one block: a stacked config never gets more blocks than it has
+# algorithms
+@pytest.mark.parametrize("cfg,chain", [
+    pytest.param(_small_cfg(seeds=(0,), algorithm="tusla"), "run", id="scalar"),
+    pytest.param(dataclasses.replace(PRESETS["nn-demo"], algorithm="tusla", n_steps=20),
+                 "run_seeds", id="stacked"),
+    pytest.param(dataclasses.replace(PRESETS["nn-demo"], problem="one_neuron", algorithm="tusla",
+                                     n_steps=20), "run_seeds", id="stacked-neuron"),
+])
+def test_single_task_config_runs_in_process(tmp_path, monkeypatch, cfg, chain):
+    calls = _count_calls(monkeypatch, chain)
+    pool = _observe_pool(monkeypatch)
     monkeypatch.setattr(optimizers, "_usable_cpus", lambda: 2)
-    summary = run_config(_small_cfg(seeds=(0,), algorithm="tusla"), out_dir=str(tmp_path))
-    assert calls == ["run"] and summary.workers == 1
+    summary = run_config(cfg, out_dir=str(tmp_path))
+    assert [tasks for tasks, _ in pool] == [[tuple(("tusla", seed) for seed in cfg.seeds)]]
+    assert calls == [chain] and summary.workers == 1
+
+
+def test_chain_seconds_share_each_blocks_seconds_over_its_rows(monkeypatch):
+    # nn-demo on 2 CPUs steps two 12-row blocks, 8 TUSLA + 4 SGLD rows and
+    # 4 SGLD + 8 ADAM rows; each algorithm's seconds are its rows' shares,
+    # and they sum to the blocks' seconds
+    pool = _observe_pool(monkeypatch)
+    monkeypatch.setattr(optimizers, "_usable_cpus", lambda: 2)
+    cfg = dataclasses.replace(PRESETS["nn-demo"], n_steps=20)
+    summary = run_config(cfg)
+    ((tasks, outcomes),) = pool
+    rows = [(algo, seed) for algo in ("tusla", "sgld", "adam") for seed in cfg.seeds]
+    assert tasks == [tuple(rows[:12]), tuple(rows[12:])] and summary.workers == 2
+    (_, a), (_, b) = outcomes
+    walls = {algo: s.wall_time_s for algo, s in summary.algorithms.items()}
+    assert walls == pytest.approx({"tusla": a * 8 / 12, "sgld": (a + b) * 4 / 12,
+                                   "adam": b * 8 / 12})
+    assert sum(walls.values()) == pytest.approx(a + b)
 
 
 def _run_small_config(_):

@@ -457,6 +457,111 @@ def test_stacked_cases_reach_their_targets():
     assert all(r.step_indices[-1] == 300 for r, s in zip(recs, steps) if s is None)
 
 
+# run_seeds() over a block whose rows take different configs: (route, runs,
+# n_steps, record_every, divergence threshold, first seed), where runs holds
+# (algorithm, per-row theta0 scales) pairs whose rows are contiguous in the
+# block. The scalar route runs the same sequence seed by seed.
+_MIXED_ROUTES = {
+    **_STACKED_ROUTES,
+    "scalar": (lambda: UsProblem(s=2), UniformDataSource, _REG_S2, np.array([1.0])),
+}
+_MIXED_RUNS = (
+    ("tusla-cold", (1.0, 0.3)),
+    ("adam", (1.0, 0.3, 3.0, 0.3, 1.0)),
+    ("sgld-small", (1.0, 0.3, 1.0)),
+)
+_MIXED_CASES = {
+    # past one 128-row block, record_every not dividing n_steps
+    "mlp-mixed-blocks": ("mlp", _MIXED_RUNS, 300, 7, 1e10, 0),
+    # the ADAM 3.0 row starts beyond the threshold; the ADAM row of seed 5
+    # diverges at step 190, inside the second block and off the 7-grid,
+    # while rows of every algorithm around it have left or run on
+    "mlp-mixed-diverges-mid-block": ("mlp", _MIXED_RUNS, 300, 7, 2.5, 0),
+}
+
+
+def _mixed_and_single(route, runs, n_steps, record_every, threshold, seed):
+    make_oracle, make_stream, reg, base = _MIXED_ROUTES[route]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        cfgs = {algo: _ALGOS[algo](reg) for algo, _ in runs}
+    oracle, stream = make_oracle(), make_stream()
+    configs = [cfgs[algo] for algo, scales in runs for _ in scales]
+    theta0s = np.array([scale * base for _, scales in runs for scale in scales])
+    seeds = [seed + i for i in range(len(configs))]
+    chain = dict(record_every=record_every, divergence_threshold=threshold)
+    mixed = run_seeds(configs, theta0s, oracle, stream, n_steps, seeds, **chain)
+    assert len(mixed) == len(configs)
+    for cfg, theta0, s, rec in zip(configs, theta0s, seeds, mixed):
+        assert records_equal(rec, run(cfg, theta0, oracle, stream, n_steps, s, **chain))
+        assert records_equal(rec, reference_run(cfg, theta0, oracle, stream, n_steps, s, **chain))
+    return mixed
+
+
+def _with_mixed_cases(test):
+    for case in _MIXED_CASES.values():
+        test = example(*case)(test)
+    return test
+
+
+@settings(max_examples=40, deadline=None)
+@_with_mixed_cases
+@given(
+    route=st.sampled_from(sorted(_MIXED_ROUTES)),
+    runs=st.lists(
+        st.tuples(
+            st.sampled_from(sorted(_ALGOS)),
+            st.lists(st.sampled_from([0.0, 0.3, -0.7, 1.0, 3.0, 40.0]),
+                     min_size=1, max_size=4).map(tuple),
+        ),
+        min_size=1, max_size=4,
+    ).map(tuple),
+    n_steps=st.one_of(st.integers(0, 40), st.sampled_from([127, 129, 300])),
+    record_every=st.sampled_from([1, 3, 7]),
+    threshold=st.sampled_from([1e10, 2.5, 30.0]),
+    seed=st.integers(0, 2**32 - 17),
+)
+def test_run_seeds_mixed_config_rows_match_single_seed_runs_bitwise(
+    route, runs, n_steps, record_every, threshold, seed
+):
+    # each contiguous run of rows that share a config takes its own update
+    # on its slice of the block; every row is still its own single chain
+    _mixed_and_single(route, runs, n_steps, record_every, threshold, seed)
+
+
+def test_mixed_cases_reach_their_targets():
+    recs = _mixed_and_single(*_MIXED_CASES["mlp-mixed-blocks"])
+    assert not any(r.diverged for r in recs)
+    assert all(r.step_indices[-1] == 300 for r in recs)
+    recs = _mixed_and_single(*_MIXED_CASES["mlp-mixed-diverges-mid-block"])
+    steps = [r.divergence_step for r in recs]
+    assert steps[4] == 0  # beyond the threshold at step 0
+    assert 128 < steps[5] < 256 and steps[5] % 7 != 0  # mid-block, off the grid
+    assert steps[0] is not None and steps[-1] is not None  # the outer runs' rows leave
+    survivors = [i for i, s in enumerate(steps) if s is None]
+    assert survivors and all(2 <= i <= 6 for i in survivors)  # ADAM rows run on
+    assert all(recs[i].step_indices[-1] == 300 for i in survivors)
+
+
+def test_run_seeds_checks_every_config_before_any_draw():
+    # a config list of another length than the seeds, and any config that
+    # its own chain would refuse, stop the block before its first draw
+    class NoDraws:
+        def sample_batch(self, rng, n):
+            raise AssertionError("drew data")
+
+    oracle = MlpOracle(_MLP)
+    theta0s = [_MLP.init_params(np.random.default_rng(6))] * 2
+    for configs in ([_SGLD], [_SGLD, _SGLD, _SGLD], (_SGLD,)):
+        with pytest.raises(ValueError, match="one config and one theta0 row"):
+            run_seeds(configs, theta0s, oracle, NoDraws(), 5, (0, 1))
+    low_order = TuslaConfig(0.01, 1.0, RegularizationParams(eta=0.01, r=1.5))
+    with pytest.raises(ValueError, match="r >="):
+        run_seeds([_SGLD, low_order], theta0s, oracle, NoDraws(), 5, (0, 1))
+    with pytest.raises(TypeError, match="unsupported algorithm config"):
+        run_seeds([_SGLD, object()], theta0s, oracle, NoDraws(), 5, (0, 1))
+
+
 # ---------------------------------------------------------------------------
 # run(): recording contract
 

@@ -13,6 +13,8 @@ import json
 import types
 from pathlib import Path
 
+import pytest
+
 import tusla
 import tusla.harness
 
@@ -138,10 +140,12 @@ def test_traced_scalar_leaf_is_called_once_per_step(tmp_path, monkeypatch):
         assert "evaluate_scalar" not in vars(oracle)
 
 
-def test_traced_row_drift_is_called_once_per_stacked_step(tmp_path, monkeypatch):
+@pytest.mark.parametrize("algorithm", ["tusla", "all"])
+def test_traced_row_drift_is_called_once_per_stacked_step(tmp_path, monkeypatch, algorithm):
     # the child wraps optimizers.overflow_safe_drift; the stacked route takes
-    # its TUSLA drift through that global, one call for all rows per step.
-    # With one usable CPU the nn-demo chains run in this process
+    # its TUSLA drift through that global, one call for all TUSLA rows per
+    # step, also when SGLD and ADAM rows share their block. With one usable
+    # CPU the nn-demo chains run in this process, as one block
     from tusla import harness, optimizers
 
     calls = {}
@@ -149,7 +153,7 @@ def test_traced_row_drift_is_called_once_per_stacked_step(tmp_path, monkeypatch)
     monkeypatch.setattr(optimizers, "_usable_cpus", lambda: 1)
     n_steps = 30
     assert harness.main([
-        "run", "--preset", "nn-demo", "--set", "algorithm=tusla",
+        "run", "--preset", "nn-demo", "--set", f"algorithm={algorithm}",
         "--set", f"n_steps={n_steps}", "--out", str(tmp_path),
     ]) == 0
     summary = json.loads((tmp_path / "nn-demo-summary.json").read_text())
