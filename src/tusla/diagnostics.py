@@ -28,11 +28,12 @@ from .gradient_oracle import (
     GradientOracle,
     OracleMeta,
     RegularizationParams,
+    _guard_pow,
     _operand,
     lambda_max,
     overflow_safe_drift_batch,
 )
-from .optimizers import TuslaConfig, _block_size, _chain_streams
+from .optimizers import TuslaConfig, _block_size, _chain_streams, _check_beta
 
 __all__ = [
     "TheoryConstants",
@@ -72,13 +73,6 @@ class TheoryConstants:
     log10_a: float
 
 
-def _pow10(log10_value: float) -> float:
-    try:
-        return 10.0 ** log10_value
-    except OverflowError:
-        return math.inf
-
-
 def theory_constants(
     meta: OracleMeta,
     reg: RegularizationParams,
@@ -114,8 +108,8 @@ def theory_constants(
     log10_a = math.log10(L2) + (q - 1.0) * math.log10(1.0 + 2.0 * R)
     return TheoryConstants(
         A=A,
-        B=_pow10(log10_B),
-        a=_pow10(log10_a),
+        B=_guard_pow(10.0, log10_B),
+        a=_guard_pow(10.0, log10_a),
         R=R,
         L2=L2,
         L=meta.L1 + 8.0 * r * eta,
@@ -156,8 +150,7 @@ def gibbs_sampler_1d(
     a composite Simpson quadrature on _GIBBS_CELLS = 2^14 uniform cells,
     linearly interpolated between nodes.
     """
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise ValueError(f"beta must be positive and finite, got {beta}")
+    _check_beta(beta)
     if n_draws < 1:
         raise ValueError("n_draws must be positive")
 

@@ -70,6 +70,18 @@ def _operand(value: float) -> np.ndarray:
 _ONE = _operand(1.0)
 
 
+def _guard_pow(x: float, n: float) -> float:
+    # Python float ** raises OverflowError instead of returning inf; the
+    # optimizers rely on inf/nan propagation to detect divergence, so
+    # saturate with the correct sign (n is an integer wherever x < 0).
+    try:
+        return x ** n
+    except OverflowError:
+        if x < 0.0 and n % 2 == 1:
+            return -math.inf
+        return math.inf
+
+
 @lru_cache(maxsize=64)
 def _drift_operands(lam: float, eta: float, r: float) -> tuple:
     # _tamed's constants 2r, -2r, eta and sqrt(lam)

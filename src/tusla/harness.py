@@ -69,7 +69,6 @@ from .problems import (
     UsProblem,
     one_neuron_value,
     u_s_value_array,
-    u_s_value_batch,
 )
 
 __all__ = [
@@ -398,21 +397,22 @@ def run_config(
 
 
 @lru_cache(maxsize=4)
-def _gibbs_reference(s: Optional[int], beta: float, seed: int, n_draws: int):
-    # law_report's Gibbs draws for u_s, or the quadratic at s None, and the
-    # quadratic's KS statistic against N(0, 1/beta), once per input
-    u = (lambda x: 0.5 * x * x) if s is None else (lambda x: u_s_value_batch(x, s))
+def _gibbs_reference(problem: str, s: int, beta: float, seed: int, n_draws: int):
+    # law_report's Gibbs draws of the u that the objective column records,
+    # and the quadratic's KS statistic against N(0, 1/beta), once per input
+    objective = _ProblemSetup(ExperimentConfig(problem=problem, s=s)).objective
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 9])))
-    gibbs = gibbs_sampler_1d(u, beta, None, rng, n_draws=n_draws)
+    gibbs = gibbs_sampler_1d(lambda x: objective(x[:, None]), beta, None, rng, n_draws=n_draws)
     gibbs.flags.writeable = False  # shared by every report at this input
-    return gibbs, None if s is not None else ks_vs_gaussian(gibbs, 1.0 / math.sqrt(beta))
+    return gibbs, ks_vs_gaussian(gibbs, 1.0 / math.sqrt(beta)) if problem == "quadratic" else None
 
 
 def law_report(cfg: ExperimentConfig, n_replicas: int, n_draws: int) -> dict:
     """The JSON ``tusla gibbs`` writes: n_replicas TUSLA chains of cfg at its
-    one seed against n_draws Gibbs draws of exp(-beta u) (automatic support,
-    substream [seed, 9], drawn once per process and input); the quadratic
-    adds W2 to N(0, 1/beta). Every setting is checked before the law runs."""
+    one seed against n_draws Gibbs draws of exp(-beta u), u the objective
+    its runs record (automatic support, substream [seed, 9], drawn once per
+    process and input); the quadratic adds W2 to N(0, 1/beta). Every
+    setting is checked before the law runs."""
     if cfg.algorithm != "tusla":
         raise ValueError(f"the replica law runs tusla only, got {cfg.algorithm!r}")
     if len(cfg.seeds) != 1:
@@ -425,9 +425,8 @@ def law_report(cfg: ExperimentConfig, n_replicas: int, n_draws: int) -> dict:
         setup.algo_config(cfg, "tusla"), cfg.theta0, setup.oracle, setup.stream,
         cfg.n_steps, n_replicas, seed,
     )
-    quadratic = cfg.problem == "quadratic"
-    sigma = 1.0 / math.sqrt(cfg.beta) if quadratic else None
-    gibbs, ks = _gibbs_reference(None if quadratic else cfg.s, cfg.beta, seed, n_draws)
+    sigma = 1.0 / math.sqrt(cfg.beta) if cfg.problem == "quadratic" else None
+    gibbs, ks = _gibbs_reference(cfg.problem, cfg.s, cfg.beta, seed, n_draws)
     w1, w2 = wasserstein_p_1d(law, gibbs)
     return {
         "problem": cfg.problem,

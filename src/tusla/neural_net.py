@@ -36,8 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .gradient_oracle import GradientOracle, OracleMeta, safe_row_norms
-from .problems import _guard_pow
+from .gradient_oracle import GradientOracle, OracleMeta, _guard_pow, safe_row_norms
 
 __all__ = [
     "ActivationSpec",

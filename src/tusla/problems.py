@@ -20,14 +20,13 @@ from itertools import repeat
 
 import numpy as np
 
-from .gradient_oracle import _ONE, GradientOracle, OracleMeta, ParameterVector, _operand
+from .gradient_oracle import _ONE, GradientOracle, OracleMeta, ParameterVector, _guard_pow, _operand
 
 __all__ = [
     "UniformDataSource",
     "ConstantDataSource",
     "u_s_value",
     "u_s_value_array",
-    "u_s_value_batch",
     "UsProblem",
     "QuadraticProblem",
     "one_neuron_parameters",
@@ -38,18 +37,6 @@ __all__ = [
 
 _CENTER = 0.1  # minimizer of every u_s
 _CENTER_0D, _ZERO, _HALF, _ELEVEN, _MINUS_ONE = map(_operand, (_CENTER, 0.0, 0.5, 11.0, -1.0))
-
-
-def _guard_pow(x: float, n: int) -> float:
-    # Python float ** raises OverflowError instead of returning inf; the
-    # optimizers rely on inf/nan propagation to detect divergence, so
-    # saturate with the correct sign (n is an integer wherever x < 0).
-    try:
-        return x ** n
-    except OverflowError:
-        if x < 0.0 and n % 2 == 1:
-            return -math.inf
-        return math.inf
 
 
 @dataclass(frozen=True)
@@ -100,16 +87,6 @@ def u_s_value_array(theta: np.ndarray, s: int) -> np.ndarray:
         return np.array([u_s_value(v, s) for v in theta.tolist()], dtype=np.float64)
     with np.errstate(over="ignore"):
         return np.where(ad <= 1.0, d * d / 22.0, (ad - 0.5) / 11.0) + pen
-
-
-def u_s_value_batch(theta: np.ndarray, s: int) -> np.ndarray:
-    """Vectorized u_s_value; density evaluations for samplers."""
-    d = np.asarray(theta, dtype=np.float64) - _CENTER
-    with np.errstate(over="ignore"):
-        pen = d ** (2 * s)
-        inner = d * d / 22.0 + pen
-        outer = (np.abs(d) - 0.5) / 11.0 + pen
-    return np.where(np.abs(d) <= 1.0, inner, outer)
 
 
 def _us_ratio_sup(s: int, unbiased: bool) -> float:

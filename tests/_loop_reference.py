@@ -38,6 +38,7 @@ from tusla.gradient_oracle import (
     GradientOracle,
     ParameterVector,
     RegularizationParams,
+    _guard_pow,
     parameter_vector,
     safe_norm,
 )
@@ -47,7 +48,7 @@ from tusla.optimizers import (
     SgldConfig,
     TuslaConfig,
 )
-from tusla.problems import UsProblem, _guard_pow
+from tusla.problems import UsProblem
 
 
 # ------------------------------------------------------------ one-step forms

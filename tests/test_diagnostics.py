@@ -44,7 +44,7 @@ from tusla.problems import (
     QuadraticProblem,
     UniformDataSource,
     UsProblem,
-    u_s_value_batch,
+    u_s_value_array,
 )
 
 UNIT_META = OracleMeta(q=1.0, rho=1.0, L1=1.0)
@@ -253,7 +253,7 @@ def test_gibbs_sampler_recovers_gaussian():
 
 def test_gibbs_sampler_us_density_centers_at_minimizer():
     rng = np.random.default_rng(2)
-    d = gibbs_sampler_1d(lambda x: u_s_value_batch(x, 2), beta=10.0, support=None,
+    d = gibbs_sampler_1d(lambda x: u_s_value_array(x, 2), beta=10.0, support=None,
                          rng=rng, n_draws=50_000)
     assert abs(d.mean() - 0.1) < 0.02  # density is symmetric about 0.1
     assert np.all(np.abs(d - 0.1) < 2.0)
@@ -358,7 +358,7 @@ def test_wasserstein_triangle_inequality_equal_sizes(abc):
 @pytest.mark.parametrize("support", [None, (-1.5, 2.0)])
 @pytest.mark.parametrize("n_draws", [1, 4095, 4096, 4097, 100_000])
 def test_gibbs_sampler_matches_its_one_shot_form_bitwise(n_draws, support):
-    u = lambda x: u_s_value_batch(x, 2)
+    u = lambda x: u_s_value_array(x, 2)
     got = gibbs_sampler_1d(u, 4.0, support, np.random.default_rng(11), n_draws)
     want = reference_gibbs_sampler_1d(u, 4.0, support, np.random.default_rng(11), n_draws)
     assert _is_law(got) and got.tobytes() == want.tobytes()

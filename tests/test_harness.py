@@ -41,7 +41,7 @@ from tusla.diagnostics import (
 )
 from tusla.gradient_oracle import RegularizationParams
 from tusla.optimizers import RunRecord, TuslaConfig, run, scalar_route
-from tusla.problems import UniformDataSource, UsProblem, u_s_value_batch
+from tusla.problems import UniformDataSource, UsProblem, u_s_value_array
 
 
 def parse_csv(path: str) -> dict:
@@ -1138,7 +1138,7 @@ def test_cli_gibbs_us_runs_at_the_default_penalty(tmp_path):
             UniformDataSource(), n_steps=200, n_replicas=16, seed=3,
         )
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([3, 9])))
-        gibbs = gibbs_sampler_1d(lambda x: u_s_value_batch(x, s), 4.0, None, rng, n_draws=2000)
+        gibbs = gibbs_sampler_1d(lambda x: u_s_value_array(x, s), 4.0, None, rng, n_draws=2000)
         w1, w2 = wasserstein_p_1d(law, gibbs)
         assert obj == {
             "problem": "us", "s": s, "eta": 0.01, "r": r, "theta0": 0.5, "seed": 3,
@@ -1173,10 +1173,33 @@ def test_law_report_draws_one_gibbs_reference_per_input(monkeypatch):
     assert [law_report(cfg, 16, 2000) for cfg in cfgs] == fresh
     assert list(calls.values()) == [2, 1]
     # the cached reference is read-only, and reading it draws nothing
-    gibbs, ks = harness._gibbs_reference(None, 4.0, 3, 2000)
+    gibbs, ks = harness._gibbs_reference("quadratic", 2, 4.0, 3, 2000)
     assert not gibbs.flags.writeable
     assert ks == fresh[0]["ks_gibbs_vs_gaussian"] == ks_vs_gaussian(gibbs, 0.5)
     assert list(calls.values()) == [2, 1]
+
+
+def test_law_report_samples_the_u_its_objective_records(monkeypatch):
+    # the Gibbs reference's density reads u_s through u_s_value_array, the
+    # function the objective column is written with: one call per grid of
+    # nodes or of midpoints, at the report's s
+    calls = []
+
+    def counted(theta, s):
+        calls.append((theta.size, s))
+        return u_s_value_array(theta, s)
+
+    monkeypatch.setattr(harness, "u_s_value_array", counted)
+    cfg = ExperimentConfig(problem="us", algorithm="tusla", lam=0.04, beta=4.0, s=2,
+                           eta=0.0, n_steps=50, seeds=(3,))
+    harness._gibbs_reference.cache_clear()
+    try:
+        law_report(cfg, 16, 2000)
+    finally:
+        harness._gibbs_reference.cache_clear()
+    cells = diagnostics._GIBBS_CELLS
+    assert calls and len(calls) % 2 == 0
+    assert set(calls) == {(cells + 1, 2), (cells, 2)}
 
 
 @pytest.mark.parametrize("problem", ["us", "quadratic"])
@@ -1210,7 +1233,7 @@ def test_cli_gibbs_runs_at_an_explicit_zero_penalty(tmp_path):
         UniformDataSource(), n_steps=200, n_replicas=16, seed=3,
     )
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([3, 9])))
-    gibbs = gibbs_sampler_1d(lambda x: u_s_value_batch(x, 2), 4.0, None, rng, n_draws=2000)
+    gibbs = gibbs_sampler_1d(lambda x: u_s_value_array(x, 2), 4.0, None, rng, n_draws=2000)
     assert obj["eta"] == 0.0 and obj["r"] == 12.0
     assert obj["w1_vs_gibbs"] == wasserstein_p_1d(law, gibbs)[0]
     quadratic = [tmp_path / "q-default.json", tmp_path / "q0.json"]

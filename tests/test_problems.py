@@ -18,6 +18,7 @@ from _loop_reference import (
     us_odd_power,
 )
 from _suites import data_norm, growth_envelope
+from tusla.gradient_oracle import _guard_pow
 from tusla.problems import (
     ConstantDataSource,
     OneNeuronProblem,
@@ -29,8 +30,6 @@ from tusla.problems import (
     one_neuron_value,
     u_s_value,
     u_s_value_array,
-    u_s_value_batch,
-    _guard_pow,
 )
 
 EPS = np.finfo(np.float64).eps
@@ -61,7 +60,7 @@ def test_u_s_minimum_at_center():
         floor = 1.0 if s == 0 else 0.0
         assert u_s_value(CENTER, s) == floor
         grid = CENTER + np.concatenate([np.linspace(-4.0, -0.01, 300), np.linspace(0.01, 4.0, 300)])
-        vals = u_s_value_batch(grid, s)
+        vals = u_s_value_array(grid, s)
         assert np.all(vals > floor)
 
 
@@ -101,19 +100,6 @@ def test_u_s_derivative_matches_finite_difference():
             fd = (u_s_value(theta + h, s) - u_s_value(theta - h, s)) / (2.0 * h)
             want = u_s_derivative(theta, s)
             assert math.isclose(fd, want, rel_tol=1e-6, abs_tol=1e-9)
-
-
-def test_u_s_value_batch_matches_scalar():
-    rng = np.random.default_rng(7)
-    for s in (0, 1, 2, 26):
-        thetas = np.concatenate(
-            [rng.uniform(-8.0, 8.0, 500), [CENTER, 1.1, -0.9, math.nextafter(1.1, 2.0)]]
-        )
-        batch = u_s_value_batch(thetas, s)
-        for t, b in zip(thetas, batch):
-            want = u_s_value(float(t), s)
-            # numpy's vectorized pow may round differently from libm pow
-            assert abs(b - want) <= 4 * np.spacing(abs(want)) + 5e-324
 
 
 def _u_s_bits(thetas: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
